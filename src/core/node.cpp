@@ -298,6 +298,11 @@ void PicoCubeNode::update_harvest() {
   }
   const auto res = rectifier_->rectify(*shaker_, battery_.open_circuit_voltage(), t,
                                        t + window, 2048);
+  if constexpr (obs::kEnabled) {
+    ++harvest_windows_;
+    if (res.samples_evaluated == 0) ++harvest_windows_skipped_;
+    harvest_samples_ += static_cast<std::uint64_t>(res.samples_evaluated);
+  }
   accountant_.set_harvest_current(Current{res.avg_current.value() * harvest_derate_});
 }
 
@@ -452,6 +457,12 @@ void PicoCubeNode::publish_metrics(obs::MetricsRegistry& m) const {
       }
     }
     if (fault_injector_) fault_injector_->publish_metrics(m);
+    if (harvest_windows_ > 0) {
+      // Behavioral harvest estimator: how much of the sampling it culled.
+      m.add(m.counter("harvest.windows"), static_cast<double>(harvest_windows_));
+      m.add(m.counter("harvest.windows_skipped"), static_cast<double>(harvest_windows_skipped_));
+      m.add(m.counter("harvest.samples_evaluated"), static_cast<double>(harvest_samples_));
+    }
     if (harvest_tr_) {
       // Circuit-level harvest engine: steps, LU-cache traffic, rejected
       // steps and the accepted-dt histogram ("transient.*").

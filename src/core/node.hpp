@@ -245,6 +245,11 @@ class PicoCubeNode {
   power::RectifierCircuit harvest_rc_;
   std::unique_ptr<circuits::Transient> harvest_tr_;
   double harvest_i_prev_ = 0.0;  // battery branch current at the last accepted step
+  // Behavioral estimator work (published as harvest.*): rectify windows,
+  // those that evaluated no sample, and samples evaluated.
+  std::uint64_t harvest_windows_ = 0;
+  std::uint64_t harvest_windows_skipped_ = 0;
+  std::uint64_t harvest_samples_ = 0;
 
   // Fault injection (armed at boot when cfg_.faults is non-empty).
   std::unique_ptr<fault::FaultInjector> fault_injector_;

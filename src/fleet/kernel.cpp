@@ -126,6 +126,11 @@ HarvestIntegral::HarvestIntegral(const core::NodeConfig& cfg, double horizon_s) 
   PICO_REQUIRE(horizon_s > 0.0, "harvest horizon must be positive");
   window_s_ = cfg.harvest_update.value();
   PICO_REQUIRE(window_s_ > 0.0, "harvest window must be positive");
+  // The grid below is the shaker path; billing it to any other harvester
+  // would be silently wrong.
+  PICO_REQUIRE(cfg.harvester == core::NodeConfig::HarvesterKind::kShaker,
+               "fleet harvest models only the shaker harvester: node.harvester = kSolar "
+               "with attach_harvester is not supported");
 
   // Same estimator the scalar behavioral node runs every window: shaker
   // EMF into the power train's rectifier topology against the battery's

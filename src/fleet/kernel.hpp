@@ -93,7 +93,8 @@ class HarvestIntegral {
  public:
   HarvestIntegral() = default;
   // Precompute windows covering [0, horizon_s). Uses cfg's drive profile,
-  // power version (rectifier topology) and initial SoC.
+  // power version (rectifier topology) and initial SoC. Only the shaker
+  // harvester is modelled; any other cfg.harvester is a design error.
   HarvestIntegral(const core::NodeConfig& cfg, double horizon_s);
 
   [[nodiscard]] bool empty() const { return cum_.empty(); }

@@ -1,6 +1,8 @@
 #include "harvest/harvester.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/mathutil.hpp"
@@ -10,6 +12,17 @@ namespace pico::harvest {
 Power Harvester::matched_power(double t) const {
   const double voc = open_circuit_voltage(t);
   return Power{voc * voc / (4.0 * source_resistance().value())};
+}
+
+double Harvester::emf_bound(double, double) const {
+  return std::numeric_limits<double>::infinity();
+}
+
+int Harvester::sweep_emf(double t0, double dt, int k0, int k1, double /*quiet*/,
+                         double* out) const {
+  int n = 0;
+  for (int k = k0; k < k1; ++k) out[n++] = open_circuit_voltage(t0 + (k + 0.5) * dt);
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -24,23 +37,80 @@ ElectromagneticShaker::ElectromagneticShaker(SpeedProfile profile, Params p)
   PICO_REQUIRE(prm_.coil_resistance.value() > 0.0, "coil resistance must be positive");
   PICO_REQUIRE(prm_.ring_frequency.value() > 0.0, "ring frequency must be positive");
   PICO_REQUIRE(prm_.ring_decay.value() > 0.0, "ring decay must be positive");
+  // The ring age divides by the pulse rate, and emf_bound assumes a
+  // non-negative peak.
+  PICO_REQUIRE(prm_.min_omega > 0.0, "minimum angular speed must be positive");
+  PICO_REQUIRE(prm_.volts_per_rad_per_s >= 0.0 && prm_.clamp.value() >= 0.0,
+               "EMF coefficient and clamp must be non-negative");
+}
+
+double ElectromagneticShaker::ring_age(double omega, double angle) const {
+  // Rotation phase in "pulse units": a pulse fires each time the phase
+  // crosses an integer.
+  const double pulse_phase = angle / (2.0 * M_PI) * prm_.pulses_per_rev;
+  const double frac = pulse_phase - std::floor(pulse_phase);
+  // Time since the last magnet pass, approximated with the current speed
+  // (speed changes slowly relative to a revolution).
+  const double pulse_rate = omega / (2.0 * M_PI) * prm_.pulses_per_rev;  // pulses/s
+  return frac / pulse_rate;
+}
+
+double ElectromagneticShaker::ring_voltage(double omega, double since) const {
+  const double vpeak =
+      std::min(prm_.volts_per_rad_per_s * omega, prm_.clamp.value());
+  const double envelope = std::exp(-since / prm_.ring_decay.value());
+  return vpeak * envelope * std::sin(2.0 * M_PI * prm_.ring_frequency.value() * since);
 }
 
 double ElectromagneticShaker::open_circuit_voltage(double t) const {
   const double omega = profile_.omega(t);
   if (omega < prm_.min_omega) return 0.0;
-  // Rotation phase in "pulse units": a pulse fires each time the phase
-  // crosses an integer.
-  const double pulse_phase = profile_.angle(t) / (2.0 * M_PI) * prm_.pulses_per_rev;
-  const double frac = pulse_phase - std::floor(pulse_phase);
-  // Time since the last magnet pass, approximated with the current speed
-  // (speed changes slowly relative to a revolution).
-  const double pulse_rate = omega / (2.0 * M_PI) * prm_.pulses_per_rev;  // pulses/s
-  const double since = frac / pulse_rate;
-  const double vpeak =
-      std::min(prm_.volts_per_rad_per_s * omega, prm_.clamp.value());
-  const double envelope = std::exp(-since / prm_.ring_decay.value());
-  return vpeak * envelope * std::sin(2.0 * M_PI * prm_.ring_frequency.value() * since);
+  return ring_voltage(omega, ring_age(omega, profile_.angle(t)));
+}
+
+namespace {
+// Relative slack on the window's peak speed: covers the rounding of the
+// profile's interpolation and loop folding (a few ulps) many times over.
+constexpr double kOmegaMargin = 1e-9;
+// Slack on the ring-age cutoff, in e-folds: covers the rounding of exp,
+// log, the division and the two products of ring_voltage.
+constexpr double kDecayMargin = 1e-9;
+}  // namespace
+
+double ElectromagneticShaker::emf_bound(double t0, double t1) const {
+  // |voc| <= vpeak = min(k * omega, clamp): the ring envelope and the sine
+  // never exceed 1, and a product with a factor <= 1 rounds to at most the
+  // other factor.
+  const double w = profile_.max_omega(t0, t1) * (1.0 + kOmegaMargin);
+  if (w < prm_.min_omega) return 0.0;  // every sample is below min_omega
+  return std::min(prm_.volts_per_rad_per_s * w, prm_.clamp.value());
+}
+
+int ElectromagneticShaker::sweep_emf(double t0, double dt, int k0, int k1, double quiet,
+                                     double* out) const {
+  // |voc| <= bound * exp(-since / tau), so once the ring age passes
+  // since / tau >= ln(bound / quiet) no sample can exceed `quiet`.
+  double decay_cut = std::numeric_limits<double>::infinity();
+  if (quiet > 0.0) {
+    const double bound = emf_bound(t0 + k0 * dt, t0 + k1 * dt);
+    decay_cut = bound <= quiet ? 0.0 : std::log(bound / quiet) + kDecayMargin;
+  }
+  const bool drop_silent = quiet >= 0.0;  // below min_omega the EMF is exactly 0
+  const double tau = prm_.ring_decay.value();
+  SpeedProfile::Cursor cursor(profile_);
+  int n = 0;
+  for (int k = k0; k < k1; ++k) {
+    const double t = t0 + (k + 0.5) * dt;
+    const double omega = cursor.omega(t);
+    if (omega < prm_.min_omega) {
+      if (!drop_silent) out[n++] = 0.0;
+      continue;
+    }
+    const double since = ring_age(omega, cursor.angle(t));
+    if (since / tau >= decay_cut) continue;
+    out[n++] = ring_voltage(omega, since);
+  }
+  return n;
 }
 
 Duration ElectromagneticShaker::waveform_period(double t) const {

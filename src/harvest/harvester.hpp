@@ -28,6 +28,19 @@ class Harvester {
   [[nodiscard]] virtual Power matched_power(double t) const;
   // A period hint for averaging windows (0 = aperiodic/DC).
   [[nodiscard]] virtual Duration waveform_period(double t) const = 0;
+
+  // Conservative bound on |open_circuit_voltage(t)| for every t in
+  // [t0, t1] (t0 <= t1): a model may overestimate, never underestimate.
+  // The default, +infinity, means "no bound".
+  [[nodiscard]] virtual double emf_bound(double t0, double t1) const;
+
+  // Batched sampling for averaging loops: writes
+  // open_circuit_voltage(t0 + (k + 0.5) * dt) for k in [k0, k1), in order
+  // and bit for bit, to `out` — except that a sample whose |voc| is
+  // provably <= `quiet` may be left out (quiet < 0: none may). Returns the
+  // number written, at most k1 - k0. The default evaluates every sample.
+  [[nodiscard]] virtual int sweep_emf(double t0, double dt, int k0, int k1, double quiet,
+                                      double* out) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -37,6 +50,10 @@ class Harvester {
 // decaying sinusoidal voltage burst whose peak scales with rotation speed.
 // This reproduces the "pulsed waveform" the paper's synchronous rectifier
 // ingests (§7.1).
+//
+// Its EMF bound is min(k * omega_max, clamp) over the window; its sweep
+// skips exp/sin wherever the decayed ring envelope provably stays at or
+// below `quiet`, and walks the speed profile with one segment cursor.
 // ---------------------------------------------------------------------------
 class ElectromagneticShaker : public Harvester {
  public:
@@ -59,11 +76,19 @@ class ElectromagneticShaker : public Harvester {
     return prm_.coil_resistance;
   }
   [[nodiscard]] Duration waveform_period(double t) const override;
+  [[nodiscard]] double emf_bound(double t0, double t1) const override;
+  [[nodiscard]] int sweep_emf(double t0, double dt, int k0, int k1, double quiet,
+                              double* out) const override;
 
   [[nodiscard]] const SpeedProfile& profile() const { return profile_; }
   [[nodiscard]] const Params& params() const { return prm_; }
 
  private:
+  // The two halves of open_circuit_voltage, shared with sweep_emf so both
+  // paths run the same floating-point operations.
+  [[nodiscard]] double ring_age(double omega, double angle) const;
+  [[nodiscard]] double ring_voltage(double omega, double since) const;
+
   SpeedProfile profile_;
   Params prm_;
 };

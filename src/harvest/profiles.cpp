@@ -1,5 +1,6 @@
 #include "harvest/profiles.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -24,51 +25,95 @@ SpeedProfile::SpeedProfile(std::vector<Point> points, bool loop)
   }
 }
 
-double SpeedProfile::omega_raw(double t) const {
-  if (t <= pts_.front().t) return pts_.front().omega;
-  if (t >= pts_.back().t) return pts_.back().omega;
-  for (std::size_t i = 1; i < pts_.size(); ++i) {
-    if (t <= pts_[i].t) {
-      const double frac = (t - pts_[i - 1].t) / (pts_[i].t - pts_[i - 1].t);
-      return pts_[i - 1].omega + frac * (pts_[i].omega - pts_[i - 1].omega);
-    }
-  }
-  return pts_.back().omega;
+std::size_t SpeedProfile::segment(double t, std::size_t seg) const {
+  // Precondition: pts_.front().t < t < pts_.back().t, so the scan stops.
+  if (seg < 1 || seg >= pts_.size() || t <= pts_[seg - 1].t) seg = 1;
+  while (t > pts_[seg].t) ++seg;
+  return seg;
 }
 
-double SpeedProfile::angle_raw(double t) const {
+double SpeedProfile::interpolate(std::size_t seg, double t) const {
+  const double frac = (t - pts_[seg - 1].t) / (pts_[seg].t - pts_[seg - 1].t);
+  return pts_[seg - 1].omega + frac * (pts_[seg].omega - pts_[seg - 1].omega);
+}
+
+double SpeedProfile::omega_raw(double t, std::size_t& seg) const {
+  if (t <= pts_.front().t) return pts_.front().omega;
+  if (t >= pts_.back().t) return pts_.back().omega;
+  seg = segment(t, seg);
+  return interpolate(seg, t);
+}
+
+double SpeedProfile::angle_raw(double t, std::size_t& seg) const {
   if (t <= pts_.front().t) return pts_.front().omega * (t - pts_.front().t);
   if (t >= pts_.back().t) {
     return cum_angle_.back() + pts_.back().omega * (t - pts_.back().t);
   }
-  for (std::size_t i = 1; i < pts_.size(); ++i) {
-    if (t <= pts_[i].t) {
-      const double dt = t - pts_[i - 1].t;
-      const double w = omega_raw(t);
-      return cum_angle_[i - 1] + 0.5 * (pts_[i - 1].omega + w) * dt;
-    }
-  }
-  return cum_angle_.back();
+  seg = segment(t, seg);
+  const double dt = t - pts_[seg - 1].t;
+  const double w = interpolate(seg, t);
+  return cum_angle_[seg - 1] + 0.5 * (pts_[seg - 1].omega + w) * dt;
 }
 
-double SpeedProfile::omega(double t) const {
+double SpeedProfile::omega_at(double t, std::size_t& seg) const {
   if (loop_ && pts_.size() > 1) {
     const double span = pts_.back().t - pts_.front().t;
     const double local = std::fmod(std::max(t - pts_.front().t, 0.0), span);
-    return omega_raw(pts_.front().t + local);
+    return omega_raw(pts_.front().t + local, seg);
   }
-  return omega_raw(t);
+  return omega_raw(t, seg);
 }
 
-double SpeedProfile::angle(double t) const {
+double SpeedProfile::angle_at(double t, std::size_t& seg) const {
   if (loop_ && pts_.size() > 1) {
     const double span = pts_.back().t - pts_.front().t;
     const double shifted = std::max(t - pts_.front().t, 0.0);
     const double cycles = std::floor(shifted / span);
     const double local = shifted - cycles * span;
-    return cycles * cum_angle_.back() + angle_raw(pts_.front().t + local);
+    return cycles * cum_angle_.back() + angle_raw(pts_.front().t + local, seg);
   }
-  return angle_raw(t);
+  return angle_raw(t, seg);
+}
+
+double SpeedProfile::omega(double t) const {
+  std::size_t seg = 1;
+  return omega_at(t, seg);
+}
+
+double SpeedProfile::angle(double t) const {
+  std::size_t seg = 1;
+  return angle_at(t, seg);
+}
+
+double SpeedProfile::max_omega(double t0, double t1) const {
+  double w = std::max(omega(t0), omega(t1));
+  if (pts_.size() < 2) return w;
+  const double span = duration();
+  const double slack = 1e-9 * std::max({std::fabs(t0), std::fabs(t1), span});
+  const auto take_between = [&](double lo, double hi) {
+    for (const auto& p : pts_) {
+      if (p.t >= lo && p.t <= hi) w = std::max(w, p.omega);
+    }
+  };
+  if (!loop_) {
+    take_between(t0 - slack, t1 + slack);
+    return w;
+  }
+  // Loop-local positions, as omega() maps them (times before the first
+  // point sit at local 0); the window may wrap across the seam once.
+  const double front = pts_.front().t;
+  const double a0 = std::max(t0 - front, 0.0);
+  const double a1 = std::max(t1 - front, 0.0);
+  if (a1 - a0 + 2.0 * slack >= span) {
+    take_between(front, pts_.back().t);
+    return w;
+  }
+  const double l0 = front + std::fmod(a0, span) - slack;
+  const double l1 = l0 + (a1 - a0) + 2.0 * slack;
+  take_between(l0, l1);
+  take_between(l0 + span, l1 + span);
+  take_between(l0 - span, l1 - span);
+  return w;
 }
 
 double SpeedProfile::duration() const { return pts_.back().t - pts_.front().t; }

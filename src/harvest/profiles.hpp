@@ -6,6 +6,7 @@
 // harvester models can recover the exact rotation phase at any time.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/units.hpp"
@@ -29,9 +30,37 @@ class SpeedProfile {
   [[nodiscard]] double duration() const;             // profile span
   [[nodiscard]] bool loops() const { return loop_; }
 
+  // Largest omega over [t0, t1]: the maximum of omega() at both endpoints
+  // and at every breakpoint in between (across the loop seam). Exact for
+  // the piecewise-linear speed; breakpoints within a relative 1e-9 of the
+  // interval also count, so the value never undershoots omega() at a time
+  // whose loop-local position rounded across a breakpoint.
+  [[nodiscard]] double max_omega(double t0, double t1) const;
+
+  // Sequential evaluator for sweeps: omega() and angle() bit for bit, but
+  // the segment search resumes from the previous query's segment instead
+  // of scanning from the first breakpoint. Queries may go backwards (a
+  // backward step rescans once).
+  class Cursor {
+   public:
+    explicit Cursor(const SpeedProfile& p) : p_(&p) {}
+    [[nodiscard]] double omega(double t) { return p_->omega_at(t, seg_); }
+    [[nodiscard]] double angle(double t) { return p_->angle_at(t, seg_); }
+
+   private:
+    const SpeedProfile* p_;
+    std::size_t seg_ = 1;
+  };
+
  private:
-  [[nodiscard]] double omega_raw(double t) const;
-  [[nodiscard]] double angle_raw(double t) const;
+  // `seg` is a search hint in and the segment found out: pts_[seg - 1].t <
+  // local time <= pts_[seg].t.
+  [[nodiscard]] std::size_t segment(double t, std::size_t seg) const;
+  [[nodiscard]] double interpolate(std::size_t seg, double t) const;
+  [[nodiscard]] double omega_raw(double t, std::size_t& seg) const;
+  [[nodiscard]] double angle_raw(double t, std::size_t& seg) const;
+  [[nodiscard]] double omega_at(double t, std::size_t& seg) const;
+  [[nodiscard]] double angle_at(double t, std::size_t& seg) const;
 
   std::vector<Point> pts_;
   std::vector<double> cum_angle_;  // angle at each breakpoint

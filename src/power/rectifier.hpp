@@ -11,6 +11,11 @@
 // average DC charging current at a given sink voltage by sampling the
 // waveform over an averaging window (the waveform period is resolved with
 // several hundred samples).
+//
+// `rectify` skips work that provably contributes exactly zero current: a
+// whole window when the harvester's EMF bound does not conduct, and the
+// samples the harvester's sweep proves quiet. Skipped samples would add
+// +0.0 to every sum, so results are bit for bit those of the full loop.
 #pragma once
 
 #include <memory>
@@ -27,6 +32,7 @@ struct RectifierResult {
   Power delivered_power{};  // avg_current * vdc
   Power loss{};             // dissipated in drops/switches/source resistance
   double conduction_fraction = 0.0;  // fraction of samples conducting
+  int samples_evaluated = 0;  // samples whose current was computed; the rest were culled
 };
 
 class Rectifier {
@@ -35,6 +41,8 @@ class Rectifier {
   [[nodiscard]] virtual std::string name() const = 0;
 
   // Instantaneous current into the DC sink for a given source EMF sample.
+  // Contract: the result is >= 0 and non-decreasing in |voc| (for fixed
+  // vdc and rs); `rectify` relies on it to cull samples exactly.
   [[nodiscard]] virtual double instantaneous_current(double voc, double vdc,
                                                      double rs) const = 0;
   // Extra standby/control power (comparators, gate drive) while active.

@@ -490,6 +490,26 @@ TEST(ShardedEngineTest, RejectsUnsupportedFaultsAndBadBudgetOverride) {
   EXPECT_THROW((void)ShardedFleetEngine::run(bad), DesignError);
 }
 
+TEST(ShardedEngineTest, RejectsSolarHarvesterSpec) {
+  // The kernel's harvest grid is the shaker->rectifier path; a solar spec
+  // used to be billed shaker harvest without complaint.
+  FleetSpec solar;
+  solar.nodes = 2;
+  solar.sim_time_s = 10.0;
+  solar.attach_harvester = true;
+  solar.node.harvester = core::NodeConfig::HarvesterKind::kSolar;
+  try {
+    const FleetSession session(solar);
+    ADD_FAILURE() << "a solar harvester spec was accepted";
+  } catch (const DesignError& e) {
+    EXPECT_NE(std::string(e.what()).find("kSolar"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)HarvestIntegral(solar.node, 10.0), DesignError);
+  // Without the harvester attached the kernel bills no harvest at all.
+  solar.attach_harvester = false;
+  EXPECT_EQ(ShardedFleetEngine::run(solar).energy_in_j, 0.0);
+}
+
 TEST(ShardedEngineTest, SpecFromFleetConfigMapsArqLink) {
   core::FleetConfig cfg;
   cfg.arq = true;

@@ -15,6 +15,8 @@
 #include "circuits/circuit.hpp"
 #include "circuits/components.hpp"
 #include "circuits/transient.hpp"
+#include "core/node.hpp"
+#include "harvest/profiles.hpp"
 #include "obs/envelope.hpp"
 #include "obs/flight.hpp"
 #include "obs/manifest.hpp"
@@ -980,6 +982,34 @@ TEST(TransientObs, StepAndLuCountersReconcile) {
   tr.run_until(Duration{6e-3});
   EXPECT_DOUBLE_EQ(m.snapshot().value("transient.steps"),
                    static_cast<double>(tr.steps()));
+}
+
+TEST(NodeObs, HarvestCullCountersPublish) {
+  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
+  core::NodeConfig cfg;
+  cfg.drive = harvest::make_city_cycle();
+  cfg.attach_harvester = true;
+  core::PicoCubeNode node(cfg);
+  node.run(Duration{120.0});
+  MetricsRegistry m;
+  node.publish_metrics(m);
+  const MetricsSnapshot snap = m.snapshot();
+  // One window at boot plus one per 1 s refresh tick.
+  const double windows = snap.value("harvest.windows");
+  EXPECT_DOUBLE_EQ(windows, 121.0);
+  // The city loop stands still for 37 of its 120 s: those windows evaluate
+  // nothing, and live windows evaluate a fraction of their 2048 samples.
+  EXPECT_GE(snap.value("harvest.windows_skipped"), 30.0);
+  EXPECT_LT(snap.value("harvest.windows_skipped"), windows);
+  EXPECT_GT(snap.value("harvest.samples_evaluated"), 0.0);
+  EXPECT_LT(snap.value("harvest.samples_evaluated"), 0.5 * 2048.0 * windows);
+
+  // A node without the behavioral estimator publishes no harvest.* keys.
+  core::PicoCubeNode bare(core::NodeConfig{});
+  bare.run(Duration{10.0});
+  MetricsRegistry m2;
+  bare.publish_metrics(m2);
+  EXPECT_FALSE(m2.snapshot().has("harvest.windows"));
 }
 
 }  // namespace

@@ -2,7 +2,15 @@
 // SC converter stages, power gating, and the integrated power IC.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "harvest/harvester.hpp"
 #include "power/converters.hpp"
 #include "power/gating.hpp"
@@ -65,6 +73,239 @@ TEST(Rectifier, PowerBalance) {
               r.delivered_power.value() + r.loss.value() -
                   SynchronousRectifier{}.control_power().value(),
               1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// RectifyCull: rectify() skips windows and samples that provably carry no
+// current. Every result must equal the full per-sample loop bit for bit.
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The full loop, built from public per-sample calls only.
+RectifierResult brute_force(const Rectifier& r, const harvest::Harvester& h, double vdc,
+                            double t0, double t1, int samples) {
+  const double rs = h.source_resistance().value();
+  double sum_i = 0.0;
+  double sum_psrc = 0.0;
+  int conducting = 0;
+  const double dt = (t1 - t0) / samples;
+  for (int k = 0; k < samples; ++k) {
+    const double voc = h.open_circuit_voltage(t0 + (k + 0.5) * dt);
+    const double i = r.instantaneous_current(voc, vdc, rs);
+    sum_i += i;
+    sum_psrc += std::fabs(voc) * i;
+    if (i > 0.0) ++conducting;
+  }
+  const double n = static_cast<double>(samples);
+  RectifierResult res;
+  res.avg_current = Current{sum_i / n};
+  res.source_power = Power{sum_psrc / n};
+  res.delivered_power = Power{res.avg_current.value() * vdc};
+  res.loss = Power{res.source_power.value() - res.delivered_power.value() +
+                   r.control_power().value()};
+  res.conduction_fraction = static_cast<double>(conducting) / n;
+  return res;
+}
+
+struct CullProfile {
+  const char* name;
+  harvest::SpeedProfile profile;
+  std::vector<std::pair<double, double>> windows;
+};
+
+// Windows straddle breakpoints and the loop seam, span more than one loop,
+// and sit deep into a long run.
+std::vector<CullProfile> cull_profiles() {
+  return {
+      {"city",
+       harvest::make_city_cycle(),
+       {{0.0, 1.0}, {7.5, 8.5}, {34.9, 35.2}, {41.5, 42.5}, {59.0, 60.0}, {67.9, 68.3},
+        {119.4, 120.6}, {10.0, 250.0}, {14399.0, 14400.0}, {14435.2, 14436.2}}},
+      {"highway",
+       harvest::make_highway_cycle(),
+       {{0.0, 1.0}, {29.5, 30.5}, {89.7, 90.3}, {179.0, 181.0}, {14399.0, 14400.0}}},
+      {"bicycle",
+       harvest::make_bicycle_ride(),
+       {{5.5, 6.5}, {119.7, 120.3}, {149.0, 151.0}, {164.5, 165.5}, {320.0, 331.0},
+        {3000.0, 3001.0}}},
+      {"parked", harvest::make_parked(Duration{1000.0}), {{0.0, 1.0}, {999.5, 1000.5}}},
+  };
+}
+
+std::vector<std::unique_ptr<Rectifier>> all_rectifiers() {
+  std::vector<std::unique_ptr<Rectifier>> r;
+  r.push_back(std::make_unique<IdealRectifier>());
+  r.push_back(std::make_unique<DiodeBridgeRectifier>());
+  r.push_back(std::make_unique<SynchronousRectifier>());
+  return r;
+}
+
+void expect_culled_matches_brute_force(const Rectifier& rect) {
+  // From a flat cell past the clamp (5 V): windows skip outright there.
+  const double vdcs[] = {0.0, 0.9, 1.25, 1.45, 2.5, 4.3, 4.999, 5.0, 6.0};
+  const int counts[] = {2, 512, 2048, 4096};
+  for (const auto& cp : cull_profiles()) {
+    const harvest::ElectromagneticShaker shaker(cp.profile);
+    for (const auto& [t0, t1] : cp.windows) {
+      for (const double vdc : vdcs) {
+        for (const int n : counts) {
+          SCOPED_TRACE(::testing::Message() << rect.name() << " " << cp.name << " [" << t0
+                                            << ", " << t1 << "] vdc=" << vdc << " n=" << n);
+          const auto got = rect.rectify(shaker, Voltage{vdc}, t0, t1, n);
+          const auto want = brute_force(rect, shaker, vdc, t0, t1, n);
+          ASSERT_EQ(bits(got.avg_current.value()), bits(want.avg_current.value()));
+          ASSERT_EQ(bits(got.source_power.value()), bits(want.source_power.value()));
+          ASSERT_EQ(bits(got.delivered_power.value()), bits(want.delivered_power.value()));
+          ASSERT_EQ(bits(got.loss.value()), bits(want.loss.value()));
+          ASSERT_EQ(bits(got.conduction_fraction), bits(want.conduction_fraction));
+          ASSERT_GE(got.samples_evaluated, 0);
+          ASSERT_LE(got.samples_evaluated, n);
+          // Every conducting sample was evaluated.
+          ASSERT_GE(static_cast<double>(got.samples_evaluated),
+                    got.conduction_fraction * n);
+        }
+      }
+    }
+  }
+}
+
+TEST(RectifyCull, IdealMatchesBruteForce) { expect_culled_matches_brute_force(IdealRectifier{}); }
+
+TEST(RectifyCull, DiodeBridgeMatchesBruteForce) {
+  expect_culled_matches_brute_force(DiodeBridgeRectifier{});
+}
+
+TEST(RectifyCull, SynchronousMatchesBruteForce) {
+  expect_culled_matches_brute_force(SynchronousRectifier{});
+}
+
+TEST(RectifyCull, CullsMostOfACityCycle) {
+  // The city cycle stands still or crawls for much of its loop, and the
+  // ring decays long before the next magnet pass: most work is culled.
+  const harvest::ElectromagneticShaker shaker(harvest::make_city_cycle());
+  const DiodeBridgeRectifier bridge;
+  long evaluated = 0;
+  int skipped = 0;
+  for (int w = 0; w < 120; ++w) {
+    const auto r = bridge.rectify(shaker, Voltage{1.3}, w, w + 1.0, 2048);
+    evaluated += r.samples_evaluated;
+    if (r.samples_evaluated == 0) ++skipped;
+  }
+  EXPECT_GT(skipped, 30);
+  EXPECT_LT(evaluated, 120L * 2048 / 4);
+}
+
+TEST(RectifyCull, ParkedWindowEvaluatesNothing) {
+  const harvest::ElectromagneticShaker parked(harvest::make_parked(Duration{100.0}));
+  const auto r = SynchronousRectifier{}.rectify(parked, Voltage{1.25}, 0.0, 10.0);
+  EXPECT_EQ(r.samples_evaluated, 0);
+  EXPECT_EQ(bits(r.loss.value()), bits(SynchronousRectifier{}.control_power().value()));
+}
+
+TEST(RectifyCull, HarvesterWithoutBoundEvaluatesEverySample) {
+  const harvest::ResonantVibrationHarvester vib;
+  EXPECT_TRUE(std::isinf(vib.emf_bound(0.0, 1.0)));
+  const auto r = IdealRectifier{}.rectify(vib, Voltage{0.5}, 0.0, 0.1, 512);
+  EXPECT_EQ(r.samples_evaluated, 512);
+}
+
+TEST(RectifyCull, EmfBoundCoversEverySample) {
+  Rng rng(2008);
+  for (const auto& cp : cull_profiles()) {
+    const harvest::ElectromagneticShaker shaker(cp.profile);
+    const auto& prof = shaker.profile();
+    for (int trial = 0; trial < 400; ++trial) {
+      const double t0 = rng.uniform(-5.0, 2000.0);
+      const double t1 = t0 + (trial % 4 == 0 ? rng.uniform(0.0, 400.0) : rng.uniform(0.0, 3.0));
+      const double wmax = prof.max_omega(t0, t1);
+      const double bound = shaker.emf_bound(t0, t1);
+      SCOPED_TRACE(::testing::Message() << cp.name << " [" << t0 << ", " << t1 << "]");
+      for (int k = 0; k <= 64; ++k) {
+        const double t = k == 64 ? t1 : t0 + (t1 - t0) * rng.uniform();
+        ASSERT_LE(prof.omega(t), wmax) << "t=" << t;
+        ASSERT_LE(std::fabs(shaker.open_circuit_voltage(t)), bound) << "t=" << t;
+      }
+    }
+  }
+}
+
+TEST(RectifyCull, SweepOmitsOnlyQuietSamples) {
+  Rng rng(2009);
+  double out[1024];
+  for (const auto& cp : cull_profiles()) {
+    const harvest::ElectromagneticShaker shaker(cp.profile);
+    for (int trial = 0; trial < 60; ++trial) {
+      const double t0 = rng.uniform(0.0, 1000.0);
+      const int n = 2 + static_cast<int>(rng.below(1000));
+      const double dt = rng.uniform(1e-5, 2e-3);
+      for (const double quiet : {-1.0, 0.0, 0.05, 0.4, 1.9, 6.0}) {
+        SCOPED_TRACE(::testing::Message() << cp.name << " t0=" << t0 << " n=" << n
+                                          << " quiet=" << quiet);
+        const int m = shaker.sweep_emf(t0, dt, 0, n, quiet, out);
+        ASSERT_LE(m, n);
+        if (quiet < 0.0) {
+          ASSERT_EQ(m, n);
+        }
+        // The written values are the scalar samples, in order; every
+        // sample left out is at or below `quiet`.
+        int j = 0;
+        for (int k = 0; k < n; ++k) {
+          const double voc = shaker.open_circuit_voltage(t0 + (k + 0.5) * dt);
+          if (j < m && bits(out[j]) == bits(voc)) {
+            ++j;
+          } else {
+            ASSERT_LE(std::fabs(voc), quiet) << "k=" << k;
+          }
+        }
+        ASSERT_EQ(j, m);
+      }
+    }
+  }
+}
+
+TEST(RectifyCull, CursorMatchesScalarQueries) {
+  for (const auto& cp : cull_profiles()) {
+    harvest::SpeedProfile::Cursor cursor(cp.profile);
+    // Forward sweeps, exact breakpoints, backward jumps and the seam.
+    std::vector<double> ts = {0.0, 8.0, 35.0, 42.0, 60.0, 119.999, 120.0, 120.001, 30.0, 6.0,
+                              165.0, 90.0, -3.0, 1e5 + 0.25, 14400.0, 7.99999999};
+    for (int k = 0; k < 3000; ++k) ts.push_back(100.0 + 0.1 * k);
+    SCOPED_TRACE(cp.name);
+    for (const double t : ts) {
+      ASSERT_EQ(bits(cursor.omega(t)), bits(cp.profile.omega(t))) << "t=" << t;
+      ASSERT_EQ(bits(cursor.angle(t)), bits(cp.profile.angle(t))) << "t=" << t;
+    }
+  }
+}
+
+TEST(RectifyCull, CurrentMonotoneInAbsVoc) {
+  // The contract culling rests on: i >= 0, even in voc, non-decreasing in
+  // |voc|.
+  Rng rng(7);
+  for (const auto& rect : all_rectifiers()) {
+    for (const double vdc : {0.0, 0.3, 1.25, 2.0, 4.9}) {
+      for (const double rs : {1.0, 95.0, 2000.0}) {
+        std::vector<double> v;
+        for (int k = 0; k <= 4000; ++k) v.push_back(6.0 * k / 4000.0);
+        for (int k = 0; k < 2000; ++k) v.push_back(rng.uniform(0.0, 6.0));
+        // Dense around the conduction thresholds.
+        for (const double edge : {vdc, vdc + 0.7, vdc + 5e-3}) {
+          for (int k = -50; k <= 50; ++k) v.push_back(std::max(0.0, edge + k * 1e-12));
+        }
+        std::sort(v.begin(), v.end());
+        SCOPED_TRACE(::testing::Message() << rect->name() << " vdc=" << vdc << " rs=" << rs);
+        double prev = 0.0;
+        for (const double x : v) {
+          const double i = rect->instantaneous_current(x, vdc, rs);
+          ASSERT_GE(i, 0.0) << "|voc|=" << x;
+          ASSERT_GE(i, prev) << "|voc|=" << x;
+          ASSERT_EQ(bits(rect->instantaneous_current(-x, vdc, rs)), bits(i)) << "|voc|=" << x;
+          prev = i;
+        }
+      }
+    }
+  }
 }
 
 TEST(ChargePump, SnoozeQuiescentDominatesSleep) {
