@@ -10,6 +10,7 @@
 // against the shared-timeline medium on the same physics, and re-verifies
 // the bit-identical-across-shards contract at full scale.
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -127,15 +128,14 @@ int main(int argc, char** argv) {
   io.metric("collision_rate", big.collision_rate);
 
   // --- E19: the million-node fleet ------------------------------------------
-  bench::heading("E19", "million-node fleet: active-set calendar vs legacy scan");
+  bench::heading("E19", "million-node fleet: active-set calendar");
 
   // 80 km of parked/structural assets beaconing every 10 minutes, watched
-  // live: a 2 Hz telemetry series clamps the epoch to 0.5 s, so the
-  // legacy engine re-scans all 1M node timers and re-sorts all 10k
-  // domains 1800 times. The calendar path touches only domains with a
-  // wake actually due (~3% of domain-epochs here) — per-epoch cost
-  // scales with activity, not population. Same spec both ways; the
-  // fingerprints must match bit-for-bit.
+  // live: a 2 Hz telemetry series clamps the epoch to 0.5 s, 1800 epochs
+  // over 10k domains. The calendar path touches only domains with a wake
+  // actually due (~3% of domain-epochs here) — per-epoch cost scales with
+  // activity, not population. One thread, so the throughput gate below
+  // compares like with like and cannot flip with the core count.
   fleet::FleetSpec mspec;
   mspec.nodes = 1000000;
   mspec.domains = 10000;
@@ -143,50 +143,43 @@ int main(int argc, char** argv) {
   mspec.nominal_interval_s = 600.0;
   mspec.randomize_phase = true;
   mspec.epoch_s = 0.5;
+  mspec.threads = 1;
+  // Historical reference: the node-major scan engine (timer scan of every
+  // node, serial exchange splice, per-epoch sort) measured 108.0 M
+  // node-s/s on this spec on one core before it was deleted. Outcomes
+  // never depended on it: its fingerprint was bit-identical to the
+  // calendar path's, pinned below.
+  constexpr double kScanRate1Core = 108.0e6;
+  constexpr std::uint64_t kPinnedFingerprint = 0x5881802ff5618d01ULL;
   const auto t_act = std::chrono::steady_clock::now();
   const fleet::FleetMetrics act = fleet::ShardedFleetEngine::run(mspec);
   const double act_wall_s = wall_seconds_since(t_act);
   const double act_rate =
       static_cast<double>(mspec.nodes) * mspec.sim_time_s / act_wall_s;
-
-  fleet::FleetSpec lspec = mspec;
-  lspec.legacy_epoch_path = true;
-  const auto t_leg = std::chrono::steady_clock::now();
-  const fleet::FleetMetrics leg = fleet::ShardedFleetEngine::run(lspec);
-  const double leg_wall_s = wall_seconds_since(t_leg);
-  const double leg_rate =
-      static_cast<double>(mspec.nodes) * mspec.sim_time_s / leg_wall_s;
-  const double calendar_speedup = act_rate / leg_rate;
-  const bool paths_identical = act.fingerprint() == leg.fingerprint();
+  const double calendar_speedup = act_rate / kScanRate1Core;
+  const bool fingerprint_pinned = act.fingerprint() == kPinnedFingerprint;
   const auto& ph = act.phase;
   const double active_frac = static_cast<double>(ph.domains_advanced) /
                              static_cast<double>(ph.domain_epochs);
 
-  Table tm("1M nodes, 900 s, 0.5 s epochs");
-  tm.set_header({"metric", "active-set", "legacy scan"});
-  tm.add_row({"wall time", fixed(act_wall_s, 2) + " s", fixed(leg_wall_s, 2) + " s"});
-  tm.add_row({"node-sim-seconds / wall-second", si(act_rate, "node-s/s"),
-              si(leg_rate, "node-s/s")});
-  tm.add_row({"phase: advance", fixed(ph.advance_s, 2) + " s",
-              fixed(leg.phase.advance_s, 2) + " s"});
-  tm.add_row({"phase: exchange", fixed(ph.exchange_s, 2) + " s",
-              fixed(leg.phase.exchange_s, 2) + " s"});
-  tm.add_row({"phase: resolve", fixed(ph.resolve_s, 2) + " s",
-              fixed(leg.phase.resolve_s, 2) + " s"});
-  tm.add_row({"domain-epochs advanced",
-              std::to_string(ph.domains_advanced) + " / " +
-                  std::to_string(ph.domain_epochs),
-              std::to_string(leg.phase.domains_advanced) + " / " +
-                  std::to_string(leg.phase.domain_epochs)});
-  tm.add_row({"fingerprint", paths_identical ? "equal" : "DIFFER", ""});
-  tm.add_note("legacy: node-major timer scans, serial exchange splice,");
-  tm.add_note("per-epoch sort. active: wake calendar + run merge, skipping");
-  tm.add_note("idle domains in O(1). Same spec, bit-identical outcomes.");
+  Table tm("1M nodes, 900 s, 0.5 s epochs, 1 thread");
+  tm.set_header({"metric", "value"});
+  tm.add_row({"wall time", fixed(act_wall_s, 2) + " s"});
+  tm.add_row({"node-sim-seconds / wall-second", si(act_rate, "node-s/s")});
+  tm.add_row({"scan engine, recorded (historical)", si(kScanRate1Core, "node-s/s")});
+  tm.add_row({"phase: setup", fixed(ph.setup_s, 2) + " s"});
+  tm.add_row({"phase: advance", fixed(ph.advance_s, 2) + " s"});
+  tm.add_row({"phase: exchange", fixed(ph.exchange_s, 2) + " s"});
+  tm.add_row({"phase: resolve", fixed(ph.resolve_s, 2) + " s"});
+  tm.add_row({"domain-epochs advanced", std::to_string(ph.domains_advanced) + " / " +
+                                            std::to_string(ph.domain_epochs)});
+  tm.add_row({"fingerprint", fingerprint_pinned ? "pinned" : "MOVED"});
+  tm.add_note("active: wake calendar + run merge, skipping idle domains in");
+  tm.add_note("O(1). The scan-engine rate is a recorded 1-core figure.");
   tm.print(std::cout);
 
   io.metric("e19_nodes", static_cast<double>(act.nodes));
   io.metric("e19_node_sim_s_per_wall_s", act_rate);
-  io.metric("e19_legacy_rate", leg_rate);
   io.metric("e19_calendar_speedup", calendar_speedup);
   io.metric("e19_active_domain_frac", active_frac);
   io.metric("e19_phase_setup_s", ph.setup_s);
@@ -211,11 +204,11 @@ int main(int argc, char** argv) {
   check.add_text("E19: steps a million-node fleet", ">= 1000000 nodes",
                  std::to_string(act.nodes) + " nodes",
                  act.nodes >= 1000000 && act.wake_cycles > 0);
-  check.add_text("E19: calendar path vs legacy scan, same outcomes",
-                 "fingerprints equal", paths_identical ? "equal" : "DIFFER",
-                 paths_identical);
-  check.add_text("E19: throughput gain from activity scaling", ">= 5x",
-                 fixed(calendar_speedup, 1) + "x", calendar_speedup >= 5.0);
+  check.add_text("E19: outcomes pinned", "fingerprint unchanged",
+                 fingerprint_pinned ? "pinned" : "MOVED", fingerprint_pinned);
+  check.add_text("E19: throughput gain from activity scaling",
+                 ">= 5x the recorded 1-core scan", fixed(calendar_speedup, 1) + "x",
+                 calendar_speedup >= 5.0);
   check.add_text("E19: epoch cost tracks activity, not population",
                  "<= 10% of domain-epochs advanced", pct(active_frac, 2),
                  active_frac <= 0.10);

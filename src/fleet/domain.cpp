@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "ckpt/codec.hpp"
 #include "common/error.hpp"
 #include "obs/flight.hpp"
+#include "radio/receiver.hpp"
 
 namespace pico::fleet {
 
@@ -71,44 +74,18 @@ void Domain::reserve_scratch(double epoch_s, double min_interval_s,
   outbox_left_.reserve(frames);
   outbox_right_.reserve(frames);
   inbox_.reserve(2 * frames);
-  tx_order_.reserve(frames);
-  collision_notes_.reserve(frames);
-  brownout_notes_.reserve(nodes());
 }
 
 void Domain::advance(double epoch_end_s, const KernelModel& m,
                      obs::FlightRing* flight) {
-  if (path_ == EpochPath::kLegacy) {
-    advance_legacy(epoch_end_s, m, flight);
-  } else {
-    advance_active(epoch_end_s, m, flight);
-  }
-}
-
-void Domain::resolve(double epoch_end_s, const KernelModel& m,
-                     obs::FlightRing* flight) {
-  if (path_ == EpochPath::kLegacy) {
-    resolve_legacy(epoch_end_s, m, flight);
-  } else {
-    resolve_active(epoch_end_s, m, flight);
-  }
-}
-
-// --- Active path: wake calendar + merge resolve ------------------------------
-
-void Domain::advance_active(double epoch_end_s, const KernelModel& m,
-                            obs::FlightRing* flight) {
   outbox_left_.clear();
   outbox_right_.clear();
   if (!heap_.built()) heap_.build(next_wake_s_);
-  const std::size_t first_new = pending_.size();
-  // Pop wakes in global (time, id) order: the per-node draw sequence is
-  // the same as the legacy node-major scan (each node's wakes still fire
-  // in its own time order, and randomness is per-node), while pending_
-  // and the outboxes come out (start, id)-sorted by construction — ARQ
-  // chains can interleave across that order, so the ARQ case re-sorts
-  // below. Counter accumulation commutes bit-for-bit: every += adds the
-  // same per-node value in the same per-node order.
+  // Pop wakes in global (time, id) order. Each node's wakes fire in its
+  // own time order and randomness is per-node, so a node's draw sequence
+  // does not depend on how epochs slice the run; pending_ and the
+  // outboxes come out (start, id)-sorted by construction — ARQ chains can
+  // interleave across that order, so the ARQ case re-sorts below.
   //
   // Retired nodes never re-enter the calendar: retirement parks the key
   // at +inf, so the heap itself is the alive set.
@@ -116,14 +93,13 @@ void Domain::advance_active(double epoch_end_s, const KernelModel& m,
     const std::uint32_t i = heap_.top();
     const double wake = next_wake_s_[i];
     if (wake > epoch_end_s) break;
-    if (m.check_depletion &&
-        retire_if_depleted(i, wake, m, flight, /*defer_flight=*/true)) {
+    if (m.check_depletion && retire_if_depleted(i, wake, m, flight)) {
       heap_.sift_top(next_wake_s_);  // key is +inf now
       continue;
     }
     next_wake_s_[i] += interval_s_[i];
     heap_.sift_top(next_wake_s_);
-    fire_wake(i, wake, m, nullptr);
+    fire_wake(i, wake, m, flight);
   }
   if (m.profile.arq) {
     // Chains fired at later wakes can start before a long backoff tail of
@@ -136,13 +112,10 @@ void Domain::advance_active(double epoch_end_s, const KernelModel& m,
     std::sort(outbox_left_.begin(), outbox_left_.end(), edge_less);
     std::sort(outbox_right_.begin(), outbox_right_.end(), edge_less);
   }
-  if constexpr (obs::kEnabled) {
-    if (flight != nullptr) emit_tx_flight(first_new, flight);
-  }
 }
 
 void Domain::fire_wake(std::size_t i, double wake, const KernelModel& m,
-                       obs::FlightRing* inline_flight) {
+                       obs::FlightRing* flight) {
   ++cycles_[i];
   ++c_.wake_cycles;
   // Per-attempt draws in a fixed order — loss, shadowing, decode, then
@@ -171,15 +144,13 @@ void Domain::fire_wake(std::size_t i, double wake, const KernelModel& m,
     last_lost = lost;
     if (start <= m.sim_time_s) {  // else: run ends before the PA fires
       const double p_rx = m.rx_power_w(dist_own_m_[i]) * shadow;
-      pending_.push_back(
-          Frame{start, end, p_rx, u, 0, static_cast<std::uint32_t>(i), sq, lost});
+      pending_.push_back(Frame{start, end, p_rx, u, static_cast<std::uint32_t>(i), sq, lost});
       ++c_.frames_on_air;
       if constexpr (obs::kEnabled) {
         // Sampled on the cumulative count (frame 1, 1+N, 1+2N, ...): the
         // subset is a pure function of the domain's frame sequence.
-        if (inline_flight != nullptr &&
-            ((c_.frames_on_air - 1) & flight_tx_mask_) == 0) {
-          inline_flight->push(
+        if (flight != nullptr && ((c_.frames_on_air - 1) & flight_tx_mask_) == 0) {
+          flight->push(
               {start, obs::FlightEventKind::kFrameTx, global_id_[i], sq, p_rx});
         }
       }
@@ -216,7 +187,7 @@ void Domain::fire_wake(std::size_t i, double wake, const KernelModel& m,
 }
 
 bool Domain::retire_if_depleted(std::size_t i, double wake, const KernelModel& m,
-                                obs::FlightRing* flight, bool defer_flight) {
+                                obs::FlightRing* flight) {
   // Cumulative ledger at this wake, before the cycle fires: everything
   // billed so far plus the sleep floor and the battery's own
   // self-discharge (never billed, but just as fatal), against the
@@ -249,113 +220,34 @@ bool Domain::retire_if_depleted(std::size_t i, double wake, const KernelModel& m
   death_t_s_[i] = t_d;
   ++c_.nodes_dead;
   // The energy bill (through t_d and not a joule longer) is deferred to
-  // finalize(), which walks nodes in index order: retirement *order*
-  // differs between the epoch paths (time-major vs node-major), and
-  // double accumulation must not depend on it. The integer gauge above
-  // and the flight event below are order-independent.
+  // finalize(), which walks nodes in index order: retirement happens in
+  // calendar (time-major) order, and double accumulation must not depend
+  // on it.
   if constexpr (obs::kEnabled) {
     if (flight != nullptr) {
       const double out_d = floor_w * t_d + cycle_energy_j_[i];
       const double in_d = m.profile.battery_ocv_v * m.harvest_charge(0.0, t_d);
-      if (defer_flight) {
-        brownout_notes_.push_back({static_cast<std::uint32_t>(i), t_d, out_d - in_d});
-      } else {
-        flight->push(
-            {t_d, obs::FlightEventKind::kBrownout, global_id_[i], 0, out_d - in_d});
-      }
+      flight->push({t_d, obs::FlightEventKind::kBrownout, global_id_[i], 0, out_d - in_d});
     }
   }
   return true;
 }
 
-void Domain::emit_tx_flight(std::size_t first_new, obs::FlightRing* flight) {
-  // Replay this epoch's new frames in node-major (node, seq) order — the
-  // legacy generation order — so ring content, retention, and the
-  // cumulative-count tx sampling all match the legacy path bit for bit.
-  // Stamps gen_rank on every new frame for the kCollision post-pass.
-  // The epoch's buffered retirements interleave at their legacy
-  // positions: the legacy scan emits a node's frames inline and its
-  // brownout at the fatal wake — after all of that node's frames, before
-  // any higher node's. Brownouts are never sampled and consume no rank.
-  if (!brownout_notes_.empty()) {
-    std::sort(brownout_notes_.begin(), brownout_notes_.end(),
-              [](const BrownoutNote& a, const BrownoutNote& b) {
-                return a.node < b.node;  // at most one note per node
-              });
-  }
-  std::size_t bi = 0;
-  const auto flush_brownouts_below = [&](std::uint64_t node_limit) {
-    for (; bi < brownout_notes_.size() &&
-           static_cast<std::uint64_t>(brownout_notes_[bi].node) < node_limit;
-         ++bi) {
-      const BrownoutNote& bn = brownout_notes_[bi];
-      flight->push({bn.t_s, obs::FlightEventKind::kBrownout, global_id_[bn.node], 0,
-                    bn.deficit_j});
-    }
-  };
-  const std::size_t total = pending_.size();
-  if (first_new >= total) {
-    flush_brownouts_below(std::numeric_limits<std::uint64_t>::max());
-    brownout_notes_.clear();
-    return;
-  }
-  const std::uint64_t base =
-      c_.frames_on_air - static_cast<std::uint64_t>(total - first_new);
-  // (node << 32 | pending index) orders exactly like (node, seq): within
-  // one epoch a node's frames pop off the calendar in time order, so for
-  // equal nodes index order *is* seq order. Packed keys compare in a
-  // register instead of chasing two Frame loads, and the runs are tiny
-  // (a handful of wakes per domain-epoch), so insertion sort with its
-  // sorted-input early exit beats the introsort dispatch.
-  tx_order_.clear();
-  for (std::size_t k = first_new; k < total; ++k) {
-    tx_order_.push_back(static_cast<std::uint64_t>(pending_[k].node) << 32 |
-                        static_cast<std::uint64_t>(k));
-  }
-  if (tx_order_.size() <= 32) {
-    for (std::size_t a = 1; a < tx_order_.size(); ++a) {
-      const std::uint64_t v = tx_order_[a];
-      std::size_t b = a;
-      for (; b > 0 && tx_order_[b - 1] > v; --b) tx_order_[b] = tx_order_[b - 1];
-      tx_order_[b] = v;
-    }
-  } else {
-    std::sort(tx_order_.begin(), tx_order_.end());
-  }
-  std::uint64_t rank = base;
-  for (const std::uint64_t key : tx_order_) {
-    Frame& f = pending_[static_cast<std::uint32_t>(key)];
-    flush_brownouts_below(key >> 32);
-    f.gen_rank = rank;
-    // Sampled on the cumulative count (frame 1, 1+N, 1+2N, ...): the
-    // subset is a pure function of the domain's frame sequence.
-    if ((rank & flight_tx_mask_) == 0) {
-      flight->push({f.start_s, obs::FlightEventKind::kFrameTx,
-                    global_id_[f.node], f.seq, f.p_rx_w});
-    }
-    ++rank;
-  }
-  flush_brownouts_below(std::numeric_limits<std::uint64_t>::max());
-  brownout_notes_.clear();
-}
-
-void Domain::resolve_active(double epoch_end_s, const KernelModel& m,
-                            obs::FlightRing* flight) {
+void Domain::resolve(double epoch_end_s, const KernelModel& m,
+                     obs::FlightRing* flight) {
   // Assemble this epoch's air picture by merging three already-sorted
   // runs — carried records, pending own frames (lost frames still jam),
   // and the routed inbox — instead of sorting from scratch. All three are
   // (start, id)-sorted: pending by calendar construction, the inbox by
   // route_inbox's merge, and carry because it filters last epoch's sorted
   // records. Keys are globally unique (a frame enters the air picture
-  // exactly once), so the merge output is byte-identical to what the
-  // legacy sort produces.
+  // exactly once), so the merged order is fully determined.
   if (m.profile.arq && !pending_.empty()) {
     // ARQ chains interleave across the calendar's pop order (a retry of
     // an early wake can start after a later wake's first attempt), and a
     // chain begun last epoch can reach into this one past frames already
-    // kept. Restore the (start, id) invariant here, after emit_tx_flight
-    // has stamped gen_rank by pending index. (start, gid) never ties:
-    // a node's attempts are spaced by at least airtime + ack timeout.
+    // kept. Restore the (start, id) invariant here. (start, gid) never
+    // ties: a node's attempts are spaced by at least airtime + ack timeout.
     std::sort(pending_.begin(), pending_.end(), [&](const Frame& a, const Frame& b) {
       if (a.start_s != b.start_s) return a.start_s < b.start_s;
       return global_id_[a.node] < global_id_[b.node];
@@ -438,27 +330,27 @@ void Domain::resolve_active(double epoch_end_s, const KernelModel& m,
 
     double snr = f.p_rx_w / m.noise_w;
     if (interference_w > 0.0) {
-      if (f.p_rx_w < interference_w * m.capture_ratio) {
+      const std::optional<double> sinr = radio::SuperregenReceiver::capture_sinr(
+          f.p_rx_w, interference_w, m.noise_w, m.capture_ratio);
+      if (!sinr) {
         ++c_.collided;
         if constexpr (obs::kEnabled) {
-          // Buffered, not pushed: emitted below in gen_rank (legacy
-          // node-major) order so ring bytes match the legacy path.
           if (flight != nullptr) {
-            collision_notes_.push_back(
-                {f.gen_rank, f.end_s, gid, f.seq, interference_w});
+            flight->push(
+                {f.end_s, obs::FlightEventKind::kCollision, gid, f.seq, interference_w});
           }
         }
         continue;
       }
       ++c_.captured;
-      snr = f.p_rx_w / (m.noise_w + interference_w);
+      snr = *sinr;
     }
     if (f.p_rx_w < m.sensitivity_w) {
       ++c_.below_squelch;
       continue;
     }
     // Noncoherent OOK: a frame decodes iff no post-preamble bit flips.
-    const double ber = 0.5 * std::exp(-snr / 2.0);
+    const double ber = radio::SuperregenReceiver::ook_ber(snr);
     const double p_ok =
         std::pow(1.0 - ber, static_cast<double>(m.profile.decode_bits));
     if (f.u_decode < p_ok) {
@@ -470,19 +362,6 @@ void Domain::resolve_active(double epoch_end_s, const KernelModel& m,
   }
   pending_.resize(keep);
   rebuild_carry(epoch_end_s, m, keep);
-  if constexpr (obs::kEnabled) {
-    if (flight != nullptr && !collision_notes_.empty()) {
-      std::sort(collision_notes_.begin(), collision_notes_.end(),
-                [](const CollisionNote& a, const CollisionNote& b) {
-                  return a.rank < b.rank;
-                });
-      for (const CollisionNote& n : collision_notes_) {
-        flight->push(
-            {n.t_s, obs::FlightEventKind::kCollision, n.gid, n.seq, n.interference_w});
-      }
-      collision_notes_.clear();
-    }
-  }
   inbox_.clear();
 }
 
@@ -490,9 +369,8 @@ bool Domain::route_inbox(const std::vector<EdgeFrame>* from_left,
                          const std::vector<EdgeFrame>* from_right) {
   // Writes only this domain's inbox and reads only neighbor outboxes,
   // which are immutable once Phase A drains — every domain can route
-  // concurrently. Merge order is fixed by (start, id), which for sorted
-  // outboxes is exactly the order the legacy serial splice + sort ends
-  // up with (the node sets are disjoint, so keys never tie).
+  // concurrently. Merge order is fixed by (start, id); the two node sets
+  // are disjoint, so keys never tie.
   inbox_.clear();
   const std::size_t nl = from_left != nullptr ? from_left->size() : 0;
   const std::size_t nr = from_right != nullptr ? from_right->size() : 0;
@@ -515,102 +393,6 @@ bool Domain::route_inbox(const std::vector<EdgeFrame>* from_left,
   while (i < nl) inbox_.push_back((*from_left)[i++]);
   while (j < nr) inbox_.push_back((*from_right)[j++]);
   return true;
-}
-
-// --- Legacy path: node-major scan + per-epoch sort ---------------------------
-
-void Domain::advance_legacy(double epoch_end_s, const KernelModel& m,
-                            obs::FlightRing* flight) {
-  outbox_left_.clear();
-  outbox_right_.clear();
-  const std::size_t n = nodes();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive_[i]) continue;
-    while (next_wake_s_[i] <= epoch_end_s) {
-      const double wake = next_wake_s_[i];
-      if (m.check_depletion &&
-          retire_if_depleted(i, wake, m, flight, /*defer_flight=*/false)) {
-        break;  // key is +inf now
-      }
-      next_wake_s_[i] += interval_s_[i];
-      fire_wake(i, wake, m, flight);
-    }
-  }
-}
-
-void Domain::resolve_legacy(double epoch_end_s, const KernelModel& m,
-                            obs::FlightRing* flight) {
-  // Assemble this epoch's air picture: carried boundary records, every
-  // pending own frame (lost frames still jam), and the imported edges.
-  records_.clear();
-  records_.insert(records_.end(), carry_.begin(), carry_.end());
-  for (const Frame& f : pending_) {
-    records_.push_back({f.start_s, f.end_s, f.p_rx_w, global_id_[f.node]});
-  }
-  for (const EdgeFrame& e : inbox_) {
-    records_.push_back({e.start_s, e.end_s, e.p_rx_w, e.node});
-  }
-  std::sort(records_.begin(), records_.end(),
-            [](const AirRecord& a, const AirRecord& b) {
-              return a.start_s != b.start_s ? a.start_s < b.start_s
-                                            : a.global_node < b.global_node;
-            });
-
-  // Resolve own frames ending inside the epoch; keep the rest pending.
-  std::size_t keep = 0;
-  for (Frame& f : pending_) {
-    if (f.end_s > epoch_end_s) {
-      pending_[keep++] = f;
-      continue;
-    }
-    if (f.lost) continue;  // burned the energy, never reached the gateway
-    ++c_.frames_completed;
-
-    // Sweep the sorted records for overlap: anything starting within one
-    // max airtime before us, up to our end.
-    const std::uint32_t gid = global_id_[f.node];
-    double interference_w = 0.0;
-    auto it = std::lower_bound(records_.begin(), records_.end(),
-                               f.start_s - m.max_airtime_s,
-                               [](const AirRecord& r, double t) { return r.start_s < t; });
-    for (; it != records_.end() && it->start_s < f.end_s; ++it) {
-      if (it->global_node == gid) continue;
-      if (it->end_s > f.start_s) interference_w += it->p_rx_w;
-    }
-
-    double snr = f.p_rx_w / m.noise_w;
-    if (interference_w > 0.0) {
-      if (f.p_rx_w < interference_w * m.capture_ratio) {
-        ++c_.collided;
-        if constexpr (obs::kEnabled) {
-          if (flight != nullptr) {
-            flight->push(
-                {f.end_s, obs::FlightEventKind::kCollision, gid, f.seq, interference_w});
-          }
-        }
-        continue;
-      }
-      ++c_.captured;
-      snr = f.p_rx_w / (m.noise_w + interference_w);
-    }
-    if (f.p_rx_w < m.sensitivity_w) {
-      ++c_.below_squelch;
-      continue;
-    }
-    // Noncoherent OOK: a frame decodes iff no post-preamble bit flips.
-    const double ber = 0.5 * std::exp(-snr / 2.0);
-    const double p_ok =
-        std::pow(1.0 - ber, static_cast<double>(m.profile.decode_bits));
-    if (f.u_decode < p_ok) {
-      ++c_.delivered;
-      c_.delivered_payload_bits += m.profile.payload_bits;
-    } else {
-      ++c_.crc_rejected;
-    }
-  }
-  pending_.resize(keep);
-  rebuild_carry(epoch_end_s, m, keep);
-  inbox_.clear();
 }
 
 void Domain::rebuild_carry(double epoch_end_s, const KernelModel& m,
@@ -698,7 +480,6 @@ void Domain::save(ckpt::Writer& w) const {
     w.f64(f.end_s);
     w.f64(f.p_rx_w);
     w.f64(f.u_decode);
-    w.u64(f.gen_rank);
     w.u32(f.node);
     w.u32(f.seq);
     w.b(f.lost);
@@ -759,10 +540,14 @@ void Domain::restore(ckpt::Reader& r) {
     f.end_s = r.f64();
     f.p_rx_w = r.f64();
     f.u_decode = r.f64();
-    f.gen_rank = r.u64();
     f.node = r.u32();
     f.seq = r.u32();
     f.lost = r.b();
+    if (f.node >= n) {
+      throw ckpt::CheckpointError("fleet checkpoint pending frame names node " +
+                                  std::to_string(f.node) + " of a " +
+                                  std::to_string(n) + "-node domain");
+    }
     pending_.push_back(f);
   }
   const std::uint64_t na = r.u64();
@@ -781,6 +566,13 @@ void Domain::restore(ckpt::Reader& r) {
   const bool built = r.b();
   std::vector<std::uint32_t> slots = r.u32v();
   PICO_REQUIRE(!built || slots.size() <= n, "fleet checkpoint calendar mismatch");
+  for (const std::uint32_t slot : slots) {
+    if (slot >= n) {
+      throw ckpt::CheckpointError("fleet checkpoint calendar slot names node " +
+                                  std::to_string(slot) + " of a " +
+                                  std::to_string(n) + "-node domain");
+    }
+  }
   heap_.restore_slots(std::move(slots), built);
   c_.wake_cycles = r.u64();
   c_.frames_on_air = r.u64();
@@ -810,8 +602,8 @@ void Domain::finalize(const KernelModel& m, obs::FlightRing* flight) {
     if (!alive_[i]) {
       // Retired mid-run: the node existed until its interpolated
       // depletion time and not a joule longer. Billed here, in node
-      // order, so the double accumulation is identical whichever epoch
-      // path (or shard) retired the node — and exactly once, since
+      // order, so the double accumulation is identical whichever shard
+      // retired the node — and exactly once, since
       // finalize runs once per completed run (alive_ and death_t_s_
       // travel through checkpoints, not partial bills).
       const double t_d = death_t_s_[i];

@@ -23,34 +23,26 @@
 //     nodes on the spot (KernelModel::check_depletion).
 //   barrier + exchange  every neighbor outbox is immutable once Phase A
 //     drains, so each domain's inbox can be filled concurrently
-//     (route_inbox) with the same fixed left-then-right merge order the
-//     old serial splice used.
-//   Phase B (parallel)  resolve(): order the domain's air records,
-//     resolve capture/collision/squelch/decode for every own frame that
-//     ends inside the epoch, and carry boundary-spanning records forward.
+//     (route_inbox): a (start, id) merge of the two neighbor runs.
+//   Phase B (parallel)  resolve(): merge the domain's already-sorted air
+//     runs, resolve capture/collision/squelch/decode for every own frame
+//     that ends inside the epoch, and carry boundary-spanning records
+//     forward.
 //
-// Two epoch paths produce bit-identical outcomes (EpochPath):
+// A WakeHeap wake calendar fires wakes in global (time, id) order, so
+// pending frames and outboxes are (start, id)-sorted by construction;
+// resolve() merges the sorted carry/pending/inbox runs and walks the
+// interference window with a monotone cursor. A domain with no wake due
+// and no air records is O(1) to skip — per-epoch cost scales with
+// *activity*, not population.
 //
-//   kActive (default)  a WakeHeap wake calendar fires wakes in global
-//     (time, id) order, so pending/outboxes are sorted by construction;
-//     resolve() replaces the per-epoch std::sort with a 3-way merge of
-//     the sorted carry/pending/inbox runs and walks the interference
-//     window with a monotone cursor instead of a per-frame binary
-//     search. A domain with no wake due and no air records is O(1) to
-//     skip — per-epoch cost scales with *activity*, not population.
-//   kLegacy  the pre-calendar engine: node-major timer scan + full sort
-//     per epoch. Kept as the cross-validation and benchmark reference
-//     (bench_fleet_scale E19 measures the active path against it).
-//
-// Flight-ring parity: the legacy path emits kFrameTx at generation and
-// kCollision at resolution, both in node-major order, and the 1-in-2^k tx
-// sampling is keyed on that node-major cumulative count. The active path
-// generates in time order, so it restores the exact legacy ring content
-// with two post-passes: advance() re-walks the epoch's new frames in
-// (node, seq) order to emit/sample kFrameTx and stamp each frame's
-// node-major `gen_rank`, and resolve() buffers collision outcomes and
-// emits them sorted by gen_rank. Ring bytes — and therefore retention,
-// sampling, and fingerprints — match the legacy path bit for bit.
+// Flight contract: each domain writes only its own ring, in generation
+// order. advance() pushes kFrameTx (and kBrownout) as the calendar fires
+// wakes, and resolve() pushes kCollision as it resolves frames in (start,
+// id) order. The 1-in-2^k tx sampling is keyed on the domain's cumulative
+// frame count. Ring content is therefore a pure function of the
+// simulation: invariant across shard and thread counts and across
+// checkpoint/resume seams.
 //
 // Nothing in a domain depends on which shard ran it or on thread count:
 // all randomness is per-node (Rng::stream), all ordering is by (start,
@@ -153,13 +145,6 @@ struct DomainCounters {
   double node_seconds_alive = 0.0;
 };
 
-// Which epoch algorithm a Domain runs. Outcomes (counters, energies,
-// flight rings) are bit-identical between the two; only cost differs.
-enum class EpochPath : std::uint8_t {
-  kActive,  // wake-calendar advance + merge-based resolve (default)
-  kLegacy,  // node-major scan + per-epoch std::sort (reference)
-};
-
 class Domain {
  public:
   // An interference-only record exported across a boundary.
@@ -182,28 +167,15 @@ class Domain {
   void reserve_scratch(double epoch_s, double min_interval_s,
                        std::size_t attempts_per_wake = 1);
 
-  // Select the epoch algorithm (before the first advance of a run).
-  void set_path(EpochPath path) { path_ = path; }
-  [[nodiscard]] EpochPath path() const { return path_; }
-
   // Phase A: generate frames and bill cycle energy through `epoch_end_s`.
   // `flight` (optional, single-writer: this domain's own ring) records
-  // kFrameTx events; events are a pure function of the simulation, so
-  // flight content is shard/thread-invariant too.
+  // kFrameTx and kBrownout events in generation order.
   void advance(double epoch_end_s, const KernelModel& m,
                obs::FlightRing* flight = nullptr);
-  // O(1) active-set test: does any node wake at or before `t`? (Active
-  // path only; the legacy scan has no calendar, so it reports true.)
-  // When false, the engine may skip advance() after clear_outboxes().
-  [[nodiscard]] bool has_wake_before(double t) const {
-    if (path_ == EpochPath::kLegacy || !heap_.built()) return true;
-    return !heap_.empty() && heap_.top_key(next_wake_s_) <= t;
-  }
-  // The earliest pending wake, for the engine's dense active-set index
-  // (cheaper to probe per epoch than this object's heap): +inf when no
-  // node ever wakes again, -inf before the calendar exists — i.e. before
-  // the first advance (which builds it) and always on the legacy path,
-  // which has no calendar and must scan every epoch.
+  // The earliest pending wake, for the engine's dense active-set index:
+  // +inf when no node ever wakes again, -inf before the calendar exists —
+  // i.e. before the first advance, which builds it. When it lies past the
+  // epoch end, the engine may skip advance() after clear_outboxes().
   [[nodiscard]] double next_wake_hint() const {
     if (!heap_.built()) return -std::numeric_limits<double>::infinity();
     if (heap_.empty()) return std::numeric_limits<double>::infinity();
@@ -217,8 +189,8 @@ class Domain {
   }
   // Concurrent exchange: fill this domain's inbox by merging the left
   // neighbor's rightbound and the right neighbor's leftbound outboxes
-  // (either may be null at a fleet edge). Active path: both outboxes are
-  // (start, id)-sorted by construction and the merge keeps them so.
+  // (either may be null at a fleet edge). Both outboxes are (start,
+  // id)-sorted by construction and the merge keeps them so.
   // Reads neighbors' outboxes only — safe to run for all domains in
   // parallel once Phase A has drained. Returns whether the inbox is
   // non-empty (the domain now has air work).
@@ -234,6 +206,7 @@ class Domain {
   // events (collision, brownout) are never sampled. At 100k-node scale a
   // per-frame event stream is the single largest telemetry cost, and a
   // fixed-capacity ring holding 1-in-8 frames covers an 8x longer window.
+  // `shift` must be below 32 (FleetSession validates the hook).
   void set_flight_tx_sample_shift(std::uint32_t shift) {
     flight_tx_mask_ = (1u << shift) - 1u;
   }
@@ -256,10 +229,11 @@ class Domain {
   // calendar's slot layout, pending/carry air runs and boundary outboxes.
   // The immutable layout (ids, intervals, distances) is rebuilt from the
   // spec by FleetSession, which calls restore() after add_node — it
-  // validates the node count. Epoch-transient scratch (records_,
-  // tx_order_, collision_notes_) is dead at every epoch barrier, the only
-  // place checkpoints happen, so it never hits the wire; the inbox is
-  // likewise empty (resolve always drains it) and save() asserts so.
+  // validates the node count and rejects node indices (pending frames,
+  // calendar slots) outside it. Epoch-transient scratch (records_) is dead
+  // at every epoch barrier, the only place checkpoints happen, so it never
+  // hits the wire; the inbox is likewise empty (resolve always drains it)
+  // and save() asserts so.
   void save(ckpt::Writer& w) const;
   void restore(ckpt::Reader& r);
 
@@ -267,19 +241,14 @@ class Domain {
   [[nodiscard]] const DomainCounters& counters() const { return c_; }
   [[nodiscard]] std::vector<EdgeFrame>& outbox_left() { return outbox_left_; }
   [[nodiscard]] std::vector<EdgeFrame>& outbox_right() { return outbox_right_; }
-  [[nodiscard]] std::vector<EdgeFrame>& inbox() { return inbox_; }
 
  private:
-  // An own frame pending resolution. `gen_rank` is the frame's position
-  // in the domain's node-major generation order (the legacy emission
-  // order) — stamped by the active path's flight post-pass and used to
-  // emit kCollision events in legacy ring order; unused without flight.
+  // An own frame pending resolution.
   struct Frame {
     double start_s = 0.0;
     double end_s = 0.0;
     double p_rx_w = 0.0;
     double u_decode = 0.0;
-    std::uint64_t gen_rank = 0;
     std::uint32_t node = 0;   // local index
     std::uint32_t seq = 0;
     bool lost = false;
@@ -307,7 +276,7 @@ class Domain {
   // Interpolated depletion time of a mid-run-retired node (+inf while
   // alive). The energy/alive-seconds bill is deferred to finalize(), in
   // node order, so double accumulation order — and thus every counter —
-  // is identical whichever epoch path or shard retired the node.
+  // is identical whichever shard retired the node, in whatever order.
   std::vector<double> death_t_s_;
 
   // Per-epoch scratch (capacity reused across epochs).
@@ -318,58 +287,23 @@ class Domain {
   std::vector<EdgeFrame> outbox_right_;
   std::vector<EdgeFrame> inbox_;
 
-  // Active-path state: the wake calendar plus flight post-pass scratch.
   WakeHeap heap_;
-  std::vector<std::uint64_t> tx_order_;    // node<<32|index keys: (node, seq) order
-  struct CollisionNote {
-    std::uint64_t rank = 0;
-    double t_s = 0.0;
-    std::uint32_t gid = 0;
-    std::uint32_t seq = 0;
-    double interference_w = 0.0;
-  };
-  std::vector<CollisionNote> collision_notes_;
-  // Mid-run retirements buffered by the active path's advance; merged
-  // node-major into the kFrameTx replay so ring bytes match the legacy
-  // path's inline emission (frames of node n, then its brownout).
-  struct BrownoutNote {
-    std::uint32_t node = 0;  // local index
-    double t_s = 0.0;
-    double deficit_j = 0.0;
-  };
-  std::vector<BrownoutNote> brownout_notes_;
 
   // Fire one wake of node `i`: bill the cycle, generate the frame
-  // (beacon) or the stop-and-wait retry chain (ARQ), and export boundary
-  // copies. The legacy path passes its flight ring for inline kFrameTx
-  // emission; the active path passes null and replays via emit_tx_flight.
+  // (beacon) or the stop-and-wait retry chain (ARQ), record kFrameTx into
+  // `flight`, and export boundary copies.
   void fire_wake(std::size_t i, double wake, const KernelModel& m,
-                 obs::FlightRing* inline_flight);
+                 obs::FlightRing* flight);
   // Depletion check at a wake pop, before any RNG draw: retire the node
   // (alive_ -> 0, calendar key -> +inf, billed through the interpolated
-  // depletion time) when its cumulative balance has exhausted the budget.
-  // Returns whether it retired. `defer_flight` buffers the kBrownout into
-  // brownout_notes_ (active path) instead of pushing inline.
+  // depletion time, kBrownout into `flight`) when its cumulative balance
+  // has exhausted the budget. Returns whether it retired.
   bool retire_if_depleted(std::size_t i, double wake, const KernelModel& m,
-                          obs::FlightRing* flight, bool defer_flight);
-  void advance_active(double epoch_end_s, const KernelModel& m,
-                      obs::FlightRing* flight);
-  void advance_legacy(double epoch_end_s, const KernelModel& m,
-                      obs::FlightRing* flight);
-  // Stamp gen_rank on (and sample kFrameTx from) this epoch's new frames
-  // [first_new, pending_.size()) in node-major order, interleaving the
-  // epoch's buffered brownouts at their legacy (node-major) positions.
-  void emit_tx_flight(std::size_t first_new, obs::FlightRing* flight);
-  void resolve_active(double epoch_end_s, const KernelModel& m,
-                      obs::FlightRing* flight);
-  void resolve_legacy(double epoch_end_s, const KernelModel& m,
-                      obs::FlightRing* flight);
-  // Shared resolve tail: outcome ladder for one completed frame, carry
-  // rebuild helper.
+                          obs::FlightRing* flight);
+  // Carry rebuild after resolve: keep boundary-spanning records.
   void rebuild_carry(double epoch_end_s, const KernelModel& m, std::size_t keep);
 
   DomainCounters c_;
-  EpochPath path_ = EpochPath::kActive;
   std::uint32_t flight_tx_mask_ = 0;  // record tx when (count & mask) == 0
 };
 

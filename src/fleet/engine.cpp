@@ -171,7 +171,6 @@ struct FleetSession::Impl {
   SeriesIds sid{};
   std::vector<FaultOpen> fault_opens;
   std::vector<ShardStat> shard_stats;
-  bool legacy = false;
   std::size_t agg_blocks = 0;
   std::vector<SampleAgg> agg;
 
@@ -180,9 +179,8 @@ struct FleetSession::Impl {
   // restore (each is a pure function of a domain at an epoch barrier).
   //
   //   next_wake[d]   earliest pending wake (-inf until the domain's
-  //                  calendar exists, so epoch 1 advances everyone and
-  //                  the legacy path — which never builds a calendar —
-  //                  always scans; +inf once a domain is forever idle)
+  //                  calendar exists, so epoch 1 advances everyone;
+  //                  +inf once a domain is forever idle)
   //   outbox_full[d] domain d's boundary outboxes are non-empty; routing
   //                  consults the *neighbors'* flags and skips entirely
   //                  when both are clear (an untouched inbox is empty)
@@ -224,6 +222,8 @@ FleetSession::Impl::Impl(const FleetSpec& spec_in, const FleetObsHooks& hooks_in
                    spec.interference_margin_m <= spec.cell_m / 2.0,
                "interference margin must be within [0, cell/2]");
   PICO_REQUIRE(spec.nominal_interval_s > 0.0, "interval must be positive");
+  PICO_REQUIRE(hooks.flight_tx_sample_shift < 32,
+               "flight tx sample shift must be below 32");
 
   // --- Kernel model ---------------------------------------------------------
   core::NodeConfig nc = spec.node;
@@ -353,15 +353,11 @@ FleetSession::Impl::Impl(const FleetSpec& spec_in, const FleetObsHooks& hooks_in
   for (Domain& d : domains) {
     d.reserve_scratch(spec.epoch_s, min_interval, attempts_per_wake);
   }
-  const EpochPath path =
-      spec.legacy_epoch_path ? EpochPath::kLegacy : EpochPath::kActive;
-  for (Domain& d : domains) d.set_path(path);
 
   // --- Shard plan -----------------------------------------------------------
   n_shards = spec.shards == 0 ? n_domains : std::min(spec.shards, n_domains);
   plan = ShardPlan{n_domains, n_shards};
   shard_stats.assign(n_shards, ShardStat{});
-  legacy = spec.legacy_epoch_path;
 
   // Dense active-set index, engine-side. Probing a Domain object for
   // "anything due?" costs several dependent cache misses (object header,
@@ -445,9 +441,7 @@ void FleetSession::Impl::run_until(double t_target_s) {
   // due this epoch is skipped outright — its outboxes are cleared only
   // if the previous epoch left frames in them (so neighbors never
   // re-import stale boundary frames), and per-epoch cost scales with how
-  // many domains are *active*, not with fleet population. (The legacy
-  // path has no calendar; next_wake stays -inf and every domain scans,
-  // which is exactly the cost E19 measures against.)
+  // many domains are *active*, not with fleet population.
   auto advance_shard = [&](std::size_t s) {
     ShardStat& st = shard_stats[s];
     plan.for_each_owned(s, [&](std::size_t d) {
@@ -466,10 +460,10 @@ void FleetSession::Impl::run_until(double t_target_s) {
     });
   };
   // Exchange: after the Phase A barrier every outbox is immutable, so
-  // each domain's inbox can be routed concurrently — same fixed
-  // left-then-right merge order as the old serial splice, each domain
-  // writing only its own inbox. Domains whose neighbors exported nothing
-  // are skipped: their inbox is already empty (resolve always drains it).
+  // each domain's inbox can be routed concurrently — a fixed (start, id)
+  // merge of its neighbors' runs, each domain writing only its own inbox.
+  // Domains whose neighbors exported nothing are skipped: their inbox is
+  // already empty (resolve always drains it).
   auto route_shard = [&](std::size_t s) {
     plan.for_each_owned(s, [&](std::size_t d) {
       const bool left = d > 0 && outbox_full[d - 1] != 0;
@@ -488,7 +482,7 @@ void FleetSession::Impl::run_until(double t_target_s) {
   auto resolve_shard = [&](std::size_t s) {
     ShardStat& st = shard_stats[s];
     plan.for_each_owned(s, [&](std::size_t d) {
-      if (legacy || air_work[d] != 0) {
+      if (air_work[d] != 0) {
         Domain& dom = domains[d];
         dom.resolve(epoch_end, m, ring_at != nullptr ? ring_at[d] : nullptr);
         ++st.resolved;
@@ -526,25 +520,7 @@ void FleetSession::Impl::run_until(double t_target_s) {
     runner.run_indexed(n_shards, advance_shard);
     const auto t_exc = Clock::now();
     phase.advance_s += std::chrono::duration<double>(t_exc - t_adv).count();
-    if (legacy) {
-      // Barrier reached: exchange boundary frames in domain order. The
-      // inbox receives the left neighbor's rightbound frames first, then
-      // the right neighbor's leftbound frames — a fixed merge order, so
-      // the downstream sort tie-breaks identically every run.
-      for (std::size_t d = 0; d < n_domains; ++d) {
-        auto& inbox = domains[d].inbox();
-        if (d > 0) {
-          auto& from_left = domains[d - 1].outbox_right();
-          inbox.insert(inbox.end(), from_left.begin(), from_left.end());
-        }
-        if (d + 1 < n_domains) {
-          auto& from_right = domains[d + 1].outbox_left();
-          inbox.insert(inbox.end(), from_right.begin(), from_right.end());
-        }
-      }
-    } else {
-      runner.run_indexed(n_shards, route_shard);
-    }
+    runner.run_indexed(n_shards, route_shard);
     const auto t_res = Clock::now();
     phase.exchange_s += std::chrono::duration<double>(t_res - t_exc).count();
     runner.run_indexed(n_shards, resolve_shard);
@@ -681,7 +657,7 @@ FleetSession::Impl::guard_fields() const {
   const auto d = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   const auto u = [](std::size_t v) { return static_cast<std::uint64_t>(v); };
   std::vector<std::pair<const char*, std::uint64_t>> g;
-  g.reserve(45);
+  g.reserve(44);
   g.emplace_back("nodes", u(spec.nodes));
   g.emplace_back("sim_time_s", d(spec.sim_time_s));
   g.emplace_back("nominal_interval_s", d(spec.nominal_interval_s));
@@ -701,7 +677,6 @@ FleetSession::Impl::guard_fields() const {
   g.emplace_back("capture_db", d(spec.capture_db));
   g.emplace_back("sensitivity_dbm", d(spec.sensitivity_dbm));
   g.emplace_back("epoch_s", d(spec.epoch_s));
-  g.emplace_back("legacy_epoch_path", spec.legacy_epoch_path ? 1u : 0u);
   g.emplace_back("attach_harvester", spec.attach_harvester ? 1u : 0u);
   g.emplace_back("epoch_step_s", d(epoch_step));
   g.emplace_back("profile.sleep_power_w", d(m.profile.sleep_power_w));
@@ -741,8 +716,9 @@ FleetSession::Impl::guard_fields() const {
 void FleetSession::Impl::save(ckpt::Writer& w) const {
   PICO_REQUIRE(!finished, "cannot checkpoint a finished fleet session");
 
-  // FSPC: the spec guard plus the fault plan as its spec text.
-  w.begin_section(ckpt::tag("FSPC"), 1);
+  // FSPC: the spec guard plus the fault plan as its spec text. v2 dropped
+  // the epoch-path selector from the guard list.
+  w.begin_section(ckpt::tag("FSPC"), 2);
   const auto g = guard_fields();
   w.u64(g.size());
   for (const auto& [name, bits] : g) {
@@ -775,8 +751,9 @@ void FleetSession::Impl::save(ckpt::Writer& w) const {
   w.end_section();
 
   // FDOM: every domain's mutable state, in domain order. v2 added the
-  // ARQ retry counters and the node_seconds_alive accumulator.
-  w.begin_section(ckpt::tag("FDOM"), 2);
+  // ARQ retry counters and the node_seconds_alive accumulator; v3 dropped
+  // the per-frame generation rank.
+  w.begin_section(ckpt::tag("FDOM"), 3);
   w.u64(domains.size());
   for (const Domain& dom : domains) dom.save(w);
   w.end_section();
@@ -805,7 +782,7 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
   // FSPC: field-by-field equivalence with this session's spec. A mismatch
   // names the offending field — "wrong blob for this run" must be a
   // diagnosis, not a debugging session.
-  expect("FSPC", 1);
+  expect("FSPC", 2);
   const auto g = guard_fields();
   const std::uint64_t n_fields = r.u64();
   if (n_fields != g.size()) {
@@ -850,7 +827,7 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
   }
   for (ShardStat& st : shard_stats) st = ShardStat{};
 
-  expect("FDOM", 2);
+  expect("FDOM", 3);
   const std::uint64_t n_doms = r.u64();
   if (n_doms != domains.size()) {
     throw ckpt::CheckpointError("checkpoint holds " + std::to_string(n_doms) +

@@ -89,12 +89,6 @@ struct FleetSpec {
   std::size_t shards = 0;
   unsigned threads = 0;
   double epoch_s = 30.0;
-  // true: run the pre-calendar engine — node-major timer scans, a serial
-  // exchange splice, and a per-epoch sort (EpochPath::kLegacy). Outcomes
-  // and fingerprints are bit-identical to the default path; only cost
-  // differs. This is the cross-validation and benchmark reference
-  // (bench_fleet_scale E19 prices the active path against it).
-  bool legacy_epoch_path = false;
 
   // Node model: calibration basis for the cycle kernel. Beacon mode or
   // stop-and-wait ARQ (node.link.mode = kArq): an ARQ wake fires a whole
@@ -181,10 +175,11 @@ struct FleetMetrics {
 //            engine clamps its epoch step down to the series cadence —
 //            harmless, because any epoch longer than two airtimes is
 //            exact, so results stay bit-identical.
-//   flight   given one ring per domain (ring d+1) plus ring 0 for the
-//            engine itself (kEpochBarrier, kFaultActive at window opens);
-//            the merged event list and its fingerprint are
-//            shard/thread-invariant like FleetMetrics::fingerprint().
+//   flight   given one ring per domain (ring d+1, written in generation
+//            order — see fleet/domain.hpp) plus ring 0 for the engine
+//            itself (kEpochBarrier, kFaultActive at window opens); the
+//            merged event list and its fingerprint are shard/thread- and
+//            checkpoint-seam-invariant like FleetMetrics::fingerprint().
 //   tracer   gets a sim-time clock for the duration of the run, so spans
 //            and instants opened inside it carry sim_t_s.
 struct FleetObsHooks {
@@ -198,7 +193,7 @@ struct FleetObsHooks {
   // tax within the 8% budget and stretches each ring's retained window 32x.
   // Collision/brownout/fault events are always recorded. The sampled
   // subset is keyed on per-domain cumulative counts, so flight
-  // fingerprints stay shard/thread-invariant.
+  // fingerprints stay shard/thread-invariant. Must be below 32.
   std::uint32_t flight_tx_sample_shift = 5;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -107,16 +108,15 @@ void BaseStation::frame_completed(int port, const radio::RfFrame& f) {
   Port& p = ports_[static_cast<std::size_t>(port)];
   radio::Channel::LinkSample link = rec->link;
   if (interference_w > 0.0) {
-    const double margin_db =
-        link.rx_dbm - watts_to_dbm(Power{interference_w});
-    if (margin_db < prm_.capture_db) {
+    const std::optional<double> sinr = radio::SuperregenReceiver::capture_sinr(
+        link.p_rx.value(), interference_w, p.uplink.noise_power(f.data_rate).value(),
+        db_to_ratio(prm_.capture_db));
+    if (!sinr) {
       ++c_.collided;
       return;  // comparable interferer: both frames die at the front end
     }
     ++c_.captured;
-    // Demodulate at SINR: interference adds to the noise floor.
-    const double noise_w = p.uplink.noise_power(f.data_rate).value();
-    link.snr = link.p_rx.value() / (noise_w + interference_w);
+    link.snr = *sinr;
   }
 
   const auto r = demod_.receive(f, link);

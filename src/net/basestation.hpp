@@ -13,6 +13,9 @@
 //                              `capture_db`
 //   - overlap, comparable   -> collision: both frames lost
 //
+// The capture test and the SINR are radio::SuperregenReceiver::capture_sinr
+// — the same rule the sharded fleet kernel resolves its domains with.
+//
 // Every frame's link budget comes from ONE Channel::sample_link draw made
 // at frame start (fading is frozen for the frame's duration), so the
 // capture decision and the demod BER see the same realization.

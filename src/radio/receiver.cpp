@@ -17,6 +17,14 @@ double SuperregenReceiver::ook_ber(double snr_linear) {
   return 0.5 * std::exp(-snr_linear / 2.0);
 }
 
+std::optional<double> SuperregenReceiver::capture_sinr(double p_rx_w,
+                                                       double interference_w,
+                                                       double noise_w,
+                                                       double capture_ratio) {
+  if (p_rx_w < interference_w * capture_ratio) return std::nullopt;
+  return p_rx_w / (noise_w + interference_w);
+}
+
 SuperregenReceiver::Reception SuperregenReceiver::receive(const RfFrame& frame) {
   // One fading draw per frame: detection and bit errors must agree on the
   // realization this frame actually saw.

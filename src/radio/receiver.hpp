@@ -45,6 +45,16 @@ class SuperregenReceiver {
 
   // Theoretical noncoherent-OOK bit error rate at a linear SNR.
   [[nodiscard]] static double ook_ber(double snr_linear);
+  // Front-end capture of a wanted frame at `p_rx_w` against the summed
+  // power of every overlapping frame: the frame is lost to a collision
+  // (nullopt) unless it beats the interference by the linear
+  // `capture_ratio`; a captured frame demodulates at the SINR returned,
+  // interference joining the noise floor. The one capture rule of the
+  // shared-timeline station (net::BaseStation) and the fleet kernel.
+  [[nodiscard]] static std::optional<double> capture_sinr(double p_rx_w,
+                                                          double interference_w,
+                                                          double noise_w,
+                                                          double capture_ratio);
 
   struct Reception {
     bool detected = false;         // above sensitivity

@@ -3,7 +3,7 @@
 //   A fleet run checkpointed at ANY epoch barrier and resumed in a fresh
 //   session is bit-identical to the uninterrupted run — metrics
 //   fingerprint, flight fingerprint, series rows — for every shard and
-//   thread count and on both epoch paths.
+//   thread count.
 //
 // Trials are drawn from the scenario generator (seeded, reproducible) so
 // the property is exercised over fleets with varying population, spread,
@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/codec.hpp"
 #include "common/rng.hpp"
 #include "fleet/engine.hpp"
 #include "obs/flight.hpp"
@@ -134,8 +135,45 @@ std::string repro_line(const scenario::GeneratorParams& p, std::uint64_t index,
   return "repro: corpus_seed=" + std::to_string(p.seed) +
          " index=" + std::to_string(index) + " cut_epoch=" + std::to_string(cut) +
          " shards=" + std::to_string(spec.shards) +
-         " threads=" + std::to_string(spec.threads) +
-         " legacy=" + (spec.legacy_epoch_path ? "1" : "0");
+         " threads=" + std::to_string(spec.threads);
+}
+
+// Rewrite the version field of section `section_tag` in a sealed blob and
+// re-seal it, so only the section-version check can reject the result.
+// Container layout: a 16-byte header, then sections of {u32 tag, u32
+// version, u64 length, payload}, then a trailing FNV-1a-64 digest of
+// everything before it.
+std::vector<std::uint8_t> with_section_version(std::vector<std::uint8_t> blob,
+                                               std::uint32_t section_tag,
+                                               std::uint32_t version) {
+  const auto le = [&blob](std::size_t at, int bytes) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(blob[at + static_cast<std::size_t>(i)]) << (8 * i);
+    }
+    return v;
+  };
+  const std::size_t digest_at = blob.size() - 8;
+  bool found = false;
+  for (std::size_t at = 16; at + 16 <= digest_at;
+       at += 16 + static_cast<std::size_t>(le(at + 8, 8))) {
+    if (le(at, 4) != section_tag) continue;
+    for (int i = 0; i < 4; ++i) {
+      blob[at + 4 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(version >> (8 * i));
+    }
+    found = true;
+    break;
+  }
+  EXPECT_TRUE(found) << "section not in blob";
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < digest_at; ++i) {
+    h ^= blob[i];
+    h *= 0x100000001b3ULL;
+  }
+  for (int i = 0; i < 8; ++i) {
+    blob[digest_at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(h >> (8 * i));
+  }
+  return blob;
 }
 
 }  // namespace
@@ -192,47 +230,6 @@ TEST(FleetCheckpointTest, PortableAcrossShardAndThreadSweep) {
   }
 }
 
-// The same property holds on the legacy epoch path (node-major timer
-// scans); legacy blobs resume legacy sessions bit-identically.
-TEST(FleetCheckpointTest, LegacyEpochPathResumesBitIdentical) {
-  const scenario::GeneratorParams p = test_params();
-  const scenario::GeneratedScenario gen = scenario::generate(p, 2);
-  fleet::FleetSpec spec = gen.spec;
-  spec.legacy_epoch_path = true;
-  const RunResult base = run_uninterrupted(spec);
-  const std::uint64_t n_epochs = epochs_in(spec);
-  for (std::uint64_t cut : {std::uint64_t{1}, n_epochs / 2, n_epochs - 1}) {
-    EXPECT_TRUE(equal(base, run_resumed(spec, cut, spec)))
-        << repro_line(p, 2, cut, spec);
-  }
-}
-
-// Pending/carry air-run state is path-specific, so a blob saved on one
-// epoch path must refuse to restore into the other — with an error that
-// names the offending field, not a silent divergence.
-TEST(FleetCheckpointTest, RejectsCrossPathRestore) {
-  const scenario::GeneratorParams p = test_params();
-  const scenario::GeneratedScenario gen = scenario::generate(p, 0);
-  std::vector<std::uint8_t> blob;
-  {
-    Obs o;
-    fleet::FleetSession s(gen.spec, o.hooks());
-    s.run_until(s.epoch_step_s());
-    blob = s.save();
-  }
-  fleet::FleetSpec other = gen.spec;
-  other.legacy_epoch_path = true;
-  Obs o;
-  fleet::FleetSession s(other, o.hooks());
-  try {
-    s.restore(blob);
-    FAIL() << "cross-path restore must be rejected";
-  } catch (const DesignError& e) {
-    EXPECT_NE(std::string(e.what()).find("legacy_epoch_path"), std::string::npos)
-        << e.what();
-  }
-}
-
 // A spec mismatch is diagnosed by field name; a fault-plan mismatch by the
 // plan check. Both must throw before touching any session state.
 TEST(FleetCheckpointTest, RejectsSpecAndPlanMismatch) {
@@ -269,6 +266,32 @@ TEST(FleetCheckpointTest, RejectsSpecAndPlanMismatch) {
       EXPECT_NE(std::string(e.what()).find("fault plan"), std::string::npos)
           << e.what();
     }
+  }
+}
+
+// FDOM v3 dropped a per-frame field, so a v2 domain section cannot be
+// read as v3: the restore must refuse it by section name and version.
+TEST(FleetCheckpointTest, RejectsPreviousDomainSectionVersion) {
+  const scenario::GeneratorParams p = test_params();
+  const scenario::GeneratedScenario gen = scenario::generate(p, 0);
+  std::vector<std::uint8_t> blob;
+  {
+    Obs o;
+    fleet::FleetSession s(gen.spec, o.hooks());
+    s.run_until(s.epoch_step_s());
+    blob = s.save();
+  }
+  const std::vector<std::uint8_t> old =
+      with_section_version(std::move(blob), ckpt::tag("FDOM"), 2);
+  Obs o;
+  fleet::FleetSession s(gen.spec, o.hooks());
+  try {
+    s.restore(old);
+    FAIL() << "an FDOM v2 blob must be rejected";
+  } catch (const ckpt::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("FDOM"), std::string::npos) << what;
+    EXPECT_NE(what.find("v2"), std::string::npos) << what;
   }
 }
 

@@ -9,9 +9,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <vector>
 
+#include "ckpt/codec.hpp"
 #include "common/error.hpp"
 #include "core/fleet.hpp"
 #include "core/node.hpp"
@@ -103,8 +105,8 @@ TEST(HarvestIntegralTest, ChargeMatchesWindowSums) {
 }
 
 TEST(WakeHeapTest, DrainsInKeyThenIndexOrder) {
-  // The wake calendar must order ties by node index — that is what makes
-  // the active path's frame stream match the legacy node-major scan.
+  // The wake calendar must order ties by node index: that fixes the
+  // (start, id) order of a domain's frame stream at tied wake times.
   std::vector<double> key = {3.0, 1.0, 2.0, 1.0, 2.0, 1.0};
   WakeHeap h;
   h.build(key);
@@ -233,40 +235,29 @@ TEST(ShardedEngineTest, ShardCountsThatDoNotDivideDomainsStayIdentical) {
   for (std::size_t i = 1; i < prints.size(); ++i) EXPECT_EQ(prints[i], prints[0]);
 }
 
-// --- Active-set calendar vs legacy scan -------------------------------------
-// The EpochPath::kLegacy engine (node-major timer scans, serial exchange
-// splice, per-epoch sort) is kept as the cross-validation reference: both
-// paths must produce bit-identical counters, energies, and flight streams
-// for the same spec — only cost may differ.
+// --- Active-set calendar: pinned outcomes ----------------------------------
+// Every pinned value below was produced bit for bit by two independent
+// engines (this calendar path and a node-major scan with a per-epoch
+// sort) before the scan was deleted, so the pins carry that
+// cross-validation forward.
 
-FleetMetrics run_path(FleetSpec s, bool legacy) {
-  s.legacy_epoch_path = legacy;
-  return ShardedFleetEngine::run(s);
-}
-
-TEST(EpochPathTest, LegacyAndActiveAgreeOnDenseFleet) {
+TEST(ActiveSetTest, DenseFleetMatchesPinnedFingerprint) {
   FleetSpec spec;
   spec.nodes = 2000;
   spec.domains = 16;
   spec.sim_time_s = 120.0;
   spec.epoch_s = 17.0;
   spec.randomize_phase = true;
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
-  EXPECT_EQ(a.wake_cycles, l.wake_cycles);
-  EXPECT_EQ(a.frames_on_air, l.frames_on_air);
-  EXPECT_EQ(a.collided, l.collided);
-  EXPECT_EQ(a.delivered, l.delivered);
-  EXPECT_EQ(a.edge_exports, l.edge_exports);
-  EXPECT_EQ(a.energy_out_j, l.energy_out_j);  // bit-equal, not just close
+  const FleetMetrics a = ShardedFleetEngine::run(spec);
+  EXPECT_EQ(a.fingerprint(), 0x050d65219a79d317ULL);
+  EXPECT_EQ(a.wake_cycles, 38009u);
+  EXPECT_EQ(a.collided, 1196u);
 }
 
-TEST(EpochPathTest, LegacyAndActiveAgreeUnderTieHeavyWakes) {
+TEST(ActiveSetTest, TieHeavyWakesMatchPinnedFingerprint) {
   // interval_tolerance = 0 with synchronized boot: every node in a domain
   // wakes at the same instant, so frame starts tie en masse and ordering
-  // falls entirely to the id tie-break — the hardest case for the merge
-  // path to match the legacy sort byte-for-byte.
+  // falls entirely to the id tie-break of the calendar and the merges.
   FleetSpec spec;
   spec.nodes = 600;
   spec.domains = 8;
@@ -274,17 +265,15 @@ TEST(EpochPathTest, LegacyAndActiveAgreeUnderTieHeavyWakes) {
   spec.randomize_phase = false;
   spec.sim_time_s = 90.0;
   spec.epoch_s = 7.0;
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
+  const FleetMetrics a = ShardedFleetEngine::run(spec);
   EXPECT_GT(a.collided, 0u);  // ties actually collide
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
+  EXPECT_EQ(a.fingerprint(), 0xd6fb64bb8587fcfdULL);
 }
 
-TEST(EpochPathTest, SparseFleetSkipsIdleDomainsWithIdenticalResults) {
+TEST(ActiveSetTest, SparseFleetSkipsIdleDomains) {
   // Sparse activity — long intervals, fine epochs — is where the wake
   // calendar pays: most domain-epochs must be skipped outright, and the
-  // results must not move. The legacy path by construction scans and
-  // resolves every domain every epoch.
+  // results must not move.
   FleetSpec spec;
   spec.nodes = 800;
   spec.domains = 16;
@@ -292,23 +281,58 @@ TEST(EpochPathTest, SparseFleetSkipsIdleDomainsWithIdenticalResults) {
   spec.randomize_phase = true;
   spec.sim_time_s = 120.0;
   spec.epoch_s = 0.5;
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
+  const FleetMetrics a = ShardedFleetEngine::run(spec);
+  EXPECT_EQ(a.fingerprint(), 0xbac54dd22298331aULL);
   EXPECT_GT(a.wake_cycles, 0u);
-  EXPECT_EQ(l.phase.domains_advanced, l.phase.domain_epochs);
-  EXPECT_EQ(l.phase.domains_resolved, l.phase.domain_epochs);
+  EXPECT_EQ(a.phase.epochs, 240u);
   EXPECT_LT(a.phase.domains_advanced, a.phase.domain_epochs / 4);
   EXPECT_LT(a.phase.domains_resolved, a.phase.domain_epochs / 4);
-  EXPECT_EQ(a.phase.epochs, l.phase.epochs);
 }
 
-TEST(EpochPathTest, LegacyAndActiveAgreeOnFlightStreamUnderFaults) {
+// Lifetime flight-event counts of one run, per kind. The recorder is sized
+// so no ring wraps: every recorded event is retained and counted.
+struct FlightCounts {
+  std::uint64_t total = 0;
+  std::uint64_t frame_tx = 0;
+  std::uint64_t collision = 0;
+  std::uint64_t fault_active = 0;
+  std::uint64_t brownout = 0;
+  std::uint64_t epoch_barrier = 0;
+};
+
+FlightCounts run_flight_counts(const FleetSpec& spec, std::uint32_t tx_shift,
+                               FleetMetrics* metrics = nullptr) {
+  obs::FlightRecorder flight(std::size_t{1} << 14);
+  FleetObsHooks hooks;
+  hooks.flight = &flight;
+  hooks.flight_tx_sample_shift = tx_shift;
+  const FleetMetrics m = ShardedFleetEngine::run(spec, hooks);
+  if (metrics != nullptr) *metrics = m;
+  EXPECT_EQ(flight.total_dropped(), 0u);
+  FlightCounts c;
+  c.total = flight.total_recorded();
+  std::vector<obs::FlightEvent> events;
+  for (std::size_t ring = 0; ring < flight.rings(); ++ring) {
+    flight.ring(ring).append_to(events);
+  }
+  for (const obs::FlightEvent& ev : events) {
+    switch (ev.kind) {
+      case obs::FlightEventKind::kFrameTx: ++c.frame_tx; break;
+      case obs::FlightEventKind::kCollision: ++c.collision; break;
+      case obs::FlightEventKind::kFaultActive: ++c.fault_active; break;
+      case obs::FlightEventKind::kBrownout: ++c.brownout; break;
+      case obs::FlightEventKind::kEpochBarrier: ++c.epoch_barrier; break;
+      default: ADD_FAILURE() << "unexpected event kind";
+    }
+  }
+  return c;
+}
+
+TEST(ActiveSetTest, FlightStreamCountsUnderFaultsArePinned) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // Frame-tx sampling, collision events, fault windows, barrier events:
-  // the flight stream fingerprints the event *order* per ring, so this
-  // checks the active path's deferred tx/collision emission reproduces
-  // the legacy path's generation-order stream exactly.
+  // emission order is generation order, but which and how many events a
+  // run records must not move.
   FleetSpec spec;
   spec.nodes = 1000;
   spec.domains = 16;
@@ -316,32 +340,26 @@ TEST(EpochPathTest, LegacyAndActiveAgreeOnFlightStreamUnderFaults) {
   spec.epoch_s = 17.0;
   spec.randomize_phase = true;
   spec.faults.channel_loss(10.0, 100.0, 0.7);
-  std::uint64_t prints[2];
-  std::uint64_t counts[2];
-  for (int legacy = 0; legacy < 2; ++legacy) {
-    FleetSpec s = spec;
-    s.legacy_epoch_path = legacy != 0;
-    obs::FlightRecorder flight;
-    FleetObsHooks hooks;
-    hooks.flight = &flight;
-    hooks.flight_tx_sample_shift = 2;  // exercise the sampled-tx keying
-    const FleetMetrics m = ShardedFleetEngine::run(s, hooks);
-    EXPECT_GT(m.frames_lost, 0u);
-    EXPECT_GT(m.collided, 0u);
-    prints[legacy] = flight.fingerprint();
-    counts[legacy] = flight.total_recorded();
-  }
-  EXPECT_EQ(prints[0], prints[1]);
-  EXPECT_EQ(counts[0], counts[1]);
+  FleetMetrics m;
+  const FlightCounts c = run_flight_counts(spec, 2, &m);  // sampled-tx keying
+  EXPECT_GT(m.frames_lost, 0u);
+  EXPECT_GT(m.collided, 0u);
+  EXPECT_EQ(m.fingerprint(), 0x5d92996f157163dfULL);
+  EXPECT_EQ(c.total, 4870u);
+  EXPECT_EQ(c.frame_tx, 4757u);
+  EXPECT_EQ(c.collision, 104u);
+  EXPECT_EQ(c.collision, m.collided);  // never sampled
+  EXPECT_EQ(c.fault_active, 1u);
+  EXPECT_EQ(c.epoch_barrier, 8u);
+  EXPECT_EQ(c.brownout, 0u);
 }
 
-TEST(EpochPathTest, MillionNodeSmoke) {
+TEST(ActiveSetTest, MillionNodeSmoke) {
   if (std::getenv("PICO_PERF_TESTS") == nullptr) {
     GTEST_SKIP() << "set PICO_PERF_TESTS=1 to run the 1M-node smoke";
   }
   // A shortened E19: one million nodes across 10k domains at telemetry
-  // epoch cadence. Guards the active path's skip logic at real scale and
-  // cross-checks it against the legacy engine.
+  // epoch cadence. Guards the calendar's skip logic at real scale.
   FleetSpec spec;
   spec.nodes = 1000000;
   spec.domains = 10000;
@@ -351,9 +369,8 @@ TEST(EpochPathTest, MillionNodeSmoke) {
   // past the window's start that ~10% of the fleet beacons once.
   spec.sim_time_s = 660.0;
   spec.epoch_s = 1.0;
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
+  const FleetMetrics a = ShardedFleetEngine::run(spec);
+  EXPECT_EQ(a.fingerprint(), 0x2692bf087bbecf8aULL);
   EXPECT_EQ(a.nodes, 1000000u);
   EXPECT_GT(a.wake_cycles, 0u);
   EXPECT_LT(a.phase.domains_advanced, a.phase.domain_epochs / 10);
@@ -593,38 +610,26 @@ TEST(FleetArqTest, BitIdenticalAcrossShardAndThreadCounts) {
   EXPECT_GT(first.delivered, 0u);
 }
 
-TEST(FleetArqTest, LegacyAndActiveAgreeUnderJam) {
-  const FleetSpec spec = arq_jam_spec();
-  const FleetMetrics a = run_path(spec, false);
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_EQ(a.fingerprint(), l.fingerprint());
-  EXPECT_EQ(a.arq_retries, l.arq_retries);
-  EXPECT_EQ(a.arq_gaveup, l.arq_gaveup);
-  EXPECT_EQ(a.energy_out_j, l.energy_out_j);  // bit-equal, not just close
+TEST(FleetArqTest, JamMatchesPinnedFingerprint) {
+  const FleetMetrics a = ShardedFleetEngine::run(arq_jam_spec());
+  EXPECT_EQ(a.fingerprint(), 0xc8ef7b42a61a2eb0ULL);
+  EXPECT_EQ(a.wake_cycles, 11396u);
+  EXPECT_EQ(a.collided, 277u);
 }
 
-TEST(FleetArqTest, LegacyAndActiveAgreeOnFlightStreamUnderJam) {
+TEST(FleetArqTest, FlightStreamCountsUnderJamArePinned) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
-  // ARQ interleaves chains across the calendar's pop order; the deferred
-  // node-major flight replay must still match the legacy inline emission
-  // byte for byte.
-  const FleetSpec spec = arq_jam_spec();
-  std::uint64_t prints[2];
-  std::uint64_t counts[2];
-  for (int legacy = 0; legacy < 2; ++legacy) {
-    FleetSpec s = spec;
-    s.legacy_epoch_path = legacy != 0;
-    obs::FlightRecorder flight;
-    FleetObsHooks hooks;
-    hooks.flight = &flight;
-    hooks.flight_tx_sample_shift = 1;
-    const FleetMetrics m = ShardedFleetEngine::run(s, hooks);
-    EXPECT_GT(m.arq_retries, 0u);
-    prints[legacy] = flight.fingerprint();
-    counts[legacy] = flight.total_recorded();
-  }
-  EXPECT_EQ(prints[0], prints[1]);
-  EXPECT_EQ(counts[0], counts[1]);
+  // ARQ interleaves chains across the calendar's pop order; every attempt
+  // still records (or samples) exactly one kFrameTx.
+  FleetMetrics m;
+  const FlightCounts c = run_flight_counts(arq_jam_spec(), 1, &m);
+  EXPECT_GT(m.arq_retries, 0u);
+  EXPECT_EQ(m.fingerprint(), 0xc8ef7b42a61a2eb0ULL);
+  EXPECT_EQ(c.total, 9779u);
+  EXPECT_EQ(c.frame_tx, 9493u);
+  EXPECT_EQ(c.collision, 277u);
+  EXPECT_EQ(c.fault_active, 1u);
+  EXPECT_EQ(c.epoch_barrier, 8u);
 }
 
 TEST(FleetArqTest, CleanChannelCollapsesToBeaconCounts) {
@@ -684,7 +689,7 @@ TEST(FleetRetirementTest, TightBudgetRetiresNodesMidRun) {
                    static_cast<double>(r.nodes) * spec.sim_time_s);
 }
 
-TEST(FleetRetirementTest, BitIdenticalAcrossShardThreadAndEpochPath) {
+TEST(FleetRetirementTest, BitIdenticalAcrossShardAndThreadCounts) {
   const FleetSpec spec = tight_budget_spec();
   std::vector<std::uint64_t> prints;
   for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
@@ -692,49 +697,47 @@ TEST(FleetRetirementTest, BitIdenticalAcrossShardThreadAndEpochPath) {
       FleetSpec s = spec;
       s.shards = shards;
       s.threads = threads;
-      prints.push_back(ShardedFleetEngine::run(s).fingerprint());
+      const FleetMetrics m = ShardedFleetEngine::run(s);
+      EXPECT_GT(m.nodes_dead, 0u);
+      prints.push_back(m.fingerprint());
     }
   }
-  const FleetMetrics l = run_path(spec, true);
-  EXPECT_GT(l.nodes_dead, 0u);
-  prints.push_back(l.fingerprint());
   for (std::size_t i = 1; i < prints.size(); ++i) EXPECT_EQ(prints[i], prints[0]);
+  EXPECT_EQ(prints[0], 0xe9068213488d64a8ULL);
 }
 
-TEST(FleetRetirementTest, BrownoutFlightEventsMatchAcrossEpochPaths) {
+TEST(FleetRetirementTest, BrownoutFlightEventsAreMidRunAndPinned) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const FleetSpec spec = tight_budget_spec();
-  std::uint64_t prints[2];
-  std::uint64_t brownouts[2];
-  for (int legacy = 0; legacy < 2; ++legacy) {
-    FleetSpec s = spec;
-    s.legacy_epoch_path = legacy != 0;
-    obs::FlightRecorder flight;
-    FleetObsHooks hooks;
-    hooks.flight = &flight;
-    const FleetMetrics m = ShardedFleetEngine::run(s, hooks);
-    EXPECT_EQ(m.nodes_dead, m.nodes);
-    prints[legacy] = flight.fingerprint();
-    std::uint64_t n = 0;
-    double last_t = 0.0;
-    std::vector<obs::FlightEvent> events;
-    for (std::size_t ring = 0; ring < flight.rings(); ++ring) {
-      flight.ring(ring).append_to(events);
-    }
-    for (const obs::FlightEvent& ev : events) {
-      if (ev.kind != obs::FlightEventKind::kBrownout) continue;
-      ++n;
-      EXPECT_GT(ev.t_s, 0.0);
-      EXPECT_LT(ev.t_s, spec.sim_time_s);  // mid-run, not post-hoc
-      EXPECT_GT(ev.v, 0.0);                // a real deficit
-      last_t = std::max(last_t, ev.t_s);
-    }
-    brownouts[legacy] = n;
-    EXPECT_EQ(n, m.nodes_dead);
-    EXPECT_GT(last_t, 0.0);
+  obs::FlightRecorder flight;
+  FleetObsHooks hooks;
+  hooks.flight = &flight;
+  const FleetMetrics m = ShardedFleetEngine::run(spec, hooks);
+  EXPECT_EQ(m.nodes_dead, m.nodes);
+  EXPECT_EQ(flight.total_dropped(), 0u);
+  std::uint64_t n = 0;
+  double last_t = 0.0;
+  std::vector<obs::FlightEvent> events;
+  for (std::size_t ring = 0; ring < flight.rings(); ++ring) {
+    flight.ring(ring).append_to(events);
   }
-  EXPECT_EQ(prints[0], prints[1]);
-  EXPECT_EQ(brownouts[0], brownouts[1]);
+  for (const obs::FlightEvent& ev : events) {
+    if (ev.kind != obs::FlightEventKind::kBrownout) continue;
+    ++n;
+    EXPECT_GT(ev.t_s, 0.0);
+    EXPECT_LT(ev.t_s, spec.sim_time_s);  // mid-run, not post-hoc
+    EXPECT_GT(ev.v, 0.0);                // a real deficit
+    last_t = std::max(last_t, ev.t_s);
+  }
+  EXPECT_EQ(n, m.nodes_dead);
+  EXPECT_GT(last_t, 0.0);
+
+  const FlightCounts c = run_flight_counts(spec, 5);
+  EXPECT_EQ(c.total, 364u);
+  EXPECT_EQ(c.frame_tx, 37u);
+  EXPECT_EQ(c.collision, 12u);
+  EXPECT_EQ(c.brownout, 300u);
+  EXPECT_EQ(c.epoch_barrier, 15u);
 }
 
 TEST(FleetRetirementTest, KernelRetirementMatchesScalarBrownoutWithinOneWake) {
@@ -776,6 +779,78 @@ TEST(FleetRetirementTest, KernelRetirementMatchesScalarBrownoutWithinOneWake) {
   ASSERT_EQ(m.nodes_dead, 1u);
   // One node: the alive-seconds integral is its depletion time.
   EXPECT_NEAR(m.node_seconds_alive, t_scalar, interval);
+}
+
+// --- Checkpoint input validation ---------------------------------------------
+
+// A one-node domain's state in the Domain::save wire layout (FDOM v3),
+// with one pending frame owned by local node `frame_node` and a built
+// wake calendar holding `slot`. Both are node indices the domain later
+// dereferences, so restore() must range-check them.
+std::vector<std::uint8_t> one_node_domain_blob(std::uint32_t frame_node,
+                                               std::uint32_t slot) {
+  ckpt::Writer w;
+  w.u64(1);       // nodes
+  w.f64v({6.0});  // next wake
+  for (std::uint64_t word : {1u, 2u, 3u, 4u}) w.u64(word);  // Rng words
+  w.f64(0.0);     // cached normal deviate
+  w.b(false);
+  w.u32v({1});    // seq
+  w.u8v({1});     // alive
+  w.u64v({1});    // cycles
+  w.f64v({2e-6});  // cycle energy
+  w.f64v({std::numeric_limits<double>::infinity()});  // death time
+  w.u64(1);       // one pending frame
+  w.f64(5.0);
+  w.f64(5.001);
+  w.f64(1e-9);
+  w.f64(0.5);
+  w.u32(frame_node);
+  w.u32(0);
+  w.b(false);
+  w.u64(0);  // carry
+  w.u64(0);  // left outbox
+  w.u64(0);  // right outbox
+  w.b(true);
+  w.u32v({slot});
+  for (int k = 0; k < 14; ++k) w.u64(0);  // integer counters
+  for (int k = 0; k < 5; ++k) w.f64(0.0);  // energy/time accumulators
+  return w.finish();
+}
+
+void restore_one_node_domain(std::vector<std::uint8_t> blob) {
+  Domain d;
+  d.add_node(0, 6.0, 6.0, Rng::stream(1, 0), 1.0, -1.0, -1.0);
+  ckpt::Reader r(std::move(blob));
+  d.restore(r);
+}
+
+TEST(DomainTest, RestoreRejectsPendingFrameOutsideDomain) {
+  EXPECT_NO_THROW(restore_one_node_domain(one_node_domain_blob(0, 0)));
+  EXPECT_THROW(restore_one_node_domain(one_node_domain_blob(1, 0)),
+               ckpt::CheckpointError);
+}
+
+TEST(DomainTest, RestoreRejectsCalendarSlotOutsideDomain) {
+  EXPECT_NO_THROW(restore_one_node_domain(one_node_domain_blob(0, 0)));
+  EXPECT_THROW(restore_one_node_domain(one_node_domain_blob(0, 7)),
+               ckpt::CheckpointError);
+}
+
+TEST(ShardedEngineTest, RejectsFlightTxSampleShiftOf32) {
+  // 1u << 32 is undefined; the session must refuse the hook up front.
+  FleetSpec spec;
+  spec.nodes = 16;
+  spec.domains = 2;
+  spec.sim_time_s = 12.0;
+  obs::FlightRecorder flight;
+  FleetObsHooks hooks;
+  hooks.flight = &flight;
+  const auto open = [&] { FleetSession session(spec, hooks); };
+  hooks.flight_tx_sample_shift = 32;
+  EXPECT_THROW(open(), DesignError);
+  hooks.flight_tx_sample_shift = 31;
+  EXPECT_NO_THROW(open());
 }
 
 // --- Allocation-free steady state -------------------------------------------
