@@ -8,10 +8,17 @@
 // spatially-sharded fleet engine (src/fleet/) gets in
 // node-simulated-seconds per wall second, checks the >= 20x speedup claim
 // against the shared-timeline medium on the same physics, and re-verifies
-// the bit-identical-across-shards contract at full scale.
+// the bit-identical-across-shards contract at full scale. E19 then steps
+// a million-node fleet at one thread (the gated run) and sweeps the same
+// spec over 1, 2, 4, ... up to --threads=N (default 4) threads, printing
+// the per-phase times, the speed-up and the Amdahl serial fraction.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/fleet.hpp"
@@ -42,10 +49,16 @@ int main(int argc, char** argv) {
   // moves the barrier cadence — useful to isolate instrumentation overhead
   // from the extra barriers a fine --series-dt cadence implies.
   double epoch_s = 0.0;
+  // --threads=<n>: runner threads for the 100k-node run and the top of the
+  // E19 thread sweep (default 4).
+  unsigned threads = 4;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--storm") storm = true;
     if (a.rfind("--epoch=", 0) == 0) epoch_s = std::strtod(a.c_str() + 8, nullptr);
+    if (a.rfind("--threads=", 0) == 0) {
+      threads = std::max(1u, static_cast<unsigned>(std::strtoul(a.c_str() + 10, nullptr, 10)));
+    }
   }
 
   // --- Reference: the shared-timeline medium -------------------------------
@@ -67,6 +80,7 @@ int main(int argc, char** argv) {
   spec.sim_time_s = 60.0;
   spec.domains = 1000;  // 8 km of 8 m cells, ~100 nodes per gateway
   spec.randomize_phase = true;  // mature deployment: phases decorrelated
+  spec.threads = threads;
   if (epoch_s > 0.0) spec.epoch_s = epoch_s;
   if (storm) {
     // 20 overlapping loss windows opening over 0.5 s: a correlated-jam
@@ -134,8 +148,9 @@ int main(int argc, char** argv) {
   // live: a 2 Hz telemetry series clamps the epoch to 0.5 s, 1800 epochs
   // over 10k domains. The calendar path touches only domains with a wake
   // actually due (~3% of domain-epochs here) — per-epoch cost scales with
-  // activity, not population. One thread, so the throughput gate below
-  // compares like with like and cannot flip with the core count.
+  // activity, not population. The gated run uses one thread, so the
+  // throughput gate below compares like with like and cannot flip with
+  // the core count; the thread sweep after it is reported, not gated.
   fleet::FleetSpec mspec;
   mspec.nodes = 1000000;
   mspec.domains = 10000;
@@ -169,14 +184,51 @@ int main(int argc, char** argv) {
   tm.add_row({"scan engine, recorded (historical)", si(kScanRate1Core, "node-s/s")});
   tm.add_row({"phase: setup", fixed(ph.setup_s, 2) + " s"});
   tm.add_row({"phase: advance", fixed(ph.advance_s, 2) + " s"});
-  tm.add_row({"phase: exchange", fixed(ph.exchange_s, 2) + " s"});
   tm.add_row({"phase: resolve", fixed(ph.resolve_s, 2) + " s"});
   tm.add_row({"domain-epochs advanced", std::to_string(ph.domains_advanced) + " / " +
                                             std::to_string(ph.domain_epochs)});
   tm.add_row({"fingerprint", fingerprint_pinned ? "pinned" : "MOVED"});
   tm.add_note("active: wake calendar + run merge, skipping idle domains in");
   tm.add_note("O(1). The scan-engine rate is a recorded 1-core figure.");
+  tm.add_note("resolve includes the inbox routing fused into its pass.");
   tm.print(std::cout);
+
+  // Thread sweep on the same spec: 1, 2, 4, ... and --threads itself. The
+  // one-thread point is the gated run above. Amdahl's law fits a serial
+  // fraction f to the speed-up S at p threads: S = 1 / (f + (1 - f) / p).
+  std::vector<unsigned> sweep{1};
+  for (unsigned p = 2; p <= threads; p *= 2) sweep.push_back(p);
+  if (sweep.back() != threads) sweep.push_back(threads);
+  Table ts("E19 thread sweep (same spec)");
+  ts.set_header({"threads", "wall", "setup", "advance", "resolve", "node-s/s", "speed-up",
+                 "serial frac"});
+  bool sweep_identical = true;
+  for (const unsigned p : sweep) {
+    fleet::FleetMetrics run = act;
+    double wall_s = act_wall_s;
+    if (p > 1) {
+      fleet::FleetSpec ps = mspec;
+      ps.threads = p;
+      const auto t0 = std::chrono::steady_clock::now();
+      run = fleet::ShardedFleetEngine::run(ps);
+      wall_s = wall_seconds_since(t0);
+      sweep_identical = sweep_identical && run.fingerprint() == act.fingerprint();
+    }
+    const double speedup_p = act_wall_s / wall_s;
+    std::string serial = "-";
+    if (p > 1) {
+      const double pn = static_cast<double>(p);
+      const double f = (pn / std::clamp(speedup_p, 1.0, pn) - 1.0) / (pn - 1.0);
+      serial = fixed(f, 3);
+    }
+    ts.add_row({std::to_string(p), fixed(wall_s, 2) + " s", fixed(run.phase.setup_s, 3) + " s",
+                fixed(run.phase.advance_s, 3) + " s", fixed(run.phase.resolve_s, 3) + " s",
+                si(static_cast<double>(mspec.nodes) * mspec.sim_time_s / wall_s, "node-s/s"),
+                fixed(speedup_p, 2) + "x", serial});
+  }
+  ts.add_note("speed-up is wall(1 thread) / wall(p); serial frac is the Amdahl");
+  ts.add_note("fit to it (speed-up clamped to [1, p]). Reported, not gated.");
+  ts.print(std::cout);
 
   io.metric("e19_nodes", static_cast<double>(act.nodes));
   io.metric("e19_node_sim_s_per_wall_s", act_rate);
@@ -184,7 +236,6 @@ int main(int argc, char** argv) {
   io.metric("e19_active_domain_frac", active_frac);
   io.metric("e19_phase_setup_s", ph.setup_s);
   io.metric("e19_phase_advance_s", ph.advance_s);
-  io.metric("e19_phase_exchange_s", ph.exchange_s);
   io.metric("e19_phase_resolve_s", ph.resolve_s);
   io.metric("e19_phase_obs_s", ph.obs_s);
   io.metric("e19_phase_finalize_s", ph.finalize_s);
@@ -206,6 +257,8 @@ int main(int argc, char** argv) {
                  act.nodes >= 1000000 && act.wake_cycles > 0);
   check.add_text("E19: outcomes pinned", "fingerprint unchanged",
                  fingerprint_pinned ? "pinned" : "MOVED", fingerprint_pinned);
+  check.add_text("E19: thread sweep leaves outcomes unchanged", "fingerprints equal",
+                 sweep_identical ? "equal" : "DIFFER", sweep_identical);
   check.add_text("E19: throughput gain from activity scaling",
                  ">= 5x the recorded 1-core scan", fixed(calendar_speedup, 1) + "x",
                  calendar_speedup >= 5.0);

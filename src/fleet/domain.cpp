@@ -42,45 +42,68 @@ double KernelModel::rx_power_w(double d_m) const {
   return tx_power_w * eirp_gain / (path_loss_1m * d_m * d_m);
 }
 
+std::size_t KernelModel::frame_bound(std::size_t nodes) const {
+  if (nodes == 0) return 0;
+  return static_cast<std::size_t>(frames_per_node * static_cast<double>(nodes)) + 16;
+}
+
+double KernelModel::worst_frames_per_node(double epoch_s, double min_interval_s,
+                                          std::size_t attempts_per_wake) {
+  return (epoch_s / std::max(min_interval_s, 1e-6) + 2.0) *
+         static_cast<double>(std::max<std::size_t>(attempts_per_wake, 1));
+}
+
+void Domain::Scratch::fit(std::size_t own_nodes, std::size_t imported_nodes,
+                          const KernelModel& m) {
+  const std::size_t own = m.frame_bound(own_nodes);
+  const std::size_t in = m.frame_bound(imported_nodes);
+  records.reserve(2 * own + in);  // carry + pending + inbox
+  inbox.reserve(in);
+}
+
+void Domain::reserve_nodes(std::size_t n) {
+  node_.reserve(n);
+  alive_.reserve(n);
+  death_t_s_.reserve(n);
+}
+
 void Domain::add_node(std::uint32_t global_id, double interval_s, double first_wake_s,
                       Rng rng, double dist_own_m, double dist_left_m,
                       double dist_right_m) {
   PICO_REQUIRE(interval_s > 0.0, "node interval must be positive");
   PICO_REQUIRE(dist_own_m > 0.0, "node must be at a positive gateway distance");
-  global_id_.push_back(global_id);
-  interval_s_.push_back(interval_s);
-  next_wake_s_.push_back(first_wake_s);
-  dist_own_m_.push_back(dist_own_m);
-  dist_left_m_.push_back(dist_left_m);
-  dist_right_m_.push_back(dist_right_m);
-  rng_.push_back(rng);
-  seq_.push_back(0);
+  Node nd;
+  nd.next_wake_s = first_wake_s;
+  nd.interval_s = interval_s;
+  nd.dist_own_m = dist_own_m;
+  nd.dist_left_m = dist_left_m;
+  nd.dist_right_m = dist_right_m;
+  nd.rng = rng;
+  nd.global_id = global_id;
+  node_.push_back(nd);
   alive_.push_back(1);
-  cycles_.push_back(0);
-  cycle_energy_j_.push_back(0.0);
   death_t_s_.push_back(std::numeric_limits<double>::infinity());
+  if (dist_left_m >= 0.0) ++band_left_;
+  if (dist_right_m >= 0.0) ++band_right_;
   heap_.invalidate();
 }
 
-void Domain::reserve_scratch(double epoch_s, double min_interval_s,
-                             std::size_t attempts_per_wake) {
-  const double per_node = (epoch_s / std::max(min_interval_s, 1e-6) + 2.0) *
-                          static_cast<double>(std::max<std::size_t>(attempts_per_wake, 1));
-  const auto frames =
-      static_cast<std::size_t>(per_node * static_cast<double>(nodes())) + 16;
+void Domain::reserve(const KernelModel& m) {
+  const std::size_t frames = m.frame_bound(nodes());
   pending_.reserve(frames);
-  records_.reserve(2 * frames);
   carry_.reserve(frames);
-  outbox_left_.reserve(frames);
-  outbox_right_.reserve(frames);
-  inbox_.reserve(2 * frames);
+  outbox_left_.reserve(m.frame_bound(band_left_));
+  outbox_right_.reserve(m.frame_bound(band_right_));
 }
 
 void Domain::advance(double epoch_end_s, const KernelModel& m,
                      obs::FlightRing* flight) {
   outbox_left_.clear();
   outbox_right_.clear();
-  if (!heap_.built()) heap_.build(next_wake_s_);
+  if (!heap_.built()) {
+    heap_.build(node_.size(), [&](std::size_t i) { return node_[i].next_wake_s; });
+    reserve(m);
+  }
   // Pop wakes in global (time, id) order. Each node's wakes fire in its
   // own time order and randomness is per-node, so a node's draw sequence
   // does not depend on how epochs slice the run; pending_ and the
@@ -90,15 +113,16 @@ void Domain::advance(double epoch_end_s, const KernelModel& m,
   // Retired nodes never re-enter the calendar: retirement parks the key
   // at +inf, so the heap itself is the alive set.
   while (!heap_.empty()) {
-    const std::uint32_t i = heap_.top();
-    const double wake = next_wake_s_[i];
+    const double wake = heap_.top_key();
     if (wake > epoch_end_s) break;
+    const std::uint32_t i = heap_.top();
+    Node& nd = node_[i];
     if (m.check_depletion && retire_if_depleted(i, wake, m, flight)) {
-      heap_.sift_top(next_wake_s_);  // key is +inf now
+      heap_.replace_top(nd.next_wake_s);  // +inf now
       continue;
     }
-    next_wake_s_[i] += interval_s_[i];
-    heap_.sift_top(next_wake_s_);
+    nd.next_wake_s += nd.interval_s;
+    heap_.replace_top(nd.next_wake_s);
     fire_wake(i, wake, m, flight);
   }
   if (m.profile.arq) {
@@ -114,16 +138,17 @@ void Domain::advance(double epoch_end_s, const KernelModel& m,
   }
 }
 
-void Domain::fire_wake(std::size_t i, double wake, const KernelModel& m,
+void Domain::fire_wake(std::uint32_t i, double wake, const KernelModel& m,
                        obs::FlightRing* flight) {
-  ++cycles_[i];
+  Node& nd = node_[i];
+  ++nd.cycles;
   ++c_.wake_cycles;
   // Per-attempt draws in a fixed order — loss, shadowing, decode, then
   // the retry backoff — so the per-node stream is identical no matter how
   // epochs or shards slice the run. Conditional draws follow the scalar
   // discipline: nominal runs consume no fault randomness, and a beacon
   // wake is exactly one attempt with no backoff draw.
-  Rng& rng = rng_[i];
+  Rng& rng = nd.rng;
   const std::uint32_t max_retries = m.profile.arq ? m.profile.max_retries : 0;
   double attempt_start = wake + m.profile.tx_offset_s;
   std::uint32_t used = 0;
@@ -139,31 +164,31 @@ void Domain::fire_wake(std::size_t i, double wake, const KernelModel& m,
       shadow = db_to_ratio(rng.normal(0.0, m.shadowing_sigma_db));
     }
     const double u = rng.uniform();
-    const auto sq = seq_[i]++;
+    const auto sq = nd.seq++;
     used = a;
     last_lost = lost;
     if (start <= m.sim_time_s) {  // else: run ends before the PA fires
-      const double p_rx = m.rx_power_w(dist_own_m_[i]) * shadow;
-      pending_.push_back(Frame{start, end, p_rx, u, static_cast<std::uint32_t>(i), sq, lost});
+      const double p_rx = m.rx_power_w(nd.dist_own_m) * shadow;
+      pending_.push_back(Frame{start, end, p_rx, u, i, nd.global_id, sq, lost});
       ++c_.frames_on_air;
       if constexpr (obs::kEnabled) {
         // Sampled on the cumulative count (frame 1, 1+N, 1+2N, ...): the
         // subset is a pure function of the domain's frame sequence.
         if (flight != nullptr && ((c_.frames_on_air - 1) & flight_tx_mask_) == 0) {
           flight->push(
-              {start, obs::FlightEventKind::kFrameTx, global_id_[i], sq, p_rx});
+              {start, obs::FlightEventKind::kFrameTx, nd.global_id, sq, p_rx});
         }
       }
       c_.airtime_s += m.profile.airtime_s;
       if (lost) ++c_.frames_lost;
-      if (dist_left_m_[i] >= 0.0) {
+      if (nd.dist_left_m >= 0.0) {
         outbox_left_.push_back(
-            {start, end, m.rx_power_w(dist_left_m_[i]) * shadow, global_id_[i]});
+            {start, end, m.rx_power_w(nd.dist_left_m) * shadow, nd.global_id});
         ++c_.edge_exports;
       }
-      if (dist_right_m_[i] >= 0.0) {
+      if (nd.dist_right_m >= 0.0) {
         outbox_right_.push_back(
-            {start, end, m.rx_power_w(dist_right_m_[i]) * shadow, global_id_[i]});
+            {start, end, m.rx_power_w(nd.dist_right_m) * shadow, nd.global_id});
         ++c_.edge_exports;
       }
     }
@@ -178,7 +203,7 @@ void Domain::fire_wake(std::size_t i, double wake, const KernelModel& m,
   }
   // Bill the tabulated energy of the outcome the chain actually had.
   const double cycle_j = m.profile.cycle_energy_for(used);
-  cycle_energy_j_[i] += cycle_j;
+  nd.cycle_energy_j += cycle_j;
   c_.cycle_energy_j += cycle_j;
   if (m.profile.arq) {
     c_.arq_retries += used;
@@ -186,26 +211,27 @@ void Domain::fire_wake(std::size_t i, double wake, const KernelModel& m,
   }
 }
 
-bool Domain::retire_if_depleted(std::size_t i, double wake, const KernelModel& m,
+bool Domain::retire_if_depleted(std::uint32_t i, double wake, const KernelModel& m,
                                 obs::FlightRing* flight) {
+  Node& nd = node_[i];
   // Cumulative ledger at this wake, before the cycle fires: everything
   // billed so far plus the sleep floor and the battery's own
   // self-discharge (never billed, but just as fatal), against the
   // harvest income.
   const double floor_w = m.profile.sleep_power_w + m.profile.self_discharge_w;
-  const double out_now = floor_w * wake + cycle_energy_j_[i];
+  const double out_now = floor_w * wake + nd.cycle_energy_j;
   const double in_now = m.profile.battery_ocv_v * m.harvest_charge(0.0, wake);
   const double deficit_now = out_now - in_now - m.profile.battery_budget_j;
   if (deficit_now <= 0.0) return false;
 
   // The balance crossed the budget somewhere since the previous wake
-  // (cycle_energy_j_ has been constant since): interpolate the crossing.
+  // (its cycle energy has been constant since): interpolate the crossing.
   // Harvest is piecewise-window, not linear, but the one-interval
   // tolerance of the retirement contract absorbs that.
   double t_d = wake;
-  const double prev = std::max(0.0, wake - interval_s_[i]);
+  const double prev = std::max(0.0, wake - nd.interval_s);
   if (prev < wake) {
-    const double out_p = floor_w * prev + cycle_energy_j_[i];
+    const double out_p = floor_w * prev + nd.cycle_energy_j;
     const double in_p = m.profile.battery_ocv_v * m.harvest_charge(0.0, prev);
     const double d_p = out_p - in_p - m.profile.battery_budget_j;
     if (d_p >= 0.0) {
@@ -216,7 +242,7 @@ bool Domain::retire_if_depleted(std::size_t i, double wake, const KernelModel& m
   }
 
   alive_[i] = 0;
-  next_wake_s_[i] = std::numeric_limits<double>::infinity();
+  nd.next_wake_s = std::numeric_limits<double>::infinity();
   death_t_s_[i] = t_d;
   ++c_.nodes_dead;
   // The energy bill (through t_d and not a joule longer) is deferred to
@@ -225,15 +251,15 @@ bool Domain::retire_if_depleted(std::size_t i, double wake, const KernelModel& m
   // on it.
   if constexpr (obs::kEnabled) {
     if (flight != nullptr) {
-      const double out_d = floor_w * t_d + cycle_energy_j_[i];
+      const double out_d = floor_w * t_d + nd.cycle_energy_j;
       const double in_d = m.profile.battery_ocv_v * m.harvest_charge(0.0, t_d);
-      flight->push({t_d, obs::FlightEventKind::kBrownout, global_id_[i], 0, out_d - in_d});
+      flight->push({t_d, obs::FlightEventKind::kBrownout, nd.global_id, 0, out_d - in_d});
     }
   }
   return true;
 }
 
-void Domain::resolve(double epoch_end_s, const KernelModel& m,
+void Domain::resolve(double epoch_end_s, const KernelModel& m, Scratch& s,
                      obs::FlightRing* flight) {
   // Assemble this epoch's air picture by merging three already-sorted
   // runs — carried records, pending own frames (lost frames still jam),
@@ -248,23 +274,25 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m,
     // chain begun last epoch can reach into this one past frames already
     // kept. Restore the (start, id) invariant here. (start, gid) never
     // ties: a node's attempts are spaced by at least airtime + ack timeout.
-    std::sort(pending_.begin(), pending_.end(), [&](const Frame& a, const Frame& b) {
+    std::sort(pending_.begin(), pending_.end(), [](const Frame& a, const Frame& b) {
       if (a.start_s != b.start_s) return a.start_s < b.start_s;
-      return global_id_[a.node] < global_id_[b.node];
+      return a.global_node < b.global_node;
     });
   }
-  records_.clear();
-  if (carry_.empty() && inbox_.empty()) {
+  std::vector<AirRecord>& records = s.records;
+  const std::vector<EdgeFrame>& inbox = s.inbox;
+  records.clear();
+  if (carry_.empty() && inbox.empty()) {
     // Sparse-fleet common case: nothing carried, nothing imported — the
     // air picture is the pending run projected verbatim (same records,
     // same order as the merge below would emit).
     for (const Frame& f : pending_) {
-      records_.push_back({f.start_s, f.end_s, f.p_rx_w, global_id_[f.node]});
+      records.push_back({f.start_s, f.end_s, f.p_rx_w, f.global_node});
     }
   } else {
     const std::size_t nc = carry_.size();
     const std::size_t np = pending_.size();
-    const std::size_t ni = inbox_.size();
+    const std::size_t ni = inbox.size();
     std::size_t i = 0;
     std::size_t j = 0;
     std::size_t k = 0;
@@ -281,25 +309,25 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m,
         bn = carry_[i].global_node;
       }
       if (j < np) {
-        const double s = pending_[j].start_s;
-        const std::uint32_t g = global_id_[pending_[j].node];
-        if (pick < 0 || less(s, g, bs, bn)) {
+        const double st = pending_[j].start_s;
+        const std::uint32_t g = pending_[j].global_node;
+        if (pick < 0 || less(st, g, bs, bn)) {
           pick = 1;
-          bs = s;
+          bs = st;
           bn = g;
         }
       }
-      if (k < ni && (pick < 0 || less(inbox_[k].start_s, inbox_[k].node, bs, bn))) {
+      if (k < ni && (pick < 0 || less(inbox[k].start_s, inbox[k].node, bs, bn))) {
         pick = 2;
       }
       if (pick == 0) {
-        records_.push_back(carry_[i++]);
+        records.push_back(carry_[i++]);
       } else if (pick == 1) {
         const Frame& f = pending_[j++];
-        records_.push_back({f.start_s, f.end_s, f.p_rx_w, global_id_[f.node]});
+        records.push_back({f.start_s, f.end_s, f.p_rx_w, f.global_node});
       } else {
-        const EdgeFrame& e = inbox_[k++];
-        records_.push_back({e.start_s, e.end_s, e.p_rx_w, e.node});
+        const EdgeFrame& e = inbox[k++];
+        records.push_back({e.start_s, e.end_s, e.p_rx_w, e.node});
       }
     }
   }
@@ -310,7 +338,7 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m,
   // search, visiting the same first index std::lower_bound would.
   std::size_t keep = 0;
   std::size_t lo = 0;
-  const std::size_t nrec = records_.size();
+  const std::size_t nrec = records.size();
   for (Frame& f : pending_) {
     if (f.end_s > epoch_end_s) {
       pending_[keep++] = f;
@@ -319,13 +347,13 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m,
     if (f.lost) continue;  // burned the energy, never reached the gateway
     ++c_.frames_completed;
 
-    const std::uint32_t gid = global_id_[f.node];
+    const std::uint32_t gid = f.global_node;
     double interference_w = 0.0;
     const double win = f.start_s - m.max_airtime_s;
-    while (lo < nrec && records_[lo].start_s < win) ++lo;
-    for (std::size_t r = lo; r < nrec && records_[r].start_s < f.end_s; ++r) {
-      if (records_[r].global_node == gid) continue;
-      if (records_[r].end_s > f.start_s) interference_w += records_[r].p_rx_w;
+    while (lo < nrec && records[lo].start_s < win) ++lo;
+    for (std::size_t r = lo; r < nrec && records[r].start_s < f.end_s; ++r) {
+      if (records[r].global_node == gid) continue;
+      if (records[r].end_s > f.start_s) interference_w += records[r].p_rx_w;
     }
 
     double snr = f.p_rx_w / m.noise_w;
@@ -361,17 +389,19 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m,
     }
   }
   pending_.resize(keep);
-  rebuild_carry(epoch_end_s, m, keep);
-  inbox_.clear();
+  rebuild_carry(epoch_end_s, m, records, keep);
+  s.inbox.clear();
 }
 
 bool Domain::route_inbox(const std::vector<EdgeFrame>* from_left,
-                         const std::vector<EdgeFrame>* from_right) {
-  // Writes only this domain's inbox and reads only neighbor outboxes,
-  // which are immutable once Phase A drains — every domain can route
-  // concurrently. Merge order is fixed by (start, id); the two node sets
-  // are disjoint, so keys never tie.
-  inbox_.clear();
+                         const std::vector<EdgeFrame>* from_right, Scratch& s) const {
+  // Writes only the lent inbox and reads only neighbor outboxes, which
+  // are immutable from the advance barrier until the next advance — every
+  // domain can route concurrently, and a neighbor resolving meanwhile
+  // never touches them. Merge order is fixed by (start, id); the two node
+  // sets are disjoint, so keys never tie.
+  std::vector<EdgeFrame>& inbox = s.inbox;
+  inbox.clear();
   const std::size_t nl = from_left != nullptr ? from_left->size() : 0;
   const std::size_t nr = from_right != nullptr ? from_right->size() : 0;
   if (nl + nr == 0) return false;
@@ -383,27 +413,26 @@ bool Domain::route_inbox(const std::vector<EdgeFrame>* from_left,
     const bool take_a =
         a.start_s != b.start_s ? a.start_s < b.start_s : a.node < b.node;
     if (take_a) {
-      inbox_.push_back(a);
+      inbox.push_back(a);
       ++i;
     } else {
-      inbox_.push_back(b);
+      inbox.push_back(b);
       ++j;
     }
   }
-  while (i < nl) inbox_.push_back((*from_left)[i++]);
-  while (j < nr) inbox_.push_back((*from_right)[j++]);
+  while (i < nl) inbox.push_back((*from_left)[i++]);
+  while (j < nr) inbox.push_back((*from_right)[j++]);
   return true;
 }
 
 void Domain::rebuild_carry(double epoch_end_s, const KernelModel& m,
-                           std::size_t keep) {
+                           const std::vector<AirRecord>& records, std::size_t keep) {
   // Carry boundary-spanning records — except own frames still pending,
-  // which re-enter via pending_ next epoch. records_ is sorted, so the
+  // which re-enter via pending_ next epoch. `records` is sorted, so the
   // filter leaves carry_ sorted for the next epoch's merge.
   carry_.clear();
   const double horizon = epoch_end_s - m.max_airtime_s;
-  for (std::size_t k = 0; k < records_.size(); ++k) {
-    const AirRecord& r = records_[k];
+  for (const AirRecord& r : records) {
     if (r.end_s <= horizon) continue;
     bool is_pending_own = false;
     if (r.end_s > epoch_end_s) {
@@ -411,7 +440,7 @@ void Domain::rebuild_carry(double epoch_end_s, const KernelModel& m,
       // the (few) pending frames.
       for (std::size_t p = 0; p < keep; ++p) {
         const Frame& f = pending_[p];
-        if (global_id_[f.node] == r.global_node && f.start_s == r.start_s) {
+        if (f.global_node == r.global_node && f.start_s == r.start_s) {
           is_pending_own = true;
           break;
         }
@@ -465,14 +494,26 @@ void restore_rng(ckpt::Reader& r, Rng& rng) {
 }  // namespace
 
 void Domain::save(ckpt::Writer& w) const {
-  PICO_ASSERT(inbox_.empty());
-  w.u64(nodes());
-  w.f64v(next_wake_s_);
-  for (const Rng& rng : rng_) save_rng(w, rng);
-  w.u32v(seq_);
+  // FDOM v3 writes each per-node field as its own array: gather them from
+  // the packed records.
+  const std::size_t n = nodes();
+  std::vector<double> next_wake(n);
+  std::vector<std::uint32_t> seq(n);
+  std::vector<std::uint64_t> cycles(n);
+  std::vector<double> cycle_energy(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    next_wake[i] = node_[i].next_wake_s;
+    seq[i] = node_[i].seq;
+    cycles[i] = node_[i].cycles;
+    cycle_energy[i] = node_[i].cycle_energy_j;
+  }
+  w.u64(n);
+  w.f64v(next_wake);
+  for (const Node& nd : node_) save_rng(w, nd.rng);
+  w.u32v(seq);
   w.u8v(alive_);
-  w.u64v(cycles_);
-  w.f64v(cycle_energy_j_);
+  w.u64v(cycles);
+  w.f64v(cycle_energy);
   w.f64v(death_t_s_);
   w.u64(pending_.size());
   for (const Frame& f : pending_) {
@@ -520,17 +561,24 @@ void Domain::restore(ckpt::Reader& r) {
   const std::uint64_t n = r.u64();
   PICO_REQUIRE(n == nodes(),
                "fleet checkpoint domain population does not match the spec layout");
-  next_wake_s_ = r.f64v();
-  PICO_REQUIRE(next_wake_s_.size() == n, "fleet checkpoint wake array mismatch");
-  for (Rng& rng : rng_) restore_rng(r, rng);
-  seq_ = r.u32v();
+  const std::vector<double> next_wake = r.f64v();
+  PICO_REQUIRE(next_wake.size() == n, "fleet checkpoint wake array mismatch");
+  for (Node& nd : node_) restore_rng(r, nd.rng);
+  const std::vector<std::uint32_t> seq = r.u32v();
   alive_ = r.u8v();
-  cycles_ = r.u64v();
-  cycle_energy_j_ = r.f64v();
+  const std::vector<std::uint64_t> cycles = r.u64v();
+  const std::vector<double> cycle_energy = r.f64v();
   death_t_s_ = r.f64v();
-  PICO_REQUIRE(seq_.size() == n && alive_.size() == n && cycles_.size() == n &&
-                   cycle_energy_j_.size() == n && death_t_s_.size() == n,
+  PICO_REQUIRE(seq.size() == n && alive_.size() == n && cycles.size() == n &&
+                   cycle_energy.size() == n && death_t_s_.size() == n,
                "fleet checkpoint node-state array mismatch");
+  for (std::size_t i = 0; i < n; ++i) {
+    Node& nd = node_[i];
+    nd.next_wake_s = next_wake[i];
+    nd.seq = seq[i];
+    nd.cycles = cycles[i];
+    nd.cycle_energy_j = cycle_energy[i];
+  }
   const std::uint64_t np = r.u64();
   pending_.clear();
   pending_.reserve(np);
@@ -548,6 +596,7 @@ void Domain::restore(ckpt::Reader& r) {
                                   std::to_string(f.node) + " of a " +
                                   std::to_string(n) + "-node domain");
     }
+    f.global_node = node_[f.node].global_id;
     pending_.push_back(f);
   }
   const std::uint64_t na = r.u64();
@@ -563,17 +612,36 @@ void Domain::restore(ckpt::Reader& r) {
   }
   restore_edge_frames(r, outbox_left_);
   restore_edge_frames(r, outbox_right_);
+  // The calendar: a built one must be a heap-ordered permutation of the
+  // nodes (a duplicated slot would fire that node twice per period while
+  // another never wakes); an unbuilt one holds nothing.
   const bool built = r.b();
-  std::vector<std::uint32_t> slots = r.u32v();
-  PICO_REQUIRE(!built || slots.size() <= n, "fleet checkpoint calendar mismatch");
+  const std::vector<std::uint32_t> slots = r.u32v();
+  if (built ? slots.size() != n : !slots.empty()) {
+    throw ckpt::CheckpointError(
+        "fleet checkpoint " + std::string(built ? "built" : "unbuilt") +
+        " calendar holds " + std::to_string(slots.size()) + " slots for a " +
+        std::to_string(n) + "-node domain");
+  }
+  std::vector<std::uint8_t> seen(slots.size(), 0);
   for (const std::uint32_t slot : slots) {
     if (slot >= n) {
       throw ckpt::CheckpointError("fleet checkpoint calendar slot names node " +
                                   std::to_string(slot) + " of a " +
                                   std::to_string(n) + "-node domain");
     }
+    if (seen[slot] != 0) {
+      throw ckpt::CheckpointError("fleet checkpoint calendar holds node " +
+                                  std::to_string(slot) + " twice");
+    }
+    seen[slot] = 1;
   }
-  heap_.restore_slots(std::move(slots), built);
+  heap_.restore_slots(slots, built,
+                      [&](std::uint32_t i) { return node_[i].next_wake_s; });
+  if (!heap_.ordered()) {
+    throw ckpt::CheckpointError(
+        "fleet checkpoint calendar slots break heap order against the wake times");
+  }
   c_.wake_cycles = r.u64();
   c_.frames_on_air = r.u64();
   c_.frames_completed = r.u64();
@@ -593,7 +661,6 @@ void Domain::restore(ckpt::Reader& r) {
   c_.energy_in_j = r.f64();
   c_.cycle_energy_j = r.f64();
   c_.node_seconds_alive = r.f64();
-  inbox_.clear();
 }
 
 void Domain::finalize(const KernelModel& m, obs::FlightRing* flight) {
@@ -607,13 +674,13 @@ void Domain::finalize(const KernelModel& m, obs::FlightRing* flight) {
       // finalize runs once per completed run (alive_ and death_t_s_
       // travel through checkpoints, not partial bills).
       const double t_d = death_t_s_[i];
-      c_.energy_out_j += m.profile.sleep_power_w * t_d + cycle_energy_j_[i];
+      c_.energy_out_j += m.profile.sleep_power_w * t_d + node_[i].cycle_energy_j;
       c_.energy_in_j += m.profile.battery_ocv_v * m.harvest_charge(0.0, t_d);
       c_.node_seconds_alive += t_d;
       continue;
     }
     const double t = m.sim_time_s;
-    const double out = m.profile.sleep_power_w * t + cycle_energy_j_[i];
+    const double out = m.profile.sleep_power_w * t + node_[i].cycle_energy_j;
     const double in = m.profile.battery_ocv_v * m.harvest_charge(0.0, t);
     c_.energy_out_j += out;
     c_.energy_in_j += in;
@@ -630,7 +697,7 @@ void Domain::finalize(const KernelModel& m, obs::FlightRing* flight) {
       if constexpr (obs::kEnabled) {
         if (flight != nullptr) {
           flight->push(
-              {t, obs::FlightEventKind::kBrownout, global_id_[i], 0, drained - in});
+              {t, obs::FlightEventKind::kBrownout, node_[i].global_id, 0, drained - in});
         }
       }
     }

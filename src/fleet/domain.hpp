@@ -6,28 +6,39 @@
 // can actually reach. Nodes inside the interference margin of a cell
 // boundary additionally export their frames to the neighboring domain as
 // interference-only records — that is the entire cross-domain coupling,
-// exchanged once per epoch at a deterministic barrier.
+// handed over once per epoch at a deterministic barrier.
 //
-// Each epoch runs in two phases (ShardedFleetEngine drives them):
+// Each epoch runs in two parallel passes (ShardedFleetEngine drives them):
 //
-//   Phase A (parallel)  advance(): step wake timers through the epoch,
-//     draw each frame's RNG in a fixed order (loss, shadowing, decode),
-//     bill the cycle energy, and append the frame to the local list plus
-//     any boundary outboxes. In ARQ mode a wake fires a whole
-//     stop-and-wait chain: retries are driven by the channel-loss draws
-//     alone (gateway-side collisions are invisible to the sender — a
-//     documented approximation), so frame generation stays independent
-//     of collision outcomes and this phase needs no cross-domain data.
-//     Each wake pop also checks the node's cumulative energy balance
-//     when the engine determined depletion is reachable, retiring dead
-//     nodes on the spot (KernelModel::check_depletion).
-//   barrier + exchange  every neighbor outbox is immutable once Phase A
-//     drains, so each domain's inbox can be filled concurrently
-//     (route_inbox): a (start, id) merge of the two neighbor runs.
-//   Phase B (parallel)  resolve(): merge the domain's already-sorted air
-//     runs, resolve capture/collision/squelch/decode for every own frame
-//     that ends inside the epoch, and carry boundary-spanning records
-//     forward.
+//   Pass 1  advance(): step wake timers through the epoch, draw each
+//     frame's RNG in a fixed order (loss, shadowing, decode), bill the
+//     cycle energy, and append the frame to the pending list plus any
+//     boundary outboxes. In ARQ mode a wake fires a whole stop-and-wait
+//     chain: retries are driven by the channel-loss draws alone
+//     (gateway-side collisions are invisible to the sender — a documented
+//     approximation), so frame generation stays independent of collision
+//     outcomes and this pass needs no cross-domain data. Each wake pop
+//     also checks the node's cumulative energy balance when the engine
+//     determined depletion is reachable, retiring dead nodes on the spot
+//     (KernelModel::check_depletion).
+//   barrier  every outbox is immutable from here until the next advance.
+//   Pass 2  route_inbox() then resolve(), fused per domain: route fills the
+//     domain's inbox with a (start, id) merge of its two neighbors'
+//     frozen outboxes; resolve merges the domain's already-sorted air
+//     runs, resolves capture/collision/squelch/decode for every own frame
+//     that ends inside the epoch, and carries boundary-spanning records
+//     forward. Resolve never touches an outbox, so neighbors may route
+//     from a domain while it resolves.
+//
+// Ownership: a Domain holds only state that crosses a barrier — the
+// packed per-node records, the wake calendar, pending own frames, carried
+// records, the two outboxes and the counters. The air picture and the
+// inbox are dead outside one domain's pass-2 step, so they live in a
+// Scratch pair the engine lends per shard (one pair serves every domain
+// that shard owns, in turn). The pending/carry/outbox reservations are
+// made at the first advance, sized for the worst case of this domain's
+// population (outboxes: of its margin bands), so the steady-state loop is
+// allocation-free from the second epoch on.
 //
 // A WakeHeap wake calendar fires wakes in global (time, id) order, so
 // pending frames and outboxes are (start, id)-sorted by construction;
@@ -44,10 +55,11 @@
 // simulation: invariant across shard and thread counts and across
 // checkpoint/resume seams.
 //
-// Nothing in a domain depends on which shard ran it or on thread count:
-// all randomness is per-node (Rng::stream), all ordering is by (start,
-// node id), and the engine reduces domain counters in domain order — so
-// fleet metrics are bit-identical for any shards x threads combination.
+// Nothing in a domain depends on which shard ran it, which scratch pair it
+// borrowed, or on thread count: all randomness is per-node (Rng::stream),
+// all ordering is by (start, node id), and the engine reduces domain
+// counters in domain order — so fleet metrics are bit-identical for any
+// shards x threads combination.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +95,10 @@ struct KernelModel {
   double capture_ratio = 4.0;    // linear wanted-over-interference margin
   double sensitivity_w = 0.0;    // squelch threshold, linear watts
   double max_airtime_s = 0.0;    // carry-window size at epoch boundaries
+  // Worst-case air records one node can add to one epoch's air picture:
+  // its wakes in an epoch plus one carried over, times the attempts per
+  // wake. Sizes every per-domain and per-shard reservation.
+  double frames_per_node = 0.0;
   // Mid-run battery retirement: when set, every wake pop first checks the
   // node's cumulative energy balance against the budget and retires
   // depleted nodes (calendar key -> +inf, kBrownout at the interpolated
@@ -114,6 +130,14 @@ struct KernelModel {
   [[nodiscard]] double harvest_charge(double t0, double t1) const;
   // Received power at the gateway for a link of length `d_m`.
   [[nodiscard]] double rx_power_w(double d_m) const;
+  // Worst-case record count for `nodes` nodes (0 for none).
+  [[nodiscard]] std::size_t frame_bound(std::size_t nodes) const;
+  // frames_per_node for `epoch_s`-long epochs over nodes whose shortest
+  // interval is `min_interval_s`; `attempts_per_wake` is 1 in beacon mode
+  // and max_retries + 1 in ARQ mode (worst-case chain length).
+  [[nodiscard]] static double worst_frames_per_node(double epoch_s,
+                                                    double min_interval_s,
+                                                    std::size_t attempts_per_wake);
 };
 
 // Per-domain counters; the engine reduces them in domain order.
@@ -154,20 +178,44 @@ class Domain {
     double p_rx_w = 0.0;
     std::uint32_t node = 0;  // global id (tie-break determinism)
   };
+  // A sortable air record (own frame or imported interference).
+  struct AirRecord {
+    double start_s = 0.0;
+    double end_s = 0.0;
+    double p_rx_w = 0.0;
+    std::uint32_t global_node = 0;
+  };
+  // Pass-2 transient state, lent by the engine: the routed inbox and the
+  // merged air picture. Neither carries anything from one step to the
+  // next (route_inbox refills the inbox, resolve rebuilds the air picture
+  // and drains the inbox), so one pair can serve any number of domains in
+  // turn.
+  struct Scratch {
+    std::vector<AirRecord> records;
+    std::vector<EdgeFrame> inbox;
+    // Grow the reservation to cover a domain of `own_nodes` nodes whose
+    // neighbors' facing margin bands hold `imported_nodes` nodes.
+    void fit(std::size_t own_nodes, std::size_t imported_nodes, const KernelModel& m);
+  };
 
   Domain() = default;
 
-  // Struct-of-arrays node state. `dist_left/right` < 0 means the node is
-  // outside the margin band of that boundary (no export).
+  // Exact reservation for `n` nodes before the add_node calls.
+  void reserve_nodes(std::size_t n);
+  // Append a node (ids ascend within a domain). `dist_left/right` < 0
+  // means the node is outside the margin band of that boundary (no
+  // export).
   void add_node(std::uint32_t global_id, double interval_s, double first_wake_s,
                 Rng rng, double dist_own_m, double dist_left_m, double dist_right_m);
-  // Pre-size the per-epoch scratch for `epoch_s`-long epochs so the
-  // steady-state loop never allocates. `attempts_per_wake` is 1 in beacon
-  // mode and max_retries + 1 in ARQ mode (worst-case chain length).
-  void reserve_scratch(double epoch_s, double min_interval_s,
-                       std::size_t attempts_per_wake = 1);
+  // Nodes in the left/right margin band (those that export that way).
+  [[nodiscard]] std::size_t band_nodes_left() const { return band_left_; }
+  [[nodiscard]] std::size_t band_nodes_right() const { return band_right_; }
+  // Reserve pending/carry/outbox capacity for the worst case of this
+  // population. advance() does it when it builds the calendar; a host that
+  // restores a built calendar calls it once before the next epoch.
+  void reserve(const KernelModel& m);
 
-  // Phase A: generate frames and bill cycle energy through `epoch_end_s`.
+  // Pass 1: generate frames and bill cycle energy through `epoch_end_s`.
   // `flight` (optional, single-writer: this domain's own ring) records
   // kFrameTx and kBrownout events in generation order.
   void advance(double epoch_end_s, const KernelModel& m,
@@ -179,7 +227,7 @@ class Domain {
   [[nodiscard]] double next_wake_hint() const {
     if (!heap_.built()) return -std::numeric_limits<double>::infinity();
     if (heap_.empty()) return std::numeric_limits<double>::infinity();
-    return next_wake_s_[heap_.top()];
+    return heap_.top_key();
   }
   // Drop last epoch's outboxes without advancing — required when advance
   // is skipped, so neighbors never re-import stale boundary frames.
@@ -187,18 +235,17 @@ class Domain {
     outbox_left_.clear();
     outbox_right_.clear();
   }
-  // Concurrent exchange: fill this domain's inbox by merging the left
-  // neighbor's rightbound and the right neighbor's leftbound outboxes
-  // (either may be null at a fleet edge). Both outboxes are (start,
-  // id)-sorted by construction and the merge keeps them so.
-  // Reads neighbors' outboxes only — safe to run for all domains in
-  // parallel once Phase A has drained. Returns whether the inbox is
-  // non-empty (the domain now has air work).
+  // Pass 2, first half: fill `s.inbox` by merging the left neighbor's
+  // rightbound and the right neighbor's leftbound outboxes (either may be
+  // null at a fleet edge). Both are (start, id)-sorted by construction and
+  // the merge keeps them so. Reads neighbors' outboxes only — safe for
+  // every domain in parallel after the advance barrier. Returns whether
+  // the inbox is non-empty (the domain now has air work).
   bool route_inbox(const std::vector<EdgeFrame>* from_left,
-                   const std::vector<EdgeFrame>* from_right);
-  // O(1) test: any air records (pending/carry/inbox) to resolve?
+                   const std::vector<EdgeFrame>* from_right, Scratch& s) const;
+  // O(1) test: any air records (pending/carry) carried into pass 2?
   [[nodiscard]] bool has_air_work() const {
-    return !pending_.empty() || !carry_.empty() || !inbox_.empty();
+    return !pending_.empty() || !carry_.empty();
   }
   // Record every 2^shift-th transmit into the flight ring (default every
   // one). Sampling is keyed on the domain's cumulative frame count, so the
@@ -210,9 +257,11 @@ class Domain {
   void set_flight_tx_sample_shift(std::uint32_t shift) {
     flight_tx_mask_ = (1u << shift) - 1u;
   }
-  // Phase B: resolve every own frame ending inside the epoch (kCollision
-  // events into `flight`).
-  void resolve(double epoch_end_s, const KernelModel& m,
+  // Pass 2, second half: resolve every own frame ending inside the epoch
+  // against the carried, pending and routed (`s.inbox`) records, using
+  // `s.records` for the air picture (kCollision events into `flight`).
+  // Leaves `s` empty of inbox records.
+  void resolve(double epoch_end_s, const KernelModel& m, Scratch& s,
                obs::FlightRing* flight = nullptr);
   // After the last epoch: bill sleep-floor and harvest energy — through
   // the full horizon for nodes still alive, through the stored depletion
@@ -227,81 +276,82 @@ class Domain {
   // --- Checkpoint/restore (src/ckpt) -----------------------------------------
   // Mutable run state only: timers, RNG cursors, counters, the wake
   // calendar's slot layout, pending/carry air runs and boundary outboxes.
-  // The immutable layout (ids, intervals, distances) is rebuilt from the
-  // spec by FleetSession, which calls restore() after add_node — it
-  // validates the node count and rejects node indices (pending frames,
-  // calendar slots) outside it. Epoch-transient scratch (records_) is dead
-  // at every epoch barrier, the only place checkpoints happen, so it never
-  // hits the wire; the inbox is likewise empty (resolve always drains it)
-  // and save() asserts so.
+  // The per-node fields are written as one array each (save gathers them
+  // from the packed records, restore scatters them back). The immutable
+  // layout (ids, intervals, distances) is rebuilt from the spec by
+  // FleetSession, which calls restore() after add_node — it validates the
+  // node count, rejects node indices (pending frames, calendar slots)
+  // outside it, and rejects a calendar that is not a heap-ordered
+  // permutation of the nodes. Scratch is dead at every epoch barrier, the
+  // only place checkpoints happen, so it never hits the wire.
   void save(ckpt::Writer& w) const;
   void restore(ckpt::Reader& r);
 
-  [[nodiscard]] std::size_t nodes() const { return interval_s_.size(); }
+  [[nodiscard]] std::size_t nodes() const { return node_.size(); }
   [[nodiscard]] const DomainCounters& counters() const { return c_; }
-  [[nodiscard]] std::vector<EdgeFrame>& outbox_left() { return outbox_left_; }
-  [[nodiscard]] std::vector<EdgeFrame>& outbox_right() { return outbox_right_; }
+  [[nodiscard]] const std::vector<EdgeFrame>& outbox_left() const { return outbox_left_; }
+  [[nodiscard]] const std::vector<EdgeFrame>& outbox_right() const {
+    return outbox_right_;
+  }
 
  private:
+  // Everything a wake touches, packed so one wake reads one record.
+  struct Node {
+    double next_wake_s = 0.0;
+    double interval_s = 0.0;
+    double dist_own_m = 0.0;
+    double dist_left_m = -1.0;
+    double dist_right_m = -1.0;
+    Rng rng;
+    std::uint64_t cycles = 0;
+    double cycle_energy_j = 0.0;  // accumulated wake-cycle energy
+    std::uint32_t seq = 0;
+    std::uint32_t global_id = 0;
+  };
   // An own frame pending resolution.
   struct Frame {
     double start_s = 0.0;
     double end_s = 0.0;
     double p_rx_w = 0.0;
     double u_decode = 0.0;
-    std::uint32_t node = 0;   // local index
+    std::uint32_t node = 0;         // local index
+    std::uint32_t global_node = 0;  // node_[node].global_id, cached
     std::uint32_t seq = 0;
     bool lost = false;
   };
-  // A sortable air record (own frame or imported interference).
-  struct AirRecord {
-    double start_s = 0.0;
-    double end_s = 0.0;
-    double p_rx_w = 0.0;
-    std::uint32_t global_node = 0;
-  };
 
-  // SoA node state.
-  std::vector<std::uint32_t> global_id_;
-  std::vector<double> interval_s_;
-  std::vector<double> next_wake_s_;
-  std::vector<double> dist_own_m_;
-  std::vector<double> dist_left_m_;
-  std::vector<double> dist_right_m_;
-  std::vector<Rng> rng_;
-  std::vector<std::uint32_t> seq_;
+  std::vector<Node> node_;
   std::vector<std::uint8_t> alive_;
-  std::vector<std::uint64_t> cycles_;
-  std::vector<double> cycle_energy_j_;  // accumulated wake-cycle energy
   // Interpolated depletion time of a mid-run-retired node (+inf while
   // alive). The energy/alive-seconds bill is deferred to finalize(), in
   // node order, so double accumulation order — and thus every counter —
   // is identical whichever shard retired the node, in whatever order.
   std::vector<double> death_t_s_;
+  std::size_t band_left_ = 0;
+  std::size_t band_right_ = 0;
 
-  // Per-epoch scratch (capacity reused across epochs).
+  // Air runs that cross barriers (capacity reused across epochs).
   std::vector<Frame> pending_;       // own frames awaiting resolution
-  std::vector<AirRecord> records_;   // sorted air records for the sweep
   std::vector<AirRecord> carry_;     // boundary-spanning records
   std::vector<EdgeFrame> outbox_left_;
   std::vector<EdgeFrame> outbox_right_;
-  std::vector<EdgeFrame> inbox_;
 
   WakeHeap heap_;
 
   // Fire one wake of node `i`: bill the cycle, generate the frame
   // (beacon) or the stop-and-wait retry chain (ARQ), record kFrameTx into
   // `flight`, and export boundary copies.
-  void fire_wake(std::size_t i, double wake, const KernelModel& m,
+  void fire_wake(std::uint32_t i, double wake, const KernelModel& m,
                  obs::FlightRing* flight);
   // Depletion check at a wake pop, before any RNG draw: retire the node
-  // (alive_ -> 0, calendar key -> +inf, billed through the interpolated
+  // (alive_ -> 0, next wake -> +inf, billed through the interpolated
   // depletion time, kBrownout into `flight`) when its cumulative balance
   // has exhausted the budget. Returns whether it retired.
-  bool retire_if_depleted(std::size_t i, double wake, const KernelModel& m,
+  bool retire_if_depleted(std::uint32_t i, double wake, const KernelModel& m,
                           obs::FlightRing* flight);
   // Carry rebuild after resolve: keep boundary-spanning records.
-  void rebuild_carry(double epoch_end_s, const KernelModel& m, std::size_t keep);
+  void rebuild_carry(double epoch_end_s, const KernelModel& m,
+                     const std::vector<AirRecord>& records, std::size_t keep);
 
   DomainCounters c_;
   std::uint32_t flight_tx_mask_ = 0;  // record tx when (count & mask) == 0

@@ -165,6 +165,7 @@ struct FleetSession::Impl {
   std::size_t n_shards = 0;
   ShardPlan plan{};
   std::vector<Domain> domains;
+  std::vector<Domain::Scratch> scratch;  // pass-2 scratch, one pair per shard
   runtime::ParallelRunner runner;
   std::vector<obs::FlightRing*> rings;
   obs::FlightRing* const* ring_at = nullptr;
@@ -183,12 +184,12 @@ struct FleetSession::Impl {
   //                  +inf once a domain is forever idle)
   //   outbox_full[d] domain d's boundary outboxes are non-empty; routing
   //                  consults the *neighbors'* flags and skips entirely
-  //                  when both are clear (an untouched inbox is empty)
-  //   air_work[d]    domain d holds unresolved air records (fresh
-  //                  pending, routed inbox, or carried-over tails)
+  //                  when both are clear
+  //   air_work[d]    domain d carries unresolved air records (fresh
+  //                  pending frames or carried-over tails) into pass 2
   //
   // Each slot is written only by the shard that owns domain d within a
-  // phase; neighbors read outbox_full only after the Phase A barrier.
+  // pass; neighbors read outbox_full only after the advance barrier.
   double t = 0.0;
   double epoch_end = 0.0;
   std::uint32_t epoch_index = 0;
@@ -308,32 +309,58 @@ FleetSession::Impl::Impl(const FleetSpec& spec_in, const FleetObsHooks& hooks_in
     if (spec.fixed_distance_m > 0.0) return spec.fixed_distance_m;
     return std::sqrt(dx * dx + h2);
   };
-  for (std::size_t n = 0; n < spec.nodes; ++n) {
-    const double x = (static_cast<double>(n) + 0.5) * length /
-                     static_cast<double>(spec.nodes);
-    const auto d =
-        std::min(static_cast<std::size_t>(x / spec.cell_m), n_domains - 1);
+  const auto x_of = [&](std::size_t n) {
+    return (static_cast<double>(n) + 0.5) * length / static_cast<double>(spec.nodes);
+  };
+  const auto domain_of = [&](std::size_t n) {
+    return std::min(static_cast<std::size_t>(x_of(n) / spec.cell_m), n_domains - 1);
+  };
+  // Positions grow with the node id (every step of domain_of is monotone
+  // in floating point), so domain d holds the contiguous id range
+  // [first[d], first[d + 1]): a binary search over the very function that
+  // places each node finds the cut points, and the domains are then laid
+  // out independently, in parallel.
+  std::vector<std::size_t> first(n_domains + 1, spec.nodes);
+  for (std::size_t d = 0, lo = 0; d < n_domains; ++d) {
+    std::size_t hi = spec.nodes;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (domain_of(mid) < d) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    first[d] = lo;
+  }
+  auto layout_domain = [&](std::size_t d) {
+    Domain& dom = domains[d];
+    dom.reserve_nodes(first[d + 1] - first[d]);
     const double center = (static_cast<double>(d) + 0.5) * spec.cell_m;
     const double left_edge = static_cast<double>(d) * spec.cell_m;
     const double right_edge = left_edge + spec.cell_m;
-    double dist_left = -1.0;
-    double dist_right = -1.0;
-    if (d > 0 && x - left_edge <= spec.interference_margin_m) {
-      dist_left = link_dist(x - (center - spec.cell_m));
+    for (std::size_t n = first[d]; n < first[d + 1]; ++n) {
+      const double x = x_of(n);
+      double dist_left = -1.0;
+      double dist_right = -1.0;
+      if (d > 0 && x - left_edge <= spec.interference_margin_m) {
+        dist_left = link_dist(x - (center - spec.cell_m));
+      }
+      if (d + 1 < n_domains && right_edge - x <= spec.interference_margin_m) {
+        dist_right = link_dist(center + spec.cell_m - x);
+      }
+      // First wake at the node's own period (the SP12 event timer), RNG
+      // from the per-node stream: independent of domain, shard and thread
+      // count. Phase randomization consumes one draw from that stream
+      // before any per-frame draws, so it is equally shard/thread-invariant.
+      Rng node_rng = Rng::stream(spec.seed, n);
+      double first_wake = intervals[n];
+      if (spec.randomize_phase) first_wake += intervals[n] * node_rng.uniform();
+      dom.add_node(static_cast<std::uint32_t>(n), intervals[n], first_wake, node_rng,
+                   link_dist(x - center), dist_left, dist_right);
     }
-    if (d + 1 < n_domains && right_edge - x <= spec.interference_margin_m) {
-      dist_right = link_dist(center + spec.cell_m - x);
-    }
-    // First wake at the node's own period (the SP12 event timer), RNG from
-    // the per-node stream: independent of domain, shard and thread count.
-    // Phase randomization consumes one draw from that stream before any
-    // per-frame draws, so it is equally shard/thread-invariant.
-    Rng node_rng = Rng::stream(spec.seed, n);
-    double first_wake = intervals[n];
-    if (spec.randomize_phase) first_wake += intervals[n] * node_rng.uniform();
-    domains[d].add_node(static_cast<std::uint32_t>(n), intervals[n], first_wake,
-                        node_rng, link_dist(x - center), dist_left, dist_right);
-  }
+  };
+  runner.run_indexed(n_domains, layout_domain);
   // Depletion reachability precheck: if even the worst case — every wake
   // billing the most expensive cycle, zero harvest income — cannot spend
   // the budget within the run, no node can retire and the per-wake
@@ -348,16 +375,33 @@ FleetSession::Impl::Impl(const FleetSpec& spec_in, const FleetObsHooks& hooks_in
     m.check_depletion = worst_out > m.profile.battery_budget_j;
   }
 
+  // Worst-case records per node and epoch. Each domain reserves its
+  // pending/carry/outbox runs from it at its first advance (in parallel);
+  // the scratch pairs are reserved here.
   const std::size_t attempts_per_wake =
       m.profile.arq ? static_cast<std::size_t>(m.profile.max_retries) + 1 : 1;
-  for (Domain& d : domains) {
-    d.reserve_scratch(spec.epoch_s, min_interval, attempts_per_wake);
-  }
+  m.frames_per_node =
+      KernelModel::worst_frames_per_node(spec.epoch_s, min_interval, attempts_per_wake);
 
   // --- Shard plan -----------------------------------------------------------
-  n_shards = spec.shards == 0 ? n_domains : std::min(spec.shards, n_domains);
+  // The default groups domains into a small multiple of the thread count:
+  // enough tasks for stealing to balance uneven activity, few enough that
+  // a barrier's dispatch stays cheap and each shard's scratch pair is
+  // reused across many domains.
+  n_shards = spec.shards == 0 ? std::min<std::size_t>(n_domains, 16 * runner.threads())
+                              : std::min(spec.shards, n_domains);
   plan = ShardPlan{n_domains, n_shards};
   shard_stats.assign(n_shards, ShardStat{});
+  // One scratch pair per shard, reserved for the largest air picture any
+  // domain it owns can build: own records plus what its neighbors' facing
+  // margin bands can export into it.
+  scratch.resize(n_shards);
+  for (std::size_t d = 0; d < n_domains; ++d) {
+    const std::size_t imported =
+        (d > 0 ? domains[d - 1].band_nodes_right() : 0) +
+        (d + 1 < n_domains ? domains[d + 1].band_nodes_left() : 0);
+    scratch[plan.owner(d)].fit(domains[d].nodes(), imported, m);
+  }
 
   // Dense active-set index, engine-side. Probing a Domain object for
   // "anything due?" costs several dependent cache misses (object header,
@@ -433,10 +477,10 @@ void FleetSession::Impl::run_until(double t_target_s) {
 
   // --- Epoch-loop jobs ------------------------------------------------------
   // Named lambdas dispatched through run_indexed (a non-allocating
-  // function ref): the loop issues several jobs per epoch, and wrapping
-  // each in a std::function would put heap traffic on the hot path.
+  // function ref): the loop issues two jobs per epoch, and wrapping each
+  // in a std::function would put heap traffic on the hot path.
   //
-  // Phase A: frame generation + energy billing, per domain in parallel.
+  // Pass 1: frame generation + energy billing, per domain in parallel.
   // The wake calendar makes the idle test O(1): a domain with no wake
   // due this epoch is skipped outright — its outboxes are cleared only
   // if the previous epoch left frames in them (so neighbors never
@@ -459,35 +503,32 @@ void FleetSession::Impl::run_until(double t_target_s) {
       }
     });
   };
-  // Exchange: after the Phase A barrier every outbox is immutable, so
-  // each domain's inbox can be routed concurrently — a fixed (start, id)
-  // merge of its neighbors' runs, each domain writing only its own inbox.
-  // Domains whose neighbors exported nothing are skipped: their inbox is
-  // already empty (resolve always drains it).
-  auto route_shard = [&](std::size_t s) {
-    plan.for_each_owned(s, [&](std::size_t d) {
-      const bool left = d > 0 && outbox_full[d - 1] != 0;
-      const bool right = d + 1 < n_domains && outbox_full[d + 1] != 0;
-      if (!left && !right) return;
-      if (domains[d].route_inbox(left ? &domains[d - 1].outbox_right() : nullptr,
-                                 right ? &domains[d + 1].outbox_left() : nullptr)) {
-        air_work[d] = 1;
-      }
-    });
-  };
-  // Phase B: capture/collision/decode resolution, per domain in parallel.
-  // A domain with no pending/carry/inbox records is a no-op; skip it.
-  // After resolving, the flag is recomputed: carried-over frame tails
-  // keep a domain in the air-work set even if no new wake is due.
+  // Pass 2: exchange fused with resolve. After the advance barrier every
+  // outbox stays frozen until the next advance, and resolve never touches
+  // one, so each domain first routes its inbox from its neighbors'
+  // outboxes — a fixed (start, id) merge — and then resolves
+  // capture/collision/decode, all in its shard's scratch pair. Domains
+  // whose neighbors exported nothing route nothing; a domain with no air
+  // work at all is a no-op. After resolving, the flag is recomputed:
+  // carried-over frame tails keep a domain in the air-work set even if no
+  // new wake is due.
   auto resolve_shard = [&](std::size_t s) {
     ShardStat& st = shard_stats[s];
+    Domain::Scratch& sc = scratch[s];
     plan.for_each_owned(s, [&](std::size_t d) {
-      if (air_work[d] != 0) {
-        Domain& dom = domains[d];
-        dom.resolve(epoch_end, m, ring_at != nullptr ? ring_at[d] : nullptr);
-        ++st.resolved;
-        air_work[d] = dom.has_air_work() ? 1 : 0;
+      Domain& dom = domains[d];
+      bool work = air_work[d] != 0;
+      const bool left = d > 0 && outbox_full[d - 1] != 0;
+      const bool right = d + 1 < n_domains && outbox_full[d + 1] != 0;
+      if ((left || right) &&
+          dom.route_inbox(left ? &domains[d - 1].outbox_right() : nullptr,
+                          right ? &domains[d + 1].outbox_left() : nullptr, sc)) {
+        work = true;
       }
+      if (!work) return;
+      dom.resolve(epoch_end, m, sc, ring_at != nullptr ? ring_at[d] : nullptr);
+      ++st.resolved;
+      air_work[d] = dom.has_air_work() ? 1 : 0;
     });
   };
   // Per-sample series reduction: fixed domain blocks summed in parallel,
@@ -518,11 +559,8 @@ void FleetSession::Impl::run_until(double t_target_s) {
     epoch_end = std::min(t + epoch_step, spec.sim_time_s);
     const auto t_adv = Clock::now();
     runner.run_indexed(n_shards, advance_shard);
-    const auto t_exc = Clock::now();
-    phase.advance_s += std::chrono::duration<double>(t_exc - t_adv).count();
-    runner.run_indexed(n_shards, route_shard);
     const auto t_res = Clock::now();
-    phase.exchange_s += std::chrono::duration<double>(t_res - t_exc).count();
+    phase.advance_s += std::chrono::duration<double>(t_res - t_adv).count();
     runner.run_indexed(n_shards, resolve_shard);
     phase.resolve_s += seconds_since(t_res);
     t = epoch_end;
@@ -595,9 +633,11 @@ FleetMetrics FleetSession::Impl::finish_run() {
     }
   }
   const auto t_fin = Clock::now();
-  for (std::size_t d = 0; d < n_domains; ++d) {
+  // Each domain bills only its own nodes into its own counters and ring.
+  auto finalize_domain = [&](std::size_t d) {
     domains[d].finalize(m, ring_at != nullptr ? ring_at[d] : nullptr);
-  }
+  };
+  runner.run_indexed(n_domains, finalize_domain);
   for (const ShardStat& st : shard_stats) {
     phase.domains_advanced += st.advanced;
     phase.domains_resolved += st.resolved;
@@ -836,6 +876,10 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
   }
   for (Domain& dom : domains) dom.restore(r);
   r.leave_section();
+  // A restored calendar may already be built, so the first advance would
+  // not reserve: reserve every domain's air runs here, in parallel.
+  auto reserve_domain = [&](std::size_t d) { domains[d].reserve(m); };
+  runner.run_indexed(n_domains, reserve_domain);
 
   // Re-derive the dense active-set index: each answer is a pure function
   // of a domain at an epoch barrier, so it never hits the wire.

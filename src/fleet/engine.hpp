@@ -16,8 +16,9 @@
 // Determinism contract: results are bit-identical for any combination of
 // shard count and thread count. Per-node randomness comes from
 // Rng::stream(seed, node), domains are fixed by geometry (shards only
-// group domains into runner tasks), the epoch barrier exchanges boundary
-// frames in domain order, and counters reduce in domain order.
+// group domains into runner tasks and lend them scratch), each domain
+// merges its neighbors' boundary frames in a fixed (start, id) order, and
+// counters reduce in domain order.
 #pragma once
 
 #include <cstdint>
@@ -82,10 +83,12 @@ struct FleetSpec {
   double capture_db = 6.0;
   double sensitivity_dbm = -75.0;
 
-  // Execution: domains are grouped into `shards` runner tasks (0 = one
-  // shard per domain); `threads` feeds the ParallelRunner (0 = hardware
-  // concurrency). Neither affects results. `epoch_s` bounds per-epoch
-  // scratch memory; any value larger than one frame airtime is exact.
+  // Execution: domains are grouped into `shards` runner tasks, each with
+  // one scratch pair its domains share (0 = min(domains, 16 x threads):
+  // enough tasks to balance load, few enough to dispatch cheaply);
+  // `threads` feeds the ParallelRunner (0 = hardware concurrency).
+  // Neither affects results. `epoch_s` bounds per-epoch scratch memory;
+  // any value larger than two frame airtimes is exact.
   std::size_t shards = 0;
   unsigned threads = 0;
   double epoch_s = 30.0;
@@ -118,11 +121,16 @@ struct FleetSpec {
 // fleet.phase.*. The domain counts price the active-set calendar: a
 // domain with no wake due is skipped in O(1) (domains_advanced <
 // domain_epochs), and one with no air records skips resolve likewise.
+//
+// Boundary-frame routing runs inside the resolve pass (each domain routes
+// its own inbox just before resolving), so its time is part of resolve_s
+// and exchange_s always reads 0. The field stays so existing readers of
+// fleet.phase.exchange_s keep working.
 struct FleetPhaseBreakdown {
   double setup_s = 0.0;     // calibration, layout, interval draws
-  double advance_s = 0.0;   // Phase A: frame generation + energy billing
-  double exchange_s = 0.0;  // boundary-frame inbox routing
-  double resolve_s = 0.0;   // Phase B: capture/collision/decode
+  double advance_s = 0.0;   // pass 1: frame generation + energy billing
+  double exchange_s = 0.0;  // always 0: routing is fused into resolve_s
+  double resolve_s = 0.0;   // pass 2: inbox routing + capture/collision/decode
   double obs_s = 0.0;       // barrier flight events + series sampling
   double finalize_s = 0.0;  // terminal energy balance + reduction
   std::uint64_t epochs = 0;

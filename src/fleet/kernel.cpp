@@ -178,23 +178,15 @@ double HarvestIntegral::charge_between(double t0, double t1) const {
   return at(t1) - at(t0);
 }
 
-void WakeHeap::build(const std::vector<double>& key) {
-  const std::size_t n = key.size();
-  h_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) h_[i] = static_cast<std::uint32_t>(i);
-  if (n > 1) {
-    for (std::size_t i = n / 2; i-- > 0;) sift_down(key, i);
+bool WakeHeap::ordered() const {
+  for (std::size_t i = 1; i < h_.size(); ++i) {
+    if (less(h_[i], h_[(i - 1) / 2])) return false;
   }
-  built_ = true;
+  return true;
 }
 
-void WakeHeap::sift_top(const std::vector<double>& key) { sift_down(key, 0); }
-
-void WakeHeap::sift_down(const std::vector<double>& key, std::size_t i) {
+void WakeHeap::sift_down(std::size_t i) {
   const std::size_t n = h_.size();
-  const auto less = [&](std::uint32_t a, std::uint32_t b) {
-    return key[a] != key[b] ? key[a] < key[b] : a < b;
-  };
   for (;;) {
     const std::size_t l = 2 * i + 1;
     if (l >= n) return;

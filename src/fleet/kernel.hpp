@@ -116,45 +116,80 @@ class HarvestIntegral {
   std::vector<double> cum_;
 };
 
-// Wake calendar for a domain: a binary min-heap of node indices keyed by
-// an external next-wake array, ordered by (wake time, index). The index
-// tie-break makes pop order a pure function of the key array — nodes
-// waking at the same instant come out in ascending local index, which is
-// ascending global id (Domain::add_node appends in id order) — so the
-// time-ordered advance produces exactly the (start, id)-sorted frame
-// stream the merge-based resolve relies on.
+// Wake calendar for a domain: a binary min-heap of (wake time, node
+// index) entries, ordered by time and then index. The index tie-break
+// makes pop order a pure function of the keys — nodes waking at the same
+// instant come out in ascending local index, which is ascending global id
+// (a domain's nodes are laid out in id order) — so the time-ordered
+// advance produces exactly the (start, id)-sorted frame stream the
+// merge-based resolve relies on. Keys live inline in the entries, so a
+// sift compares adjacent 16-byte entries instead of chasing node indices
+// into a separate key array.
 //
-// The domain pops the top, fires that node's wake, bumps its key by one
-// interval, and sifts it back down: O(log n) per wake, and — the point —
-// O(1) to discover that *no* node wakes this epoch (`top_key > epoch_end`),
-// which is what lets sparse-activity fleets skip idle domains entirely
-// instead of scanning every node every epoch.
+// The domain pops the top, fires that node's wake, and replaces the top
+// key with the node's next wake: O(log n) per wake, and — the point —
+// O(1) to discover that *no* node wakes this epoch (`top_key() >
+// epoch_end`), which is what lets sparse-activity fleets skip idle
+// domains entirely instead of scanning every node every epoch.
 class WakeHeap {
  public:
-  // (Re)build over indices [0, key.size()). O(n).
-  void build(const std::vector<double>& key);
+  struct Entry {
+    double key = 0.0;
+    std::uint32_t index = 0;
+  };
+
+  // (Re)build over indices [0, n) with keys key_of(i). O(n).
+  template <typename KeyOf>
+  void build(std::size_t n, KeyOf&& key_of) {
+    h_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_[i] = Entry{key_of(i), static_cast<std::uint32_t>(i)};
+    }
+    if (n > 1) {
+      for (std::size_t i = n / 2; i-- > 0;) sift_down(i);
+    }
+    built_ = true;
+  }
   [[nodiscard]] bool empty() const { return h_.empty(); }
   [[nodiscard]] bool built() const { return built_; }
   void invalidate() { built_ = false; }
-  [[nodiscard]] std::uint32_t top() const { return h_[0]; }
-  [[nodiscard]] double top_key(const std::vector<double>& key) const {
-    return key[h_[0]];
+  [[nodiscard]] std::uint32_t top() const { return h_[0].index; }
+  [[nodiscard]] double top_key() const { return h_[0].key; }
+  // The top node's key grew to `key` (its next wake, or +inf once it
+  // retires): store it and restore heap order.
+  void replace_top(double key) {
+    h_[0].key = key;
+    sift_down(0);
   }
-  // Restore heap order after key[top()] increased (and only it).
-  void sift_top(const std::vector<double>& key);
 
-  // Checkpoint/restore (src/ckpt): the slot array is saved verbatim so a
+  // Checkpoint/restore (src/ckpt): the slot order is saved verbatim so a
   // restored calendar pops in the exact layout the original had, rather
   // than relying on build() reproducing an incrementally-sifted heap.
-  [[nodiscard]] const std::vector<std::uint32_t>& slots() const { return h_; }
-  void restore_slots(std::vector<std::uint32_t> slots, bool built) {
-    h_ = std::move(slots);
+  // Keys are not saved; restore re-reads them through key_of.
+  [[nodiscard]] std::vector<std::uint32_t> slots() const {
+    std::vector<std::uint32_t> out(h_.size());
+    for (std::size_t i = 0; i < h_.size(); ++i) out[i] = h_[i].index;
+    return out;
+  }
+  template <typename KeyOf>
+  void restore_slots(const std::vector<std::uint32_t>& slots, bool built,
+                     KeyOf&& key_of) {
+    h_.resize(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      h_[i] = Entry{key_of(slots[i]), slots[i]};
+    }
     built_ = built;
   }
+  // Whether every entry orders at or after its parent — what a restored
+  // slot layout must satisfy against the restored keys.
+  [[nodiscard]] bool ordered() const;
 
  private:
-  void sift_down(const std::vector<double>& key, std::size_t i);
-  std::vector<std::uint32_t> h_;
+  static bool less(const Entry& a, const Entry& b) {
+    return a.key != b.key ? a.key < b.key : a.index < b.index;
+  }
+  void sift_down(std::size_t i);
+  std::vector<Entry> h_;
   bool built_ = false;
 };
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -23,11 +22,34 @@ struct Chunk {
 }  // namespace
 
 struct ParallelRunner::Impl {
-  // One deque per worker slot (slot 0 is the caller). Deques are
-  // mutex-protected; chunks are coarse enough that contention is rare.
-  struct Queue {
+  // One double-ended queue per worker slot (slot 0 is the caller), kept
+  // as a fixed-capacity ring so that cycling chunks through it never
+  // touches the heap: run_on_pool grows every ring up front, and only
+  // when a job deals more chunks per worker than any earlier job did.
+  // Mutex-protected; chunks are coarse enough that contention is rare.
+  // Cacheline-aligned so a worker popping its own ring does not bounce a
+  // neighbour's.
+  struct alignas(64) Queue {
     std::mutex m;
-    std::deque<Chunk> q;
+    std::vector<Chunk> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    [[nodiscard]] bool empty() const { return count == 0; }
+    void push_back(Chunk c) {
+      ring[(head + count) % ring.size()] = c;
+      ++count;
+    }
+    Chunk pop_back() {
+      --count;
+      return ring[(head + count) % ring.size()];
+    }
+    Chunk pop_front() {
+      const Chunk c = ring[head];
+      head = (head + 1) % ring.size();
+      --count;
+      return c;
+    }
   };
 
   // Relaxed atomics: each slot is written by its own worker; readers
@@ -50,22 +72,21 @@ struct ParallelRunner::Impl {
   ~Impl() {
     {
       std::unique_lock<std::mutex> lk(job_m);
-      stopping = true;
+      stopping.store(true, std::memory_order_relaxed);
     }
     job_cv.notify_all();
     for (auto& t : workers) t.join();
   }
 
-  // Pop from the back of our own deque (LIFO keeps a worker on the chunks
+  // Pop from the back of our own ring (LIFO keeps a worker on the chunks
   // it was dealt), or steal from the front of another's (FIFO takes the
   // coldest work).
   bool take(unsigned self, Chunk& out) {
     {
       Queue& mine = queues[self];
       std::unique_lock<std::mutex> lk(mine.m);
-      if (!mine.q.empty()) {
-        out = mine.q.back();
-        mine.q.pop_back();
+      if (!mine.empty()) {
+        out = mine.pop_back();
         return true;
       }
     }
@@ -73,9 +94,8 @@ struct ParallelRunner::Impl {
     for (unsigned step = 1; step < n; ++step) {
       Queue& victim = queues[(self + step) % n];
       std::unique_lock<std::mutex> lk(victim.m);
-      if (!victim.q.empty()) {
-        out = victim.q.front();
-        victim.q.pop_front();
+      if (!victim.empty()) {
+        out = victim.pop_front();
         if constexpr (obs::kEnabled) {
           counters[self].steals.fetch_add(1, std::memory_order_relaxed);
         }
@@ -107,43 +127,62 @@ struct ParallelRunner::Impl {
     }
   }
 
-  // Wait on `cv` until pred holds, charging the wait to `self`'s idle time.
+  // Wait until pred holds, charging the wait to `self`'s idle time. Jobs
+  // often arrive back to back (the fleet engine issues two per epoch, each
+  // a few tens of microseconds long), and parking on the condition
+  // variable costs a futex round trip plus a scheduler wake-up on each
+  // side — more than such a job takes. So first spin for up to
+  // kSpinWindow, yielding each turn so an oversubscribed host still runs
+  // the threads that hold work, and park only if nothing arrives. pred
+  // reads only atomics, so it is safe with or without job_m held; every
+  // write it depends on is made under job_m before job_cv is notified, so
+  // no wake-up is lost.
+  static constexpr std::chrono::microseconds kSpinWindow{50};
   template <typename Pred>
-  void idle_wait(unsigned self, std::unique_lock<std::mutex>& lk, Pred&& pred) {
+  void idle_wait(unsigned self, Pred&& pred) {
+    const auto t0 = std::chrono::steady_clock::now();
+    bool ready = pred();
+    while (!ready && std::chrono::steady_clock::now() - t0 < kSpinWindow) {
+      std::this_thread::yield();
+      ready = pred();
+    }
+    if (!ready) {
+      std::unique_lock<std::mutex> lk(job_m);
+      job_cv.wait(lk, pred);
+    }
     if constexpr (obs::kEnabled) {
-      const auto t0 = std::chrono::steady_clock::now();
-      job_cv.wait(lk, std::forward<Pred>(pred));
       const auto dt = std::chrono::steady_clock::now() - t0;
       counters[self].idle_ns.fetch_add(
           static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()),
           std::memory_order_relaxed);
-    } else {
-      job_cv.wait(lk, std::forward<Pred>(pred));
     }
   }
 
   void worker_loop(unsigned self) {
     std::uint64_t seen_generation = 0;
     for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(job_m);
-        idle_wait(self, lk, [&] { return stopping || generation != seen_generation; });
-        if (stopping) return;
-        seen_generation = generation;
-      }
+      idle_wait(self, [&] {
+        return stopping.load(std::memory_order_relaxed) ||
+               generation.load(std::memory_order_acquire) != seen_generation;
+      });
+      if (stopping.load(std::memory_order_relaxed)) return;
+      seen_generation = generation.load(std::memory_order_acquire);
       run_chunks(self);
     }
   }
 
   std::vector<Queue> queues;
+  std::size_t ring_capacity = 0;  // slots per ring, shared by all workers
   std::vector<Counters> counters;
   std::vector<std::thread> workers;
 
   std::mutex job_m;
   std::condition_variable job_cv;
-  std::uint64_t generation = 0;
-  bool stopping = false;
+  // Written under job_m (the condition variable's predicate state), read
+  // by spinning waiters without it.
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<bool> stopping{false};
 
   IndexFn job;
   std::atomic<std::size_t> chunks_remaining{0};
@@ -202,9 +241,22 @@ void ParallelRunner::run_indexed(std::size_t n, IndexFn fn) {
 void ParallelRunner::run_on_pool(std::size_t n, std::size_t chunk, IndexFn fn) {
   Impl& im = *impl_;
   const std::size_t num_chunks = (n + chunk - 1) / chunk;
+  // Round-robin dealing puts at most ceil(chunks / workers) on one ring.
+  // Every ring is empty here (the previous job drained), so growing one
+  // under its lock cannot drop a chunk; a worker still scanning for work
+  // from that job only ever reads a ring under the same lock.
+  const std::size_t per_worker = (num_chunks + threads_ - 1) / threads_;
+  if (per_worker > im.ring_capacity) {
+    im.ring_capacity = per_worker;
+    for (Impl::Queue& q : im.queues) {
+      std::unique_lock<std::mutex> lk(q.m);
+      q.ring.resize(per_worker);
+      q.head = 0;
+    }
+  }
   // Publish the job before any chunk becomes stealable: a worker that is
   // still draining the previous generation may grab a new chunk the moment
-  // it lands in a deque (hence also the preset remaining-count and the
+  // it lands in a ring (hence also the preset remaining-count and the
   // queue mutex around each push).
   im.error = nullptr;
   im.job = fn;
@@ -214,24 +266,19 @@ void ParallelRunner::run_on_pool(std::size_t n, std::size_t chunk, IndexFn fn) {
     const std::size_t end = std::min(begin + chunk, n);
     Impl::Queue& dest = im.queues[index % threads_];
     std::unique_lock<std::mutex> lk(dest.m);
-    dest.q.push_back(Chunk{begin, end});
+    dest.push_back(Chunk{begin, end});
     ++index;
   }
   {
     std::unique_lock<std::mutex> lk(im.job_m);
-    ++im.generation;
+    im.generation.fetch_add(1, std::memory_order_release);
   }
   im.job_cv.notify_all();
 
   im.run_chunks(0);  // the caller participates as worker 0
 
-  // Our deques are dry, but another worker may still be inside a chunk.
-  {
-    std::unique_lock<std::mutex> lk(im.job_m);
-    im.idle_wait(0, lk, [&] {
-      return im.chunks_remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
+  // Our ring is dry, but another worker may still be inside a chunk.
+  im.idle_wait(0, [&] { return im.chunks_remaining.load(std::memory_order_acquire) == 0; });
   im.job = IndexFn();
   if (im.error) std::rethrow_exception(im.error);
 }

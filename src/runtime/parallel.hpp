@@ -10,11 +10,12 @@
 // bit-identical statistics at 1, 4 or 8 workers.
 //
 // Scheduling: indices are grouped into chunks, dealt round-robin onto
-// per-worker deques; a worker pops from the back of its own deque and
-// steals from the front of a victim's when it runs dry, so uneven trial
-// costs rebalance automatically. `threads == 1` runs everything inline on
-// the caller with no pool at all. The first exception thrown by any trial
-// is captured and rethrown on the caller after the job drains.
+// per-worker double-ended rings; a worker pops from the back of its own
+// ring and steals from the front of a victim's when it runs dry, so
+// uneven trial costs rebalance automatically. `threads == 1` runs
+// everything inline on the caller with no pool at all. The first
+// exception thrown by any trial is captured and rethrown on the caller
+// after the job drains.
 #pragma once
 
 #include <cstddef>
@@ -60,9 +61,9 @@ class IndexFn {
 // Per-worker execution statistics (observability builds; zeros otherwise).
 struct WorkerStats {
   std::uint64_t trials = 0;  // fn(i) invocations executed by this worker
-  std::uint64_t chunks = 0;  // chunks taken (own deque or stolen)
-  std::uint64_t steals = 0;  // chunks taken from another worker's deque
-  double idle_s = 0.0;       // time spent parked waiting for work
+  std::uint64_t chunks = 0;  // chunks taken (own ring or stolen)
+  std::uint64_t steals = 0;  // chunks taken from another worker's ring
+  double idle_s = 0.0;       // time spent waiting for work (spinning or parked)
 };
 
 class ParallelRunner {
@@ -92,8 +93,10 @@ class ParallelRunner {
   void run_trials(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // Same contract as run_trials, but through a non-owning IndexFn: no
-  // std::function construction, no possible heap allocation on the hot
-  // path. The referenced callable must stay alive until this returns.
+  // std::function construction, and no heap allocation unless this job
+  // deals more chunks per worker than any earlier one (the per-worker
+  // rings then grow once). The referenced callable must stay alive until
+  // this returns.
   void run_indexed(std::size_t n, IndexFn fn);
 
   // Apply fn to every item and collect the results in item order. The

@@ -107,19 +107,19 @@ TEST(HarvestIntegralTest, ChargeMatchesWindowSums) {
 TEST(WakeHeapTest, DrainsInKeyThenIndexOrder) {
   // The wake calendar must order ties by node index: that fixes the
   // (start, id) order of a domain's frame stream at tied wake times.
-  std::vector<double> key = {3.0, 1.0, 2.0, 1.0, 2.0, 1.0};
+  const std::vector<double> key = {3.0, 1.0, 2.0, 1.0, 2.0, 1.0};
   WakeHeap h;
-  h.build(key);
+  h.build(key.size(), [&](std::size_t i) { return key[i]; });
   ASSERT_TRUE(h.built());
+  EXPECT_TRUE(h.ordered());
   std::vector<std::uint32_t> order;
   std::vector<double> keys;
   while (!h.empty()) {
-    const std::uint32_t i = h.top();
-    order.push_back(i);
-    keys.push_back(h.top_key(key));
-    key[i] = 1e18;  // retire: next wake far in the future
-    h.sift_top(key);
-    if (key[h.top()] == 1e18) break;  // all retired
+    order.push_back(h.top());
+    keys.push_back(h.top_key());
+    h.replace_top(1e18);  // retire: next wake far in the future
+    EXPECT_TRUE(h.ordered());
+    if (h.top_key() == 1e18) break;  // all retired
   }
   const std::vector<std::uint32_t> expect = {1, 3, 5, 2, 4, 0};
   EXPECT_EQ(order, expect);
@@ -610,6 +610,37 @@ TEST(FleetArqTest, BitIdenticalAcrossShardAndThreadCounts) {
   EXPECT_GT(first.delivered, 0u);
 }
 
+TEST(FleetArqTest, DefaultGroupingFollowsThreadsWithoutMovingResults) {
+  // shards = 0 derives the task count from the thread count, so the same
+  // spec groups its domains differently on every machine; explicit counts
+  // regroup them again. shards = 1 is the sharpest case: one scratch pair
+  // then serves every domain in turn. Exports and an ARQ jam make the
+  // routed inboxes and carried chains non-trivial.
+  FleetSpec spec = arq_jam_spec();
+  spec.nodes = 2400;
+  spec.domains = 96;
+  const std::uint64_t domains = spec.domains;
+  std::vector<std::uint64_t> prints;
+  for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    FleetSpec s = spec;
+    s.threads = threads;
+    const FleetMetrics m = ShardedFleetEngine::run(s);
+    EXPECT_EQ(m.shards, std::min<std::uint64_t>(domains, 16u * threads));
+    EXPECT_GT(m.edge_exports, 0u);
+    EXPECT_GT(m.arq_retries, 0u);
+    prints.push_back(m.fingerprint());
+  }
+  for (std::uint64_t shards : {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{61}, domains}) {
+    FleetSpec s = spec;
+    s.shards = shards;
+    s.threads = 4;
+    const FleetMetrics m = ShardedFleetEngine::run(s);
+    EXPECT_EQ(m.shards, shards);
+    prints.push_back(m.fingerprint());
+  }
+  for (std::size_t i = 1; i < prints.size(); ++i) EXPECT_EQ(prints[i], prints[0]) << i;
+}
+
 TEST(FleetArqTest, JamMatchesPinnedFingerprint) {
   const FleetMetrics a = ShardedFleetEngine::run(arq_jam_spec());
   EXPECT_EQ(a.fingerprint(), 0xc8ef7b42a61a2eb0ULL);
@@ -783,58 +814,102 @@ TEST(FleetRetirementTest, KernelRetirementMatchesScalarBrownoutWithinOneWake) {
 
 // --- Checkpoint input validation ---------------------------------------------
 
-// A one-node domain's state in the Domain::save wire layout (FDOM v3),
-// with one pending frame owned by local node `frame_node` and a built
-// wake calendar holding `slot`. Both are node indices the domain later
-// dereferences, so restore() must range-check them.
-std::vector<std::uint8_t> one_node_domain_blob(std::uint32_t frame_node,
-                                               std::uint32_t slot) {
+// A two-node domain's state in the Domain::save wire layout (FDOM v3),
+// with one pending frame owned by local node `frame_node` and a wake
+// calendar of `slots`. Frame owners and calendar slots are node indices
+// the domain later dereferences, and the calendar decides which node
+// fires next, so restore() must check them all.
+struct DomainBlob {
+  std::uint32_t frame_node = 0;
+  bool calendar_built = true;
+  std::vector<std::uint32_t> slots = {0, 1};
+  std::vector<double> next_wake = {6.0, 6.5};
+};
+
+std::vector<std::uint8_t> two_node_domain_blob(const DomainBlob& b) {
   ckpt::Writer w;
-  w.u64(1);       // nodes
-  w.f64v({6.0});  // next wake
-  for (std::uint64_t word : {1u, 2u, 3u, 4u}) w.u64(word);  // Rng words
-  w.f64(0.0);     // cached normal deviate
-  w.b(false);
-  w.u32v({1});    // seq
-  w.u8v({1});     // alive
-  w.u64v({1});    // cycles
-  w.f64v({2e-6});  // cycle energy
-  w.f64v({std::numeric_limits<double>::infinity()});  // death time
-  w.u64(1);       // one pending frame
+  w.u64(2);  // nodes
+  w.f64v(b.next_wake);
+  for (int node = 0; node < 2; ++node) {
+    for (std::uint64_t word : {1u, 2u, 3u, 4u}) w.u64(word);  // Rng words
+    w.f64(0.0);  // cached normal deviate
+    w.b(false);
+  }
+  w.u32v({1, 1});  // seq
+  w.u8v({1, 1});   // alive
+  w.u64v({1, 1});  // cycles
+  w.f64v({2e-6, 2e-6});  // cycle energy
+  w.f64v({std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::infinity()});  // death time
+  w.u64(1);  // one pending frame
   w.f64(5.0);
   w.f64(5.001);
   w.f64(1e-9);
   w.f64(0.5);
-  w.u32(frame_node);
+  w.u32(b.frame_node);
   w.u32(0);
   w.b(false);
   w.u64(0);  // carry
   w.u64(0);  // left outbox
   w.u64(0);  // right outbox
-  w.b(true);
-  w.u32v({slot});
+  w.b(b.calendar_built);
+  w.u32v(b.slots);
   for (int k = 0; k < 14; ++k) w.u64(0);  // integer counters
   for (int k = 0; k < 5; ++k) w.f64(0.0);  // energy/time accumulators
   return w.finish();
 }
 
-void restore_one_node_domain(std::vector<std::uint8_t> blob) {
+void restore_two_node_domain(const DomainBlob& b) {
   Domain d;
   d.add_node(0, 6.0, 6.0, Rng::stream(1, 0), 1.0, -1.0, -1.0);
-  ckpt::Reader r(std::move(blob));
+  d.add_node(1, 6.5, 6.5, Rng::stream(1, 1), 1.0, -1.0, -1.0);
+  ckpt::Reader r(two_node_domain_blob(b));
   d.restore(r);
 }
 
 TEST(DomainTest, RestoreRejectsPendingFrameOutsideDomain) {
-  EXPECT_NO_THROW(restore_one_node_domain(one_node_domain_blob(0, 0)));
-  EXPECT_THROW(restore_one_node_domain(one_node_domain_blob(1, 0)),
-               ckpt::CheckpointError);
+  EXPECT_NO_THROW(restore_two_node_domain({}));
+  DomainBlob b;
+  b.frame_node = 2;
+  EXPECT_THROW(restore_two_node_domain(b), ckpt::CheckpointError);
 }
 
 TEST(DomainTest, RestoreRejectsCalendarSlotOutsideDomain) {
-  EXPECT_NO_THROW(restore_one_node_domain(one_node_domain_blob(0, 0)));
-  EXPECT_THROW(restore_one_node_domain(one_node_domain_blob(0, 7)),
-               ckpt::CheckpointError);
+  DomainBlob b;
+  b.slots = {0, 7};
+  EXPECT_THROW(restore_two_node_domain(b), ckpt::CheckpointError);
+}
+
+TEST(DomainTest, RestoreRejectsCalendarThatIsNotAPermutation) {
+  // A duplicated slot would fire node 0 at twice its rate while node 1
+  // never wakes; a short calendar would silence node 1 outright.
+  DomainBlob dup;
+  dup.slots = {0, 0};
+  EXPECT_THROW(restore_two_node_domain(dup), ckpt::CheckpointError);
+  DomainBlob short_calendar;
+  short_calendar.slots = {0};
+  EXPECT_THROW(restore_two_node_domain(short_calendar), ckpt::CheckpointError);
+}
+
+TEST(DomainTest, RestoreRejectsUnbuiltCalendarHoldingSlots) {
+  // Before the first advance the calendar is empty; advance() rebuilds
+  // it from the wake times, so stored slots can only be corruption.
+  DomainBlob unbuilt;
+  unbuilt.calendar_built = false;
+  unbuilt.slots = {};
+  EXPECT_NO_THROW(restore_two_node_domain(unbuilt));
+  unbuilt.slots = {0, 1};
+  EXPECT_THROW(restore_two_node_domain(unbuilt), ckpt::CheckpointError);
+}
+
+TEST(DomainTest, RestoreRejectsCalendarOutOfHeapOrder) {
+  // Node 1 wakes later than node 0, so it cannot sit at the top.
+  DomainBlob swapped;
+  swapped.slots = {1, 0};
+  EXPECT_THROW(restore_two_node_domain(swapped), ckpt::CheckpointError);
+  // With node 1 due first, the same slots are a valid heap.
+  swapped.next_wake = {6.5, 6.0};
+  EXPECT_NO_THROW(restore_two_node_domain(swapped));
 }
 
 TEST(ShardedEngineTest, RejectsFlightTxSampleShiftOf32) {
@@ -873,20 +948,23 @@ TEST(DomainTest, SteadyStateEpochLoopDoesNotAllocate) {
   m.noise_w = 2e-14;
   m.sensitivity_w = 1e-11;
   m.max_airtime_s = m.profile.airtime_s;
+  m.frames_per_node = KernelModel::worst_frames_per_node(10.0, 0.9, 1);
 
   Domain d;
   for (std::uint32_t i = 0; i < 64; ++i) {
     const double interval = 0.9 + 0.01 * static_cast<double>(i);
     d.add_node(i, interval, interval, Rng::stream(17, i), 1.0 + 0.1 * i, -1.0, -1.0);
   }
-  d.reserve_scratch(10.0, 0.9);
+  Domain::Scratch scratch;
+  scratch.fit(d.nodes(), 0, m);
 
-  // Warm up one epoch (first sort growth, lazy libstdc++ bits), then the
-  // steady-state loop must be allocation-free.
+  // Warm up one epoch (the first advance reserves the domain's air runs),
+  // then the steady-state loop must be allocation-free.
   double t = 0.0;
   const auto epoch = [&] {
     d.advance(t + 10.0, m);
-    d.resolve(t + 10.0, m);
+    d.route_inbox(nullptr, nullptr, scratch);
+    d.resolve(t + 10.0, m, scratch);
     t += 10.0;
   };
   epoch();
@@ -896,6 +974,40 @@ TEST(DomainTest, SteadyStateEpochLoopDoesNotAllocate) {
   EXPECT_EQ(after - before, 0u);
   EXPECT_GT(d.counters().wake_cycles, 1000u);
   EXPECT_GT(d.counters().delivered, 0u);
+}
+
+TEST(FleetSessionTest, SteadyStateEpochsDoNotAllocate) {
+  // The whole engine, not just one domain: after one warm-up epoch (each
+  // domain's first advance reserves its air runs) no epoch may touch the
+  // heap — not the runner's dispatch at threads > 1, not the lent scratch
+  // pairs, not the lazily reserved pending/carry/outbox runs. Synchronized
+  // boot (every node's first wake one interval after t = 0) piles each
+  // domain's wakes into one epoch: the worst case the reservations cover.
+  FleetSpec spec;
+  spec.nodes = 3000;
+  spec.domains = 30;
+  spec.sim_time_s = 240.0;
+  spec.epoch_s = 4.0;
+  spec.node.link.mode = core::NodeConfig::Link::Mode::kArq;
+  spec.node.link.arq.max_retries = 2;
+  spec.faults.channel_loss(60.0, 120.0, 0.6);
+  for (const bool randomize : {true, false}) {
+    for (const unsigned threads : {1u, 4u}) {
+      FleetSpec s = spec;
+      s.randomize_phase = randomize;
+      s.threads = threads;
+      FleetSession session(s);
+      session.run_until(session.epoch_step_s());
+      const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+      session.run_until(s.sim_time_s);
+      const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0u) << "threads " << threads << ", randomize_phase "
+                                    << randomize;
+      const FleetMetrics m = session.finish();
+      EXPECT_GT(m.edge_exports, 0u);
+      EXPECT_GT(m.arq_retries, 0u);
+    }
+  }
 }
 
 TEST(DomainTest, SteadyStateWithTelemetryArmedDoesNotAllocate) {
@@ -919,13 +1031,15 @@ TEST(DomainTest, SteadyStateWithTelemetryArmedDoesNotAllocate) {
   m.noise_w = 2e-14;
   m.sensitivity_w = 1e-11;
   m.max_airtime_s = m.profile.airtime_s;
+  m.frames_per_node = KernelModel::worst_frames_per_node(10.0, 0.9, 1);
 
   Domain d;
   for (std::uint32_t i = 0; i < 64; ++i) {
     const double interval = 0.9 + 0.01 * static_cast<double>(i);
     d.add_node(i, interval, interval, Rng::stream(23, i), 1.0 + 0.1 * i, -1.0, -1.0);
   }
-  d.reserve_scratch(10.0, 0.9);
+  Domain::Scratch scratch;
+  scratch.fit(d.nodes(), 0, m);
 
   obs::FlightRing ring;
   ring.reset(256);
@@ -939,7 +1053,8 @@ TEST(DomainTest, SteadyStateWithTelemetryArmedDoesNotAllocate) {
   double t = 0.0;
   const auto epoch = [&] {
     d.advance(t + 10.0, m, &ring);
-    d.resolve(t + 10.0, m, &ring);
+    d.route_inbox(nullptr, nullptr, scratch);
+    d.resolve(t + 10.0, m, scratch, &ring);
     t += 10.0;
     if (rec.due(t)) {
       rec.begin_row(t);

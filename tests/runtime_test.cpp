@@ -5,13 +5,36 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
+
+// Counts every path through the replaceable global operator new, so a test
+// can assert that repeated runner jobs perform zero heap allocations.
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression and warns about a mismatch that is not one.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pico::runtime {
 namespace {
@@ -133,6 +156,47 @@ TEST(ParallelRunner, RunIndexedCoversEveryIndexWithoutAllocation) {
     auto body = [&](std::size_t i) { hits[i].fetch_add(1); };
     runner.run_indexed(n, IndexFn(body));
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(ParallelRunner, RepeatedRunIndexedJobsDoNotAllocate) {
+  // The pool's per-worker chunk queues are fixed-capacity rings: once a
+  // job has sized them, cycling chunks through them (own pops and steals)
+  // never touches the heap, at any thread count.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ParallelRunner runner(threads);
+    std::atomic<std::uint64_t> sum{0};
+    auto body = [&](std::size_t i) { sum.fetch_add(i, std::memory_order_relaxed); };
+    runner.run_indexed(10000, IndexFn(body));  // warm-up sizes the rings
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    for (int k = 0; k < 3000; ++k) runner.run_indexed(10000, IndexFn(body));
+    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << threads << " threads";
+    EXPECT_EQ(sum.load(), 3001ull * (10000ull * 9999ull / 2)) << threads << " threads";
+  }
+}
+
+TEST(ParallelRunner, RingsGrowOnlyForLargerJobs) {
+  // One chunk per index: a job of n indices deals ceil(n / threads)
+  // chunks onto each ring. Smaller and equal jobs after the largest one
+  // reuse its capacity; every job still covers each index exactly once
+  // and the steal counters keep counting.
+  ParallelRunner runner(ParallelRunner::Options{4, 1});
+  std::vector<std::atomic<int>> hits(512);
+  auto body = [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); };
+  runner.run_indexed(512, IndexFn(body));
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int k = 0; k < 200; ++k) {
+    runner.run_indexed(static_cast<std::size_t>(1 + (k * 37) % 512), IndexFn(body));
+  }
+  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(hits[0].load(), 201);  // index 0 is in every job
+  EXPECT_EQ(hits[511].load(), 2);  // the warm-up and the one 512-index job
+  std::uint64_t chunks = 0;
+  for (const WorkerStats& w : runner.worker_stats()) chunks += w.chunks;
+  if (obs::kEnabled) {
+    EXPECT_GT(chunks, 512u);
   }
 }
 
