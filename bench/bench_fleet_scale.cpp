@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   core::FleetConfig ref_cfg;
   ref_cfg.nodes = 256;
   ref_cfg.sim_time = Duration{60.0};
-  ref_cfg.medium = core::FleetConfig::Medium::kShared;
   const auto t_ref = std::chrono::steady_clock::now();
   const core::FleetResult ref = core::FleetAnalysis::run(ref_cfg);
   const double ref_wall_s = wall_seconds_since(t_ref);

@@ -1,13 +1,11 @@
 #include "core/fleet.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "runtime/parallel.hpp"
 
 namespace pico::core {
 
@@ -21,112 +19,28 @@ double FleetAnalysis::aloha_collision_probability(int nodes, Duration airtime,
   return 1.0 - std::exp(-load);
 }
 
+std::vector<double> draw_beacon_intervals(std::uint64_t seed, std::size_t nodes,
+                                          double nominal_s, double tolerance) {
+  Rng rng(seed);
+  std::vector<double> intervals(nodes);
+  for (double& interval : intervals) {
+    // Each node's timer runs at its own RC-tolerance period.
+    interval = nominal_s * (1.0 + rng.normal(0.0, tolerance));
+    PICO_REQUIRE(interval > 0.0, "drawn interval must stay positive");
+  }
+  return intervals;
+}
+
 FleetResult FleetAnalysis::run(const FleetConfig& cfg) {
   PICO_REQUIRE(cfg.nodes >= 1, "need at least one node");
   PICO_REQUIRE(cfg.sim_time.value() > 0.0, "simulation time must be positive");
-  return cfg.medium == FleetConfig::Medium::kShared ? run_shared_medium(cfg)
-                                                    : run_interval_merge(cfg);
-}
-
-FleetResult FleetAnalysis::run_interval_merge(const FleetConfig& cfg) {
-  struct Interval {
-    double start;
-    double end;
-    int node;
-  };
-  Rng rng(cfg.seed);
-
   FleetResult res;
   res.nodes = cfg.nodes;
-
-  // Interval draws stay sequential: Box–Muller caches a second deviate, so
-  // the draw order is part of the deterministic contract.
-  for (int n = 0; n < cfg.nodes; ++n) {
-    // Each wheel's timer runs at its own RC-tolerance period.
-    res.intervals_s.push_back(cfg.nominal_interval.value() *
-                              (1.0 + rng.normal(0.0, cfg.interval_tolerance)));
-  }
-
-  // Each node simulation is independent (own seed, own frame buffer), so
-  // they run on the pool; merging per-node results in node order makes the
-  // outcome identical to the sequential loop at any thread count.
-  struct NodeRun {
-    std::vector<Interval> frames;
-  };
-  std::vector<int> node_ids(static_cast<std::size_t>(cfg.nodes));
-  for (int n = 0; n < cfg.nodes; ++n) node_ids[static_cast<std::size_t>(n)] = n;
-  runtime::ParallelRunner runner(cfg.threads);
-  std::vector<NodeRun> runs = runner.map(node_ids, [&](int n) {
-    NodeConfig nc;
-    nc.node_id = static_cast<std::uint8_t>(n + 1);
-    nc.drive = harvest::make_city_cycle();
-    nc.sample_interval = Duration{res.intervals_s[static_cast<std::size_t>(n)]};
-    nc.data_rate = cfg.data_rate;
-    nc.seed = cfg.seed + static_cast<std::uint64_t>(n) * 7919;
-    nc.attach_harvester = cfg.attach_harvester;
-    nc.harvest_fidelity = cfg.harvest_fidelity;
-    nc.faults = cfg.faults;
-    PicoCubeNode node(nc);
-    NodeRun run;
-    node.set_frame_listener([&run, n](const radio::RfFrame& f) {
-      // Full occupied-air interval: the startup chirp jams like data bits.
-      run.frames.push_back(
-          {f.start.value(), f.start.value() + f.airtime().value(), n});
-    });
-    node.run(cfg.sim_time);
-    return run;
-  });
-
-  // Merge in node order and accumulate airtime over the merged list — the
-  // same floating-point order as a sequential per-node loop.
-  std::vector<Interval> frames;
-  for (const NodeRun& run : runs) {
-    frames.insert(frames.end(), run.frames.begin(), run.frames.end());
-  }
-  double airtime_sum = 0.0;
-  for (const Interval& f : frames) airtime_sum += f.end - f.start;
-
-  res.frames_total = frames.size();
-  if (frames.empty()) return res;
-  res.mean_airtime = Duration{airtime_sum / static_cast<double>(frames.size())};
-
-  // Merge by start time; a frame collides if it overlaps any neighbour
-  // from a different node (sweep line).
-  std::sort(frames.begin(), frames.end(),
-            [](const Interval& a, const Interval& b) { return a.start < b.start; });
-  std::vector<bool> collided(frames.size(), false);
-  for (std::size_t i = 0; i + 1 < frames.size(); ++i) {
-    for (std::size_t j = i + 1; j < frames.size() && frames[j].start < frames[i].end; ++j) {
-      if (frames[j].node != frames[i].node) {
-        collided[i] = true;
-        collided[j] = true;
-      }
-    }
-  }
-  for (bool c : collided) res.frames_collided += c ? 1 : 0;
-  res.collision_rate =
-      static_cast<double>(res.frames_collided) / static_cast<double>(res.frames_total);
-  res.aloha_prediction =
-      aloha_collision_probability(cfg.nodes, res.mean_airtime, cfg.nominal_interval);
-  return res;
-}
-
-FleetResult FleetAnalysis::run_shared_medium(const FleetConfig& cfg) {
-  FleetResult res;
-  res.nodes = cfg.nodes;
-
-  // Same sequential interval-draw discipline as the merge mode: the
-  // Box–Muller cache makes the draw order part of the contract, and the
-  // drawn periods must match between media models for a fair comparison.
-  Rng rng(cfg.seed);
-  for (int n = 0; n < cfg.nodes; ++n) {
-    res.intervals_s.push_back(cfg.nominal_interval.value() *
-                              (1.0 + rng.normal(0.0, cfg.interval_tolerance)));
-  }
+  res.intervals_s = draw_beacon_intervals(cfg.seed, static_cast<std::size_t>(cfg.nodes),
+                                          cfg.nominal_interval.value(), cfg.interval_tolerance);
 
   // One timeline: N nodes plus the base station interleave on a single
-  // event queue, so the run is sequential and — unlike thread pools —
-  // trivially identical at any cfg.threads setting.
+  // event queue, so the run is sequential and deterministic.
   sim::Simulator sim;
   // Pre-size the event pools and station ports: a node keeps only a
   // handful of events live at once (wake timer, rail sequencing, the
@@ -143,8 +57,6 @@ FleetResult FleetAnalysis::run_shared_medium(const FleetConfig& cfg) {
     nc.sample_interval = Duration{res.intervals_s[static_cast<std::size_t>(n)]};
     nc.data_rate = cfg.data_rate;
     nc.seed = cfg.seed + static_cast<std::uint64_t>(n) * 7919;
-    nc.attach_harvester = cfg.attach_harvester;
-    nc.harvest_fidelity = cfg.harvest_fidelity;
     nc.faults = cfg.faults;
     nc.link.mode = cfg.arq ? NodeConfig::Link::Mode::kArq
                            : NodeConfig::Link::Mode::kBeacon;

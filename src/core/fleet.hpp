@@ -6,26 +6,22 @@
 // the OOK receiver captures neither — unless one is strong enough to
 // capture through.
 //
-// Two media models (FleetConfig::Medium):
-//   kIntervalMerge — the historical estimate: N independent node
-//     simulations, transmitted frame intervals merged onto one timeline,
-//     overlaps counted by sweep line (no receiver, no capture, no ARQ).
-//   kShared — the real thing: N nodes and one net::BaseStation share one
-//     event simulator; the station resolves capture/collision per frame
-//     and (in ARQ mode) answers with wake-up ACK bursts, so retries,
-//     duplicates and energy-per-delivered-bit come out of the same run.
-//     One timeline makes the result identical at any thread count.
-// Both are checked against the unslotted-ALOHA prediction
-// P(collision) ≈ 1 − e^{−2(N−1)τ/T}.
+// One model: N nodes and one net::BaseStation share one event simulator;
+// the station resolves capture/collision per frame and (in ARQ mode)
+// answers with wake-up ACK bursts, so retries, duplicates and
+// energy-per-delivered-bit come out of the same run. One timeline makes
+// the result deterministic. It is checked against the unslotted-ALOHA
+// prediction P(collision) ≈ 1 − e^{−2(N−1)τ/T}.
 //
-// For city-scale fleets (100k+ nodes) neither model fits: one timeline is
-// O(events) serial, and per-node simulators still pay full event cost per
-// wake. fleet::ShardedFleetEngine (src/fleet/engine.hpp) partitions the
-// medium into spatial collision domains driven by a closed-form cycle
-// kernel; fleet::spec_from_fleet_config maps a FleetConfig onto it for
-// apples-to-apples comparisons with kShared physics.
+// For city-scale fleets (100k+ nodes) one timeline does not fit: it is
+// O(events) serial. fleet::ShardedFleetEngine (src/fleet/engine.hpp)
+// partitions the medium into spatial collision domains driven by a
+// closed-form cycle kernel; fleet::spec_from_fleet_config maps a
+// FleetConfig onto it for apples-to-apples comparisons with this model.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/units.hpp"
@@ -43,26 +39,16 @@ struct FleetConfig {
   double interval_tolerance = 0.004;
   Frequency data_rate{200e3};
   std::uint64_t seed = 99;
-  // Optionally give every node a shaker harvest path, at the chosen
-  // fidelity (behavioral sampling model, or the MNA rectifier netlist at
-  // fixed/adaptive dt — see NodeConfig::HarvestFidelity). Off by default:
-  // the collision analysis does not need the power chain.
-  bool attach_harvester = false;
-  NodeConfig::HarvestFidelity harvest_fidelity = NodeConfig::HarvestFidelity::kBehavioral;
-  // Fault plan applied identically to every node in the fleet (each node's
-  // injector runs on its own simulator — or on the shared timeline with
-  // per-node seeds — so outcomes stay deterministic).
+  // Fault plan applied identically to every node in the fleet (each
+  // node's injector runs on the shared timeline with a per-node seed, so
+  // outcomes stay deterministic).
   fault::FaultPlan faults;
-  // Worker concurrency for the per-node simulations (0 = hardware
-  // concurrency). The result is identical at any thread count: interval
-  // draws stay sequential and per-node frames are merged in node order.
-  // Inert in kShared mode, which runs one timeline sequentially.
-  unsigned threads = 0;
 
-  // Medium model (see header comment).
-  enum class Medium { kIntervalMerge, kShared };
-  Medium medium = Medium::kIntervalMerge;
-  // Shared-medium knobs: link policy per node and the station itself.
+  // The shared timeline is the only medium; this one-value enum remains
+  // only because the benchmark harness (benchmark/) still assigns it.
+  enum class Medium { kShared };
+  Medium medium = Medium::kShared;
+  // Link policy per node and the station itself.
   bool arq = false;  // kArq on every node (false: beacon into the station)
   net::ArqParams arq_params;
   radio::WakeupReceiver::Params wakeup;
@@ -81,7 +67,7 @@ struct FleetResult {
   // Per-node actual timer intervals (for reporting).
   std::vector<double> intervals_s;
 
-  // Shared-medium extras (Medium::kShared only; zero otherwise).
+  // Station and link counters.
   std::uint64_t frames_captured = 0;   // decoded through interference
   std::uint64_t frames_delivered = 0;  // unique frames at the station
   std::uint64_t dup_rx = 0;
@@ -96,16 +82,20 @@ struct FleetResult {
 
 class FleetAnalysis {
  public:
-  // Run the fleet with the configured medium model.
+  // Run the fleet on the shared timeline.
   [[nodiscard]] static FleetResult run(const FleetConfig& cfg);
 
   // Closed-form unslotted-ALOHA collision probability.
   [[nodiscard]] static double aloha_collision_probability(int nodes, Duration airtime,
                                                           Duration interval);
-
- private:
-  [[nodiscard]] static FleetResult run_interval_merge(const FleetConfig& cfg);
-  [[nodiscard]] static FleetResult run_shared_medium(const FleetConfig& cfg);
 };
+
+// Each node's beacon period: nominal_s scaled by a normal deviate of
+// 1-sigma `tolerance`, drawn in node order from one Rng(seed). The draws
+// stay sequential — Box–Muller caches a second deviate, so the draw order
+// is part of the deterministic contract — and every drawn period must be
+// positive. Both FleetAnalysis and fleet::FleetSession lay out from it.
+[[nodiscard]] std::vector<double> draw_beacon_intervals(std::uint64_t seed, std::size_t nodes,
+                                                        double nominal_s, double tolerance);
 
 }  // namespace pico::core

@@ -289,17 +289,11 @@ FleetSession::Impl::Impl(const FleetSpec& spec_in, const FleetObsHooks& hooks_in
   }
 
   // --- Fleet layout ---------------------------------------------------------
-  // Interval draws stay sequential (Box–Muller caches a deviate): the same
-  // contract — and the same drawn periods — as core::FleetAnalysis.
-  Rng interval_rng(spec.seed);
-  std::vector<double> intervals(spec.nodes);
+  // The same drawn periods as core::FleetAnalysis.
+  const std::vector<double> intervals = core::draw_beacon_intervals(
+      spec.seed, spec.nodes, spec.nominal_interval_s, spec.interval_tolerance);
   double min_interval = spec.nominal_interval_s;
-  for (std::size_t n = 0; n < spec.nodes; ++n) {
-    intervals[n] = spec.nominal_interval_s *
-                   (1.0 + interval_rng.normal(0.0, spec.interval_tolerance));
-    PICO_REQUIRE(intervals[n] > 0.0, "drawn interval must stay positive");
-    min_interval = std::min(min_interval, intervals[n]);
-  }
+  for (double interval : intervals) min_interval = std::min(min_interval, interval);
 
   n_domains = spec.domains;
   domains.resize(n_domains);
@@ -975,7 +969,6 @@ FleetSpec spec_from_fleet_config(const core::FleetConfig& cfg, std::size_t domai
   spec.noise_figure_db = cfg.uplink.noise_figure_db;
   spec.capture_db = cfg.base.capture_db;
   spec.sensitivity_dbm = cfg.base.rx.sensitivity_dbm;
-  spec.threads = cfg.threads;
   spec.node.drive = harvest::make_city_cycle();
   if (cfg.arq) {
     // Stop-and-wait uplink: the kernel bills the calibrated retry-chain
@@ -986,8 +979,6 @@ FleetSpec spec_from_fleet_config(const core::FleetConfig& cfg, std::size_t domai
     spec.node.link.wakeup = cfg.wakeup;
   }
   spec.node.data_rate = cfg.data_rate;
-  spec.node.harvest_fidelity = cfg.harvest_fidelity;
-  spec.attach_harvester = cfg.attach_harvester;
   spec.faults = cfg.faults;
   return spec;
 }

@@ -2,9 +2,9 @@
 // work-stealing runner, stepped by the closed-form node kernel.
 //
 // This is the 100k+-node path (ROADMAP: city-scale fleets). The scalar
-// shared-medium fleet (core::FleetAnalysis, Medium::kShared) puts every
-// node on one event queue and every frame in one receiver — faithful, but
-// serial and O(events) per wake cycle. The sharded engine exploits two
+// shared-medium fleet (core::FleetAnalysis) puts every node on one event
+// queue and every frame in one receiver — faithful, but serial and
+// O(events) per wake cycle. The sharded engine exploits two
 // structural facts:
 //
 //   * Radio range is meters; a fleet spans kilometers. Partitioning space
@@ -286,10 +286,11 @@ class ShardedFleetEngine {
 
 // Map a core::FleetConfig onto the sharded engine with kShared-comparable
 // physics: every link at the uplink's fixed distance, the station's
-// capture margin and squelch, the same interval-draw seed and discipline.
-// `domains` > 1 spreads the same fleet over that many cells (each cell
-// then sees 1/domains of the offered load). cfg.arq maps onto the
-// kernel's tabulated ARQ chain model (cfg.arq_params, cfg.wakeup).
+// capture margin and squelch, the same drawn periods
+// (core::draw_beacon_intervals). `domains` > 1 spreads the same fleet
+// over that many cells (each cell then sees 1/domains of the offered
+// load). cfg.arq maps onto the kernel's tabulated ARQ chain model
+// (cfg.arq_params, cfg.wakeup).
 [[nodiscard]] FleetSpec spec_from_fleet_config(const core::FleetConfig& cfg,
                                                std::size_t domains = 1);
 

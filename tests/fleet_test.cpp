@@ -132,7 +132,6 @@ core::FleetConfig comparison_config(int nodes, double sim_s) {
   core::FleetConfig cfg;
   cfg.nodes = nodes;
   cfg.sim_time = Duration{sim_s};
-  cfg.medium = core::FleetConfig::Medium::kShared;
   return cfg;
 }
 
