@@ -133,6 +133,11 @@ class Component {
   [[nodiscard]] virtual bool has_pre_step() const { return false; }
   [[nodiscard]] virtual bool has_commit() const { return false; }
   [[nodiscard]] virtual bool stamps_rhs() const { return true; }
+  // False only if stamp()'s matrix (A) contribution never reads ctx.dt or
+  // ctx.method (pure conductances, source incidence). When no component's
+  // does, the transient engine's factorization cache tags entries by the
+  // matrix epoch alone instead of (dt, method, epoch).
+  [[nodiscard]] virtual bool matrix_uses_dt() const { return true; }
   // Number of branch-current unknowns this component owns (V sources: 1).
   [[nodiscard]] virtual std::size_t branches() const { return 0; }
   // Called by Circuit::finalize with the first branch index assigned.

@@ -20,6 +20,7 @@ class Resistor : public Component {
 
   void stamp(Stamper& s, const StampContext& ctx) const override;
   [[nodiscard]] bool linear_time_invariant() const override { return true; }
+  [[nodiscard]] bool matrix_uses_dt() const override { return false; }
   [[nodiscard]] bool stamps_rhs() const override { return false; }
   [[nodiscard]] Resistance resistance() const { return Resistance{r_}; }
   void set_resistance(Resistance r);
@@ -90,6 +91,7 @@ class VoltageSource : public Component {
   void stamp(Stamper& s, const StampContext& ctx) const override;
   // Waveform value lands in the rhs only; the ±1 branch pattern is fixed.
   [[nodiscard]] bool linear_time_invariant() const override { return true; }
+  [[nodiscard]] bool matrix_uses_dt() const override { return false; }
   [[nodiscard]] std::size_t branches() const override { return 1; }
   void assign_branch(std::size_t first) override { branch_ = first; }
   [[nodiscard]] std::size_t branch_index() const { return branch_; }
@@ -112,6 +114,7 @@ class CurrentSource : public Component {
   void stamp(Stamper& s, const StampContext& ctx) const override;
   // Stamps the rhs only.
   [[nodiscard]] bool linear_time_invariant() const override { return true; }
+  [[nodiscard]] bool matrix_uses_dt() const override { return false; }
   [[nodiscard]] double value_at(double t) const;
   void set_dc(Current i);
 
@@ -154,8 +157,9 @@ class Switch : public Component {
 
   void stamp(Stamper& s, const StampContext& ctx) const override;
   // Toggling changes the stamped conductance, so every state flip bumps
-  // the matrix version and the cached LU is re-factorized on the next step.
+  // the matrix version and the next step looks its matrix up afresh.
   [[nodiscard]] bool linear_time_invariant() const override { return true; }
+  [[nodiscard]] bool matrix_uses_dt() const override { return false; }
   [[nodiscard]] bool stamps_rhs() const override { return false; }
   [[nodiscard]] bool has_pre_step() const override { return true; }
   void set_on(bool on) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -17,6 +18,12 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   data_.assign(rows * cols, 0.0);
+}
+
+bool Matrix::same_bits(const Matrix& other) const {
+  return rows_ == other.rows_ && cols_ == other.cols_ &&
+         (data_.empty() ||
+          std::memcmp(data_.data(), other.data_.data(), data_.size() * sizeof(double)) == 0);
 }
 
 void Matrix::multiply_into(const Vector& x, Vector& y) const {

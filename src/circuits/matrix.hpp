@@ -45,6 +45,9 @@ class Matrix {
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
   void resize(std::size_t rows, std::size_t cols);
+  // Same shape and the same bytes: +0 and -0 differ, so equal matrices
+  // are guaranteed to factorize to equal factors.
+  [[nodiscard]] bool same_bits(const Matrix& other) const;
 
   // y = A x
   [[nodiscard]] Vector multiply(const Vector& x) const;

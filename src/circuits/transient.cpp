@@ -25,15 +25,31 @@ Transient::Transient(Circuit& circuit, Options options) : circuit_(circuit), opt
     if (c->has_commit()) commit_comps_.push_back(c);
     if (c->stamps_rhs()) rhs_comps_.push_back(c);
   }
+  if (fast_path_eligible_) {
+    PICO_REQUIRE(opt_.lu_cache_capacity >= 1, "LU cache needs at least one slot");
+    matrix_uses_dt_ = std::any_of(all_comps_.begin(), all_comps_.end(),
+                                  [](const Component* c) { return c->matrix_uses_dt(); });
+    // Slots are found by pointer; pre-reserving keeps them stable.
+    lu_cache_.reserve(opt_.lu_cache_capacity);
+  }
   if (opt_.adaptive) {
     PICO_REQUIRE(opt_.dt_min > 0.0, "adaptive dt_min must be positive");
     PICO_REQUIRE(effective_dt_max() >= opt_.dt_min, "adaptive dt_max must be >= dt_min");
     PICO_REQUIRE(opt_.lte_tol > 0.0, "adaptive lte_tol must be positive");
     PICO_REQUIRE(opt_.growth_cap > 1.0, "adaptive growth_cap must exceed 1");
-    PICO_REQUIRE(opt_.lu_cache_capacity >= 1, "adaptive LU cache needs at least one slot");
     PICO_REQUIRE(opt_.observe_dt >= 0.0, "observe_dt must be non-negative");
-    // Slots are found by pointer; pre-reserving keeps them stable.
-    lu_lru_.reserve(opt_.lu_cache_capacity);
+    const double r = opt_.dt_ladder_ratio;
+    if (r > 1.0) {
+      log_ladder_ratio_ = std::log(r);
+      // Every rung up to dt_max, bounded so a ratio barely above 1 cannot
+      // blow up the table; snap_to_ladder falls back to the formula above it.
+      constexpr std::size_t kMaxRungs = 256;
+      for (std::size_t k = 0; k < kMaxRungs; ++k) {
+        const double rung = opt_.dt_min * std::pow(r, static_cast<double>(k));
+        ladder_.push_back(rung);
+        if (rung > effective_dt_max()) break;
+      }
+    }
     x_hist1_.assign(dim, 0.0);
     x_hist2_.assign(dim, 0.0);
     x_accept_.assign(dim, 0.0);
@@ -48,91 +64,65 @@ void Transient::set_initial(Node n, Voltage v) {
 }
 
 void Transient::solve_cached(StampContext& ctx) {
-  // Matrix is constant for this (dt, method) until a component mutates its
-  // A stamp (tracked by the O(1) circuit-wide mutation epoch).
-  const std::uint64_t version = circuit_.matrix_epoch();
-  const bool cache_ok = lu_valid_ && lu_dt_ == ctx.dt && lu_method_ == ctx.method &&
-                        lu_version_ == version;
-  if constexpr (obs::kEnabled) {
-    if (cache_ok) {
-      ++lu_hits_;
-    } else {
-      if (lu_valid_) ++lu_invalidations_;  // a live cache was evicted
-      ++lu_misses_;
+  // Tag lookup: an entry last used at this (dt, method, epoch) holds this
+  // step's matrix. An epoch names one state of every mutable stamp, so when
+  // no stamp reads dt or method the epoch alone suffices. Capacity is
+  // small; a linear scan beats any map.
+  const std::uint64_t epoch = circuit_.matrix_epoch();
+  CachedLu* entry = nullptr;
+  for (auto& e : lu_cache_) {
+    if (e.epoch == epoch && (!matrix_uses_dt_ || (e.dt == ctx.dt && e.method == ctx.method))) {
+      entry = &e;
+      break;
     }
   }
   ctx.iterate = &x_;  // linear stamps never read it; kept for uniformity
-  if (!cache_ok) {
-    a_.fill(0.0);
-    b_.fill(0.0);
-    Stamper stamper(&a_, &b_, circuit_.num_nodes());
-    for (const Component* comp : all_comps_) comp->stamp(stamper, ctx);
-    lu_.factorize(a_);
-    ++lu_factorizations_;
-    lu_valid_ = true;
-    lu_dt_ = ctx.dt;
-    lu_method_ = ctx.method;
-    lu_version_ = version;
-  } else {
+  if (entry != nullptr) {
+    if constexpr (obs::kEnabled) ++lu_hits_;
     // rhs-only pass: pure-conductance components are skipped entirely; only
     // source values and companion-model history currents land in b_.
     b_.fill(0.0);
     Stamper stamper(nullptr, &b_, circuit_.num_nodes());
     for (const Component* comp : rhs_comps_) comp->stamp(stamper, ctx);
-  }
-  lu_.solve_into(b_, x_);
-  last_newton_ = 1;
-  newton_converged_ = true;
-  used_fast_path_ = true;
-}
-
-void Transient::solve_lru(StampContext& ctx) {
-  // Adaptive counterpart of solve_cached: the controller walks a geometric
-  // dt-ladder, so a handful of (dt, method, epoch) factorizations covers a
-  // whole duty cycle. Capacity is small; a linear scan beats any map.
-  const std::uint64_t version = circuit_.matrix_epoch();
-  LadderLu* entry = nullptr;
-  for (auto& e : lu_lru_) {
-    if (e.dt == ctx.dt && e.method == ctx.method && e.version == version) {
-      entry = &e;
-      break;
-    }
-  }
-  ctx.iterate = &x_;
-  if (entry == nullptr) {
-    if constexpr (obs::kEnabled) ++lu_misses_;
-    if (lu_lru_.size() < opt_.lu_cache_capacity) {
-      lu_lru_.emplace_back();
-      entry = &lu_lru_.back();
-    } else {
-      // Evict the least recent stale entry (old epoch) if any, else the
-      // least recent overall.
-      for (auto& e : lu_lru_) {
-        if (e.version != version && (entry == nullptr || e.tick < entry->tick)) entry = &e;
-      }
-      if (entry != nullptr) {
-        if constexpr (obs::kEnabled) ++lu_invalidations_;
-      } else {
-        for (auto& e : lu_lru_) {
-          if (entry == nullptr || e.tick < entry->tick) entry = &e;
-        }
-        ++lu_evictions_;  // a still-current factorization lost its slot
-      }
-    }
+  } else {
     a_.fill(0.0);
     b_.fill(0.0);
     Stamper stamper(&a_, &b_, circuit_.num_nodes());
     for (const Component* comp : all_comps_) comp->stamp(stamper, ctx);
-    entry->lu.factorize(a_);
-    ++lu_factorizations_;
+    // Content lookup: a bitwise-equal matrix factorizes to bitwise-equal
+    // factors, so reusing them is exact (a switch toggling back, say).
+    for (auto& e : lu_cache_) {
+      if (e.a.same_bits(a_)) {
+        entry = &e;
+        break;
+      }
+    }
+    if (entry != nullptr) {
+      if constexpr (obs::kEnabled) {
+        ++lu_hits_;
+        ++lu_content_hits_;
+      }
+    } else {
+      if constexpr (obs::kEnabled) ++lu_misses_;
+      if (lu_cache_.size() < opt_.lu_cache_capacity) {
+        entry = &lu_cache_.emplace_back();
+      } else {
+        for (auto& e : lu_cache_) {
+          if (entry == nullptr || e.tick < entry->tick) entry = &e;
+        }
+        if (entry->epoch == epoch) {
+          ++lu_evictions_;  // a factorization of the current topology lost its slot
+        } else if constexpr (obs::kEnabled) {
+          ++lu_invalidations_;
+        }
+      }
+      entry->a = a_;
+      entry->lu.factorize(a_);
+      ++lu_factorizations_;
+    }
     entry->dt = ctx.dt;
     entry->method = ctx.method;
-    entry->version = version;
-  } else {
-    if constexpr (obs::kEnabled) ++lu_hits_;
-    b_.fill(0.0);
-    Stamper stamper(nullptr, &b_, circuit_.num_nodes());
-    for (const Component* comp : rhs_comps_) comp->stamp(stamper, ctx);
+    entry->epoch = epoch;
   }
   entry->tick = ++lu_tick_;
   entry->lu.solve_into(b_, x_);
@@ -182,7 +172,6 @@ void Transient::solve_full(StampContext& ctx) {
   // and retries with a smaller step.
   newton_converged_ = converged;
   std::swap(x_, iterate_);
-  lu_valid_ = false;  // lu_ now holds this step's factors, not the cache
   used_fast_path_ = false;
   ctx.iterate = &x_;
 }
@@ -239,7 +228,9 @@ double Transient::snap_to_ladder(double dt) const {
   const double r = opt_.dt_ladder_ratio;
   if (r <= 1.0 || dt <= opt_.dt_min) return std::max(dt, opt_.dt_min);
   // Snap down to dt_min * r^k; the slop keeps exact rungs on their rung.
-  const double k = std::floor(std::log(dt / opt_.dt_min) / std::log(r) + 1e-9);
+  // k >= 0 here, and the table holds exactly dt_min * std::pow(r, k).
+  const double k = std::floor(std::log(dt / opt_.dt_min) / log_ladder_ratio_ + 1e-9);
+  if (k < static_cast<double>(ladder_.size())) return ladder_[static_cast<std::size_t>(k)];
   return opt_.dt_min * std::pow(r, k);
 }
 
@@ -328,17 +319,16 @@ double Transient::step_adaptive(double t_end) {
     ctx.method = (history_count_ == 0 || !trap) ? Method::kBackwardEuler
                                                 : Method::kTrapezoidal;
     ctx.time = clamped ? limit : time_ + dt;
-    if (fast_path_eligible_) {
-      solve_lru(ctx);
-    } else {
-      solve_full(ctx);
-    }
+    solve_system(ctx);
     err = newton_converged_ ? lte_error_ratio(ctx.time) : 0.0;
     const bool accept = newton_converged_ && err <= 1.0;
     if (accept || dt <= opt_.dt_min * (1.0 + 1e-9) || attempt >= 30) break;
 
     // Reject: restore the last accepted state and retry smaller.
     ++rejections_;
+    if constexpr (obs::kEnabled) {
+      if (!newton_converged_) ++newton_rejections_;
+    }
     x_ = x_accept_;
     double shrink = 0.25;  // Newton failed: no usable error estimate
     if (newton_converged_) {
@@ -467,10 +457,13 @@ void Transient::set_telemetry(obs::MetricsRegistry* metrics, obs::Tracer* tracer
       id_steps_ = metrics_->counter("transient.steps");
       id_newton_ = metrics_->counter("transient.newton_iterations");
       id_hits_ = metrics_->counter("transient.lu_cache.hits");
+      id_content_hits_ = metrics_->counter("transient.lu_cache.content_hits");
       id_misses_ = metrics_->counter("transient.lu_cache.misses");
       id_invalidations_ = metrics_->counter("transient.lu_cache.invalidations");
       id_factorizations_ = metrics_->counter("transient.lu_factorizations");
       id_rejections_ = metrics_->counter("transient.dt_rejections");
+      id_lte_rejections_ = metrics_->counter("transient.dt_rejections.lte");
+      id_newton_rejections_ = metrics_->counter("transient.dt_rejections.newton");
       id_bp_hits_ = metrics_->counter("transient.dt_breakpoint_hits");
       id_evictions_ = metrics_->counter("transient.lu_cache.evictions");
       // Accepted step sizes, log10 seconds: 1 ns .. 1 s in ¼-decade buckets.
@@ -494,10 +487,13 @@ void Transient::publish_metrics() {
     flush(id_steps_, steps_, published_.steps);
     flush(id_newton_, newton_total_, published_.newton);
     flush(id_hits_, lu_hits_, published_.hits);
+    flush(id_content_hits_, lu_content_hits_, published_.content_hits);
     flush(id_misses_, lu_misses_, published_.misses);
     flush(id_invalidations_, lu_invalidations_, published_.invalidations);
     flush(id_factorizations_, lu_factorizations_, published_.factorizations);
     flush(id_rejections_, rejections_, published_.rejections);
+    flush(id_lte_rejections_, rejections_ - newton_rejections_, published_.lte_rejections);
+    flush(id_newton_rejections_, newton_rejections_, published_.newton_rejections);
     flush(id_bp_hits_, bp_hits_, published_.bp_hits);
     flush(id_evictions_, lu_evictions_, published_.evictions);
   }

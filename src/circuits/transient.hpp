@@ -7,22 +7,31 @@
 //
 // Linear fast path: when every component is linear and time-invariant in
 // its matrix contribution (see Component::linear_time_invariant), the MNA
-// matrix is constant for a given (dt, method), so it is stamped and
-// LU-factorized once and each step only re-stamps the right-hand side
-// (source values + companion-model history) and does an O(n²) in-place
-// substitution — no allocation, no O(n³) refactorization. The cache is
-// invalidated automatically when a switch toggles or a resistance changes
-// (matrix version tracking), and nonlinear circuits fall back to the full
-// Newton loop. See docs/PERFORMANCE.md.
+// matrix changes only with (dt, method) and with explicit mutations (a
+// switch toggling, a resistance changing). Such runs keep a small LRU of
+// LU factorizations, and a step whose matrix is cached only re-stamps the
+// right-hand side (source values + companion-model history) and does an
+// O(n²) in-place substitution — no allocation, no O(n³) refactorization.
+//
+// The cache has one exact rule. Each entry stores the matrix it factored.
+// A step first looks for an entry tagged with its (dt, method, matrix
+// epoch); on a tag miss it stamps its matrix and compares it bitwise
+// against every stored one, and only when none is equal does it factorize.
+// Equal bytes give equal factors, so a cached solve is bit-identical to a
+// fresh one by construction, and a switch toggling back to a topology it
+// has already visited reuses that topology's factors. When no component's
+// matrix stamp reads dt or method (Component::matrix_uses_dt), the tag is
+// the epoch alone. Nonlinear circuits fall back to the full Newton loop.
+// See docs/PERFORMANCE.md §1.
 //
 // Adaptive time-stepping (opt-in, `Options::adaptive`): a predictor-based
 // local-truncation-error estimate drives a PI step controller so duty-cycled
 // waveforms stretch dt through quiescent stretches and shrink it only at
-// edges. Accepted step sizes snap to a geometric dt-ladder feeding a small
-// LRU of LU factorizations; components may declare breakpoints so steps
-// land exactly on known discontinuities; `Options::observe_dt` turns the
-// run_until observer into dense output on a uniform grid. Fixed-step mode
-// remains the default and is bit-identical to the pre-adaptive engine.
+// edges. Accepted step sizes snap to a geometric dt-ladder (tabled once per
+// engine), so the factorization cache sees a few recurring dt values;
+// components may declare breakpoints so steps land exactly on known
+// discontinuities; `Options::observe_dt` turns the run_until observer into
+// dense output on a uniform grid. Fixed-step mode remains the default.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +54,14 @@ class Transient {
     int max_newton = 100;    // Newton iterations per step
     double tol_abs = 1e-9;   // absolute convergence tolerance [V / A]
     double tol_rel = 1e-6;   // relative convergence tolerance
-    // Cache the LU factorization across steps for linear circuits
+    // Cache LU factorizations across steps for linear circuits
     // (bit-identical waveforms either way; off forces the full
     // refactorize-every-step path).
     bool cache_linear_lu = true;
+    // Factorization cache slots (LRU). Each distinct matrix a run revisits
+    // needs one: a switched netlist has one per topology it visits, an
+    // adaptive RC run one per dt rung and method.
+    std::size_t lu_cache_capacity = 8;
 
     // --- Adaptive time-stepping (docs/PERFORMANCE.md §2) ------------------
     // Off by default: every existing caller keeps the fixed-step engine and
@@ -66,7 +79,6 @@ class Transient {
     // run settles onto 2-3 reusable LU factorizations instead of thrashing
     // the cache with a continuum of dt values. <= 1 disables snapping.
     double dt_ladder_ratio = 2.0;
-    std::size_t lu_cache_capacity = 4;  // dt-ladder LRU slots (adaptive only)
     // Dense output: > 0 makes the adaptive run_until observer fire on the
     // uniform grid t0 + k*observe_dt (solution linearly interpolated between
     // accepted steps) instead of at the irregular accepted times, so
@@ -105,10 +117,11 @@ class Transient {
     return circuit_.branch_current(x_, src.branch_index());
   }
   [[nodiscard]] int last_newton_iterations() const { return last_newton_; }
-  // True if the last step was solved via the cached-LU fast path.
+  // True if the last step was solved via the factorization cache.
   [[nodiscard]] bool used_fast_path() const { return used_fast_path_; }
   // Number of LU factorizations performed so far (fast path: one per
-  // cache rebuild; full path: one per Newton iteration).
+  // distinct matrix the cache had not held; full path: one per Newton
+  // iteration).
   [[nodiscard]] std::uint64_t lu_factorizations() const { return lu_factorizations_; }
 
   // --- Adaptive-run introspection (functional, never compiled out) ----------
@@ -116,9 +129,11 @@ class Transient {
   [[nodiscard]] std::uint64_t lte_rejections() const { return rejections_; }
   // Steps clamped to land exactly on a registered breakpoint.
   [[nodiscard]] std::uint64_t breakpoint_hits() const { return bp_hits_; }
-  // Live entries in the dt-ladder LRU (bounded by Options::lu_cache_capacity).
-  [[nodiscard]] std::size_t lu_cache_entries() const { return lu_lru_.size(); }
-  // Evictions of a still-current factorization (capacity pressure).
+  // Live entries in the factorization cache (bounded by
+  // Options::lu_cache_capacity).
+  [[nodiscard]] std::size_t lu_cache_entries() const { return lu_cache_.size(); }
+  // Evictions of a factorization tagged with the current matrix epoch
+  // (capacity pressure).
   [[nodiscard]] std::uint64_t lu_cache_evictions() const { return lu_evictions_; }
   // The controller's current proposal for the next step size.
   [[nodiscard]] double proposed_dt() const { return dt_next_; }
@@ -131,8 +146,8 @@ class Transient {
   void set_telemetry(obs::MetricsRegistry* metrics, obs::Tracer* tracer = nullptr);
   // Flush counter deltas since the last publish into the registry
   // ("transient.steps", "transient.newton_iterations",
-  // "transient.lu_cache.{hits,misses,invalidations,evictions}",
-  // "transient.lu_factorizations", "transient.dt_rejections",
+  // "transient.lu_cache.{hits,content_hits,misses,invalidations,evictions}",
+  // "transient.lu_factorizations", "transient.dt_rejections{,.lte,.newton}",
   // "transient.dt_breakpoint_hits"; accepted step sizes feed the
   // "transient.dt_log10" histogram). Safe to call repeatedly.
   void publish_metrics();
@@ -140,12 +155,17 @@ class Transient {
   // Accepted transient steps (fast or full path).
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
   [[nodiscard]] std::uint64_t newton_iterations_total() const { return newton_total_; }
-  // Fast-path steps served by the cached factorization / forced to rebuild.
-  // For a linear time-invariant run, hits + misses == steps.
+  // Fast-path solves served by a cached factorization / forced to
+  // factorize. Every solve attempt is one or the other, so for a linear
+  // time-invariant run hits + misses == attempts (== steps in fixed-step
+  // mode, where no attempt is rejected).
   [[nodiscard]] std::uint64_t lu_cache_hits() const { return lu_hits_; }
   [[nodiscard]] std::uint64_t lu_cache_misses() const { return lu_misses_; }
-  // Misses that evicted a previously-valid cache (switch toggled, dt or
-  // method changed), as opposed to the initial cold build.
+  // The hits whose tag missed but whose stamped matrix was bitwise equal to
+  // a cached one (a switch toggled back, or another dt gave the same bytes).
+  [[nodiscard]] std::uint64_t lu_cache_content_hits() const { return lu_content_hits_; }
+  // Misses that evicted a factorization of an older matrix epoch (a switch
+  // toggled or a resistance changed since it was used).
   [[nodiscard]] std::uint64_t lu_cache_invalidations() const { return lu_invalidations_; }
 
  private:
@@ -155,11 +175,9 @@ class Transient {
   void solve_system(StampContext& ctx);
   // Full per-iteration restamp + refactorize (Newton / DC / fallback).
   void solve_full(StampContext& ctx);
-  // Cached-LU rhs-only solve for linear time-invariant circuits (fixed-step
-  // single-slot cache; exact op order of the reference path).
+  // Linear time-invariant circuits: solve through the factorization cache
+  // (fixed-step and adaptive alike; exact op order of the reference path).
   void solve_cached(StampContext& ctx);
-  // Adaptive counterpart: dt-ladder LRU of factorizations.
-  void solve_lru(StampContext& ctx);
   // Commit companion-model history after an accepted step.
   void commit_step(StampContext& ctx);
   // One fixed step of the given size (extracted from step() so run_until
@@ -207,13 +225,10 @@ class Transient {
   std::vector<Component*> commit_comps_;
   std::vector<const Component*> rhs_comps_;
 
-  // Cached-LU key; the cache is rebuilt whenever it mismatches.
-  bool lu_valid_ = false;
-  double lu_dt_ = 0.0;
-  Method lu_method_ = Method::kTrapezoidal;
-  std::uint64_t lu_version_ = 0;
-
   bool fast_path_eligible_ = false;
+  // Some component's matrix stamp reads dt or method, so cache tags must
+  // match them too (capacitors, inductors).
+  bool matrix_uses_dt_ = true;
   bool used_fast_path_ = false;
   std::uint64_t lu_factorizations_ = 0;
 
@@ -232,17 +247,22 @@ class Transient {
   std::uint64_t rejections_ = 0;
   std::uint64_t bp_hits_ = 0;
   std::uint64_t lu_evictions_ = 0;
+  // The dt ladder's rungs dt_min * ratio^k up to dt_max, computed once with
+  // the expression snap_to_ladder would evaluate, and log(ratio).
+  std::vector<double> ladder_;
+  double log_ladder_ratio_ = 0.0;
 
-  // dt-ladder LRU of factorizations (adaptive runs only; the fixed-step
-  // single-slot cache above is untouched to preserve bit-identity).
-  struct LadderLu {
+  // LRU of factorizations, each with the matrix it factored and the tag of
+  // its last use. Entries hold pairwise distinct matrices.
+  struct CachedLu {
     double dt = 0.0;
     Method method = Method::kTrapezoidal;
-    std::uint64_t version = 0;
+    std::uint64_t epoch = 0;
     std::uint64_t tick = 0;  // LRU stamp
+    Matrix a;
     LuSolver lu;
   };
-  std::vector<LadderLu> lu_lru_;
+  std::vector<CachedLu> lu_cache_;
   std::uint64_t lu_tick_ = 0;
 
   // Observability accounting (all increments sit behind
@@ -251,20 +271,26 @@ class Transient {
   std::uint64_t newton_total_ = 0;
   std::uint64_t lu_hits_ = 0;
   std::uint64_t lu_misses_ = 0;
+  std::uint64_t lu_content_hits_ = 0;
   std::uint64_t lu_invalidations_ = 0;
+  std::uint64_t newton_rejections_ = 0;  // of rejections_; the rest are LTE's
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   struct PublishedCounters {
-    std::uint64_t steps = 0, newton = 0, hits = 0, misses = 0, invalidations = 0,
-                  factorizations = 0, rejections = 0, bp_hits = 0, evictions = 0;
+    std::uint64_t steps = 0, newton = 0, hits = 0, content_hits = 0, misses = 0,
+                  invalidations = 0, factorizations = 0, rejections = 0, lte_rejections = 0,
+                  newton_rejections = 0, bp_hits = 0, evictions = 0;
   } published_;
   obs::MetricId id_steps_ = obs::kInvalidMetric;
   obs::MetricId id_newton_ = obs::kInvalidMetric;
   obs::MetricId id_hits_ = obs::kInvalidMetric;
+  obs::MetricId id_content_hits_ = obs::kInvalidMetric;
   obs::MetricId id_misses_ = obs::kInvalidMetric;
   obs::MetricId id_invalidations_ = obs::kInvalidMetric;
   obs::MetricId id_factorizations_ = obs::kInvalidMetric;
   obs::MetricId id_rejections_ = obs::kInvalidMetric;
+  obs::MetricId id_lte_rejections_ = obs::kInvalidMetric;
+  obs::MetricId id_newton_rejections_ = obs::kInvalidMetric;
   obs::MetricId id_bp_hits_ = obs::kInvalidMetric;
   obs::MetricId id_evictions_ = obs::kInvalidMetric;
   obs::MetricId id_dt_hist_ = obs::kInvalidMetric;

@@ -13,19 +13,22 @@ PowerInterfaceIc::PowerInterfaceIc(BuildOptions opt) : opt_(opt) {
   PICO_REQUIRE(opt_.radio_sc_rail.value() > opt_.radio_rail.value(),
                "SC radio rail must leave headroom for the post-regulator");
 
+  // The topology analyses are pure functions of constant topologies (each a
+  // least-squares solve), so they are derived once and copied per build.
+  static const scopt::ConverterAnalysis kDoublerAnalysis(scopt::Topology::doubler());
+  static const scopt::ConverterAnalysis kStepDownAnalysis(scopt::Topology::step_down_3to2());
+
   // 1:2 doubler for the microcontroller/sensor rail (Fig 10a).
-  scopt::ConverterAnalysis mcu_an(scopt::Topology::doubler());
   mcu_conv_ = std::make_unique<ScConverterStage>(
       "SC 1:2 (mcu/sensor)",
-      scopt::SizedConverter(std::move(mcu_an), opt_.tech, opt_.die_cap_area_per_converter,
+      scopt::SizedConverter(kDoublerAnalysis, opt_.tech, opt_.die_cap_area_per_converter,
                             opt_.die_switch_area_per_converter),
       opt_.mcu_rail, opt_.mcu_design_load);
 
   // 3:2 step-down for the radio rail (Fig 10b).
-  scopt::ConverterAnalysis radio_an(scopt::Topology::step_down_3to2());
   radio_conv_ = std::make_unique<ScConverterStage>(
       "SC 3:2 (radio)",
-      scopt::SizedConverter(std::move(radio_an), opt_.tech, opt_.die_cap_area_per_converter,
+      scopt::SizedConverter(kStepDownAnalysis, opt_.tech, opt_.die_cap_area_per_converter,
                             opt_.die_switch_area_per_converter),
       opt_.radio_sc_rail, opt_.radio_design_load);
 

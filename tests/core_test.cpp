@@ -2,7 +2,9 @@
 // PicoCube node against the paper's headline behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/neutrality.hpp"
 #include "core/node.hpp"
@@ -265,6 +267,29 @@ TEST(Node, IcVersionRuns) {
   EXPECT_GT(r.frames_ok, 0u);
   // The IC's pad-ring leakage makes it idle hotter than v1 (paper §7.1).
   EXPECT_GT(r.average_power.value(), 8e-6);
+}
+
+TEST(Node, CircuitAdaptiveIcEnergiesPinned) {
+  // The IC node with its rectifier simulated as a netlist under adaptive
+  // transient stepping (the repo benchmark's node_circuit_adaptive, cut to
+  // 20 sim-s). The energies are pinned as bit patterns: solver caching must
+  // never move a waveform, so any change here is a real behaviour change.
+  NodeConfig cfg;
+  cfg.drive = harvest::make_city_cycle();
+  cfg.attach_harvester = true;
+  cfg.oscillator_failure_prob = 0.05;
+  cfg.seed = 2008;
+  cfg.power = NodeConfig::PowerVersion::kIc;
+  cfg.harvest_fidelity = NodeConfig::HarvestFidelity::kCircuitAdaptive;
+  PicoCubeNode node(cfg);
+  node.run(20_s);
+  const auto r = node.report();
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(r.battery_energy_out.value()), 0x3f2efb694ff24bf7ull);
+  EXPECT_EQ(bits(r.harvested_energy_in.value()), 0x3f8cf88b1b32522cull);
+  EXPECT_EQ(bits(r.management_overhead.value()), 0x3f2806c04d141cddull);
+  EXPECT_EQ(bits(r.soc_end), 0x3fe99b3ac3423fafull);
+  EXPECT_EQ(r.wake_cycles, 3u);
 }
 
 TEST(Node, SampleIntervalScalesPower) {

@@ -984,6 +984,50 @@ TEST(TransientObs, StepAndLuCountersReconcile) {
                    static_cast<double>(tr.steps()));
 }
 
+TEST(TransientObs, AdaptiveAttemptsAndRejectionCausesReconcile) {
+  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
+  // A switch toggling mid-run under adaptive stepping: content hits show
+  // up, and every solve attempt (accepted or rejected) is a hit or a miss.
+  circuits::Circuit c;
+  const auto in = c.node("in");
+  const auto out = c.node("out");
+  c.add<circuits::VoltageSource>("V", in, circuits::kGround,
+                                 [](double t) { return std::sin(6283.0 * t); });
+  auto* sw = c.add<circuits::Switch>("S", in, out, 10_Ohm, 1_MOhm, true);
+  c.add<circuits::Resistor>("R", out, circuits::kGround, 1_kOhm);
+  c.add<circuits::Capacitor>("C", out, circuits::kGround, 1_uF);
+  circuits::Transient::Options opt;
+  opt.adaptive = true;
+  opt.dt = 1e-6;
+  opt.dt_min = 1e-8;
+  opt.dt_max = 1e-4;
+  sw->set_controller([](const circuits::Vector&, double t) {
+    return std::fmod(t, 2e-3) < 1e-3;  // 1 ms on, 1 ms off
+  });
+  circuits::Transient tr(c, opt);
+  MetricsRegistry m;
+  tr.set_telemetry(&m);
+  tr.run_until(Duration{10e-3});
+
+  const MetricsSnapshot snap = m.snapshot();
+  const double attempts = snap.value("transient.steps") + snap.value("transient.dt_rejections");
+  EXPECT_GT(snap.value("transient.dt_rejections"), 0.0);
+  EXPECT_DOUBLE_EQ(snap.value("transient.lu_cache.hits") + snap.value("transient.lu_cache.misses"),
+                   attempts);
+  EXPECT_DOUBLE_EQ(snap.value("transient.lu_factorizations"),
+                   snap.value("transient.lu_cache.misses"));
+  EXPECT_GT(snap.value("transient.lu_cache.content_hits"), 0.0);
+  EXPECT_LE(snap.value("transient.lu_cache.content_hits"), snap.value("transient.lu_cache.hits"));
+  // A linear circuit's one-shot solve always converges: every rejection
+  // is the LTE estimate's.
+  EXPECT_DOUBLE_EQ(snap.value("transient.dt_rejections.lte") +
+                       snap.value("transient.dt_rejections.newton"),
+                   snap.value("transient.dt_rejections"));
+  EXPECT_DOUBLE_EQ(snap.value("transient.dt_rejections.newton"), 0.0);
+  EXPECT_DOUBLE_EQ(snap.value("transient.lu_cache.content_hits"),
+                   static_cast<double>(tr.lu_cache_content_hits()));
+}
+
 TEST(NodeObs, HarvestCullCountersPublish) {
   if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   core::NodeConfig cfg;

@@ -2,12 +2,15 @@
 // harness (adaptive vs fixed-dt reference waveforms), the LTE step
 // controller's properties (rejection floor, growth cap, exact breakpoint
 // landing), the dt-ladder LRU cache bound, dense output, and the
-// final-step clamp of run_until (fixed mode included).
+// final-step clamp of run_until (fixed mode included), and the
+// factorization cache under adaptive stepping (exact reuse, dt tagging).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "circuits/circuit.hpp"
@@ -387,6 +390,102 @@ TEST(TransientAdaptive, AdaptiveModeLandsExactlyOnTEnd) {
   const double t_end = 3.7e-3;
   tr.run_until(Duration{t_end});
   EXPECT_DOUBLE_EQ(tr.time(), t_end);
+}
+
+TEST(TransientAdaptive, SyncRectifierCacheBitIdenticalToFullSolve) {
+  // The node's circuit-fidelity harvest netlist under PicoCubeNode's
+  // kCircuitAdaptive options, the shaker spinning up through the rectifier's
+  // conduction threshold. Every accepted (t, x) must equal the full-solve
+  // reference to the bit, and since the cache factors each distinct matrix
+  // once, it factors no more often than there are switch topologies.
+  harvest::SpeedProfile profile(std::vector<harvest::SpeedProfile::Point>{
+      {0.0, 20.0}, {1.0, 80.0}, {2.0, 40.0}});
+  harvest::ElectromagneticShaker shaker(profile);
+  struct Run {
+    std::vector<std::uint64_t> bits;  // t, then x, per accepted step
+    std::set<unsigned> topologies;    // switch on/off patterns stepped with
+    std::uint64_t factorizations = 0;
+  };
+  const auto run = [&](bool cache) {
+    auto rc = power::build_sync_rectifier_circuit(shaker, Voltage{1.25}, Resistance{2.0});
+    std::vector<const Switch*> switches;
+    for (const auto& comp : rc.circuit->components()) {
+      if (const auto* sw = dynamic_cast<const Switch*>(comp.get())) switches.push_back(sw);
+    }
+    Transient::Options opt;
+    opt.adaptive = true;
+    opt.dt = 2e-5;
+    opt.dt_min = 1e-7;
+    opt.dt_max = 1e-3;
+    opt.lte_tol = 5e-4;
+    opt.cache_linear_lu = cache;
+    Transient tr(*rc.circuit, opt);
+    Run r;
+    tr.run_until(Duration{2.0}, [&](double t, const Vector& x) {
+      r.bits.push_back(std::bit_cast<std::uint64_t>(t));
+      for (std::size_t i = 0; i < x.size(); ++i) r.bits.push_back(std::bit_cast<std::uint64_t>(x[i]));
+      // Switches change state only in the next step's pre_step, so this is
+      // the topology every attempt of the step just taken was solved with.
+      unsigned pattern = 0;
+      for (std::size_t i = 0; i < switches.size(); ++i) {
+        if (switches[i]->is_on()) pattern |= 1u << i;
+      }
+      r.topologies.insert(pattern);
+    });
+    r.factorizations = tr.lu_factorizations();
+    EXPECT_EQ(tr.used_fast_path(), cache);
+    return r;
+  };
+  const Run cached = run(true);
+  const Run full = run(false);
+  ASSERT_EQ(cached.bits.size(), full.bits.size());
+  for (std::size_t i = 0; i < cached.bits.size(); ++i) {
+    ASSERT_EQ(cached.bits[i], full.bits[i]) << "word " << i;
+  }
+  EXPECT_GE(cached.topologies.size(), 3u);  // the switches did toggle
+  EXPECT_GE(cached.factorizations, 1u);
+  EXPECT_LE(cached.factorizations, cached.topologies.size());
+  EXPECT_GT(full.factorizations, 1000u * cached.factorizations);
+}
+
+TEST(TransientAdaptive, CapacitorKeepsDtInCacheTag) {
+  // The epoch-only cache tag applies only when no matrix stamp reads dt.
+  // An RC circuit walking up the dt ladder factors once per rung; the same
+  // walk over a resistive divider factors once in all.
+  const auto factorizations = [](bool with_cap) {
+    Circuit c;
+    const Node in = c.node("in");
+    const Node out = c.node("out");
+    c.add<VoltageSource>("vin", in, kGround, Voltage{1.0});
+    c.add<Resistor>("r", in, out, Resistance{1e3});
+    if (with_cap) {
+      c.add<Capacitor>("c", out, kGround, Capacitance{1e-6});
+    } else {
+      c.add<Resistor>("r2", out, kGround, Resistance{1e3});
+    }
+    Transient::Options opt;
+    opt.adaptive = true;
+    opt.method = Method::kBackwardEuler;  // one method: the rung alone sets the matrix
+    opt.dt_min = std::ldexp(1.0, -20);    // binary rungs, so times add up exactly
+    opt.dt = opt.dt_min;
+    opt.dt_max = 8.0 * opt.dt_min;
+    opt.growth_cap = 2.0;
+    opt.lte_tol = 1e6;  // LTE never binds: dt doubles every step up to dt_max
+    Transient tr(c, opt);
+    std::vector<double> dts;
+    double prev = 0.0;
+    tr.run_until(Duration{87.0 * opt.dt_min}, [&](double t, const Vector&) {
+      dts.push_back(t - prev);
+      prev = t;
+    });
+    EXPECT_EQ(dts.size(), 13u);  // 1 + 2 + 4 + ten steps of 8 dt_min
+    for (std::size_t i = 0; i < dts.size(); ++i) {
+      EXPECT_EQ(dts[i], opt.dt_min * static_cast<double>(1 << std::min<std::size_t>(i, 3)));
+    }
+    return tr.lu_factorizations();
+  };
+  EXPECT_EQ(factorizations(/*with_cap=*/true), 4u);  // rungs 1, 2, 4 and 8 dt_min
+  EXPECT_EQ(factorizations(/*with_cap=*/false), 1u);
 }
 
 }  // namespace

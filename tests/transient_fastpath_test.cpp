@@ -1,9 +1,11 @@
 // Tests for the cached-LU linear fast path of the transient engine:
 // bit-identical waveforms with the cache on vs off, automatic fallback
-// for nonlinear circuits, and cache invalidation on matrix mutations.
+// for nonlinear circuits, cache invalidation on matrix mutations, and
+// factor reuse when a matrix returns to one already factored.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "circuits/circuit.hpp"
@@ -170,6 +172,57 @@ TEST(TransientFastPath, RedundantSetOnDoesNotRefactorize) {
   sw->set_on(true);  // no state change -> no version bump
   tr.step();
   EXPECT_EQ(tr.lu_factorizations(), f);
+}
+
+struct ToggleRun {
+  std::vector<double> v;
+  std::vector<std::uint64_t> factorizations;  // running total after each phase
+  std::uint64_t content_hits = 0;
+};
+
+// A switch flipping between two topologies every 50 steps.
+ToggleRun run_toggling(bool cache) {
+  Circuit c;
+  const Node in = c.node("in");
+  const Node out = c.node("out");
+  c.add<VoltageSource>("vin", in, kGround, Voltage{1.0});
+  Switch* sw = c.add<Switch>("sw", in, out, Resistance{10.0}, Resistance{1e6}, true);
+  c.add<Resistor>("load", out, kGround, Resistance{1e3});
+  c.add<Capacitor>("cap", out, kGround, Capacitance{1e-7});
+  Transient::Options opt;
+  opt.method = Method::kBackwardEuler;  // one method: no BE->trap refactor
+  opt.dt = 1e-6;
+  opt.cache_linear_lu = cache;
+  Transient tr(c, opt);
+  ToggleRun r;
+  for (int phase = 0; phase < 6; ++phase) {
+    sw->set_on(phase % 2 == 0);
+    for (int i = 0; i < 50; ++i) {
+      tr.step();
+      r.v.push_back(tr.voltage(out));
+    }
+    r.factorizations.push_back(tr.lu_factorizations());
+  }
+  r.content_hits = tr.lu_cache_content_hits();
+  return r;
+}
+
+TEST(TransientFastPath, TogglingBackReusesFactorization) {
+  // Each topology is factored once; every later return to it carries a new
+  // epoch but is served from the cache by matrix content, with the
+  // full-solve waveform to the bit.
+  const ToggleRun cached = run_toggling(/*cache=*/true);
+  const ToggleRun full = run_toggling(/*cache=*/false);
+  ASSERT_EQ(cached.v.size(), full.v.size());
+  for (std::size_t i = 0; i < cached.v.size(); ++i) {
+    ASSERT_EQ(cached.v[i], full.v[i]) << "sample " << i;
+  }
+  // Phase 0 factors the on topology, phase 1 the off one; phases 2-5
+  // toggle back to a factored topology and factorize nothing.
+  EXPECT_EQ(cached.factorizations, (std::vector<std::uint64_t>{1, 2, 2, 2, 2, 2}));
+  if (obs::kEnabled) {
+    EXPECT_EQ(cached.content_hits, 4u);
+  }
 }
 
 }  // namespace
