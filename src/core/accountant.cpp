@@ -1,5 +1,7 @@
 #include "core/accountant.hpp"
 
+#include <array>
+
 #include "common/error.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -64,10 +66,15 @@ void PowerAccountant::integrate_to_now() {
     energy_out_ += vb.value() * draw.value() * dt;
   }
   energy_in_ += vb.value() * harvest_.value() * dt;
-  // Device-level (rail-referred) energies.
+  // Device-level (rail-referred) energies. A rail's voltage depends only on
+  // (rail, vb, loads_) and the train's gating, all fixed over the interval,
+  // so price each rail once and bill every device on it from that value.
+  std::array<double, static_cast<std::size_t>(RailId::kCount)> v_rail{};
+  for (std::size_t r = 0; r < v_rail.size(); ++r) {
+    v_rail[r] = train_.rail_voltage(static_cast<RailId>(r), vb, loads_).value();
+  }
   for (auto& d : devices_) {
-    const Voltage vr = train_.rail_voltage(d.rail, vb, loads_);
-    d.energy_j += vr.value() * d.current.value() * dt;
+    d.energy_j += v_rail[static_cast<std::size_t>(d.rail)] * d.current.value() * dt;
   }
   last_time_ = now;
   if (moved.hit_empty && !empty_signaled_) {

@@ -65,10 +65,13 @@ class PowerAccountant {
   void set_empty_callback(std::function<void()> cb) { on_empty_ = std::move(cb); }
   [[nodiscard]] bool battery_died() const { return empty_signaled_; }
 
-  // Waveform recording on/off (on by default). Fleet-scale runs disable it:
-  // recording eight channels per device event is the accountant's main
-  // memory/allocation cost, and nobody reads 100k nodes' waveforms. Energy
-  // integration is unaffected.
+  // Waveform recording on/off (on by default). Nodes the library builds and
+  // throws away disable it: core::FleetAnalysis::run, the calibration runs
+  // in fleet::CycleProfile::calibrate and
+  // core::NeutralityAnalysis::average_node_power. Recording eight channels
+  // per device event is the accountant's main time and memory cost, and
+  // nobody reads those waveforms. Energy integration is unaffected; the
+  // channels keep the one sample taken at construction.
   void set_recording(bool on) { recording_ = on; }
   [[nodiscard]] bool recording() const { return recording_; }
 

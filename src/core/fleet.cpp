@@ -66,6 +66,9 @@ FleetResult FleetAnalysis::run(const FleetConfig& cfg) {
     nc.link.uplink = cfg.uplink;
     nc.link.downlink = cfg.downlink;
     auto node = std::make_unique<PicoCubeNode>(std::move(nc), &sim);
+    // The nodes are discarded after the run, so nobody reads their
+    // waveforms; recording them cost about half the timeline's wall time.
+    node->accountant().set_recording(false);
     node->attach_to_base_station(bs);
     nodes.push_back(std::move(node));
   }

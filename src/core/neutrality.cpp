@@ -7,6 +7,7 @@ namespace pico::core {
 Power NeutralityAnalysis::average_node_power(NodeConfig cfg, Duration sim_time) {
   cfg.attach_harvester = false;  // measure consumption alone
   PicoCubeNode node(std::move(cfg));
+  node.accountant().set_recording(false);  // only the report is read
   node.run(sim_time);
   return node.report().average_power;
 }

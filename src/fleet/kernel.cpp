@@ -36,6 +36,7 @@ CycleProfile CycleProfile::calibrate(const core::NodeConfig& cfg) {
   const double interval = nc.sample_interval.value();
   const auto run_energy = [&](const core::NodeConfig& rc, double until, bool extract) {
     core::PicoCubeNode node(rc);
+    node.accountant().set_recording(false);  // energies only; nobody reads its waveforms
     if (extract) {
       // Battery constants for the depletion ledger, read before the run
       // touches the cell: the budget is the OCV-integrated energy actually

@@ -16,28 +16,40 @@ TireEnvironment::TireEnvironment(harvest::SpeedProfile profile, Params p)
   PICO_REQUIRE(prm_.thermal_tau.value() > 0.0, "thermal time constant must be positive");
 }
 
+const TireEnvironment::ThermalTaps& TireEnvironment::thermal_taps() const {
+  if (!taps_) {
+    const double tau = prm_.thermal_tau.value();
+    const double window = 6.0 * tau;
+    ThermalTaps& taps = taps_.emplace();
+    for (int k = 0; k < kThermalTaps; ++k) {
+      const double age = window * (k + 0.5) / kThermalTaps;
+      const double w = std::exp(-age / tau);
+      taps.age[static_cast<std::size_t>(k)] = age;
+      taps.weight[static_cast<std::size_t>(k)] = w;
+      taps.norm += w;
+    }
+  }
+  return *taps_;
+}
+
 Temperature TireEnvironment::temperature(double t) const {
   // First-order response to the speed-dependent equilibrium, approximated
   // by an exponentially-weighted average of recent wheel speed.
-  const double tau = prm_.thermal_tau.value();
-  const int n = 24;
-  const double window = 6.0 * tau;
+  const ThermalTaps& taps = thermal_taps();
   double weighted = 0.0;
-  double norm = 0.0;
-  for (int k = 0; k < n; ++k) {
-    const double age = window * (k + 0.5) / n;
-    const double s = t - age;
-    const double w = std::exp(-age / tau);
-    weighted += w * (s >= 0.0 ? profile_.omega(s) : 0.0);
-    norm += w;
+  for (std::size_t k = 0; k < taps.age.size(); ++k) {
+    const double s = t - taps.age[k];
+    weighted += taps.weight[k] * (s >= 0.0 ? profile_.omega(s) : 0.0);
   }
-  const double omega_avg = weighted / norm;
+  const double omega_avg = weighted / taps.norm;
   return Temperature{prm_.ambient.value() + prm_.heatup_k_per_rad_per_s * omega_avg};
 }
 
-Pressure TireEnvironment::pressure(double t) const {
+Pressure TireEnvironment::pressure(double t) const { return pressure(t, temperature(t)); }
+
+Pressure TireEnvironment::pressure(double t, Temperature temperature) const {
   // Gay-Lussac from the cold fill, with an optional slow leak.
-  const double temp_ratio = temperature(t).value() / prm_.cold_temperature.value();
+  const double temp_ratio = temperature.value() / prm_.cold_temperature.value();
   const double leak = 1.0 - prm_.leak_per_day * t / 86400.0;
   return Pressure{prm_.cold_pressure.value() * temp_ratio * std::max(leak, 0.0)};
 }

@@ -12,6 +12,8 @@
 // table, is picked up and waved, and is put down again.
 #pragma once
 
+#include <array>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -39,14 +41,30 @@ class TireEnvironment {
 
   [[nodiscard]] Temperature temperature(double t) const;
   [[nodiscard]] Pressure pressure(double t) const;
+  // The same pressure from a temperature already evaluated at `t` (what
+  // temperature(t) returns), so a sampler runs the thermal model once.
+  [[nodiscard]] Pressure pressure(double t, Temperature temperature) const;
   // Radial (centripetal) acceleration at the node mount.
   [[nodiscard]] Acceleration radial_accel(double t) const;
   [[nodiscard]] const harvest::SpeedProfile& profile() const { return profile_; }
   [[nodiscard]] const Params& params() const { return prm_; }
 
  private:
+  // The thermal average's sample ages and weights depend only on
+  // thermal_tau. They are tabled on the first temperature() call rather
+  // than in the constructor, which node setup pays for; that first call
+  // writes the table, so it must not race with another on one instance.
+  static constexpr int kThermalTaps = 24;
+  struct ThermalTaps {
+    std::array<double, kThermalTaps> age{};
+    std::array<double, kThermalTaps> weight{};
+    double norm = 0.0;
+  };
+  [[nodiscard]] const ThermalTaps& thermal_taps() const;
+
   harvest::SpeedProfile profile_;
   Params prm_;
+  mutable std::optional<ThermalTaps> taps_;
 };
 
 // A 3-axis acceleration sample in units of m/s^2.

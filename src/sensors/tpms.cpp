@@ -49,8 +49,8 @@ void Sp12Tpms::measure(mcu::Msp430& cpu, std::function<void(const TpmsSample&)> 
     // Readout over SPI; the sample is timestamped at conversion end.
     const double t = sim_.now().value();
     sample_.timestamp = sim_.now();
-    sample_.pressure = env_.pressure(t);
     sample_.temperature = env_.temperature(t);
+    sample_.pressure = env_.pressure(t, sample_.temperature);
     sample_.accel = env_.radial_accel(t);
     sample_.supply = vdd_;
     cpu.spi_transfer(prm_.spi_frame_bytes, [this] {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -302,6 +304,52 @@ TEST(NetNode, ArqNodeDeliversAndReportsEnergyPerBit) {
   }
 }
 
+TEST(NetNode, RecordingOffChangesNothingButTraces) {
+  // Waveform recording is output only: switching it off must leave every
+  // energy, device ledger and interval count bit-identical, and the traces
+  // must hold only the sample the accountant takes at construction.
+  auto run = [](bool recording) {
+    core::NodeConfig nc;
+    nc.sensor = core::NodeConfig::Sensor::kTpms;
+    nc.drive = harvest::make_city_cycle();
+    nc.seed = 77;
+    nc.link.mode = core::NodeConfig::Link::Mode::kArq;
+    nc.link.own_base_station = true;
+    auto node = std::make_unique<core::PicoCubeNode>(nc);
+    node->accountant().set_recording(recording);
+    node->run(120_s);
+    return node;
+  };
+  const auto on = run(true);
+  const auto off = run(false);
+  const core::NodeReport a = on->report();
+  const core::NodeReport b = off->report();
+  EXPECT_EQ(a.battery_energy_out.value(), b.battery_energy_out.value());
+  EXPECT_EQ(a.harvested_energy_in.value(), b.harvested_energy_in.value());
+  EXPECT_EQ(a.average_power.value(), b.average_power.value());
+  EXPECT_EQ(a.sleep_floor.value(), b.sleep_floor.value());
+  EXPECT_EQ(a.management_overhead.value(), b.management_overhead.value());
+  EXPECT_EQ(a.soc_end, b.soc_end);
+  EXPECT_EQ(a.wake_cycles, b.wake_cycles);
+  EXPECT_EQ(a.frames_ok, b.frames_ok);
+  ASSERT_EQ(a.devices.size(), b.devices.size());
+  for (std::size_t i = 0; i < a.devices.size(); ++i) {
+    EXPECT_EQ(a.devices[i].name, b.devices[i].name);
+    EXPECT_EQ(a.devices[i].energy_j, b.devices[i].energy_j) << a.devices[i].name;
+    EXPECT_EQ(a.devices[i].current.value(), b.devices[i].current.value()) << a.devices[i].name;
+  }
+  EXPECT_EQ(on->accountant().integration_intervals(), off->accountant().integration_intervals());
+  EXPECT_GT(a.wake_cycles, 0u);
+  EXPECT_GT(on->link_layer()->counters().acked, 0u);
+
+  const std::vector<std::string> channels = off->traces().names();
+  EXPECT_FALSE(channels.empty());
+  for (const std::string& name : channels) {
+    EXPECT_EQ(off->traces().find(name)->size(), 1u) << name;
+    EXPECT_GT(on->traces().find(name)->size(), 1u) << name;
+  }
+}
+
 // --- Shared-medium fleet: determinism ---------------------------------------
 
 core::FleetConfig shared_fleet(bool arq) {
@@ -363,6 +411,29 @@ TEST(NetSharedMedium, FourWheelsTwoHoursPinTheE15Table) {
   // The four drawn timers (6.0138, 5.9573, 6.0277, 6.0077 s), bit for bit.
   EXPECT_EQ(r.intervals_s, (std::vector<double>{0x1.80e2c70824410p+2, 0x1.7d44126602038p+2,
                                                 0x1.81c56647fbbbap+2, 0x1.807dc79f94af0p+2}));
+}
+
+TEST(NetSharedMedium, ArqReferencePinned) {
+  // The ARQ reference the fleet kernel is measured against, pinned
+  // exactly: 16 ARQ nodes on the shared timeline for 15 minutes.
+  core::FleetConfig cfg;
+  cfg.nodes = 16;
+  cfg.sim_time = Duration{900.0};
+  cfg.arq = true;
+  cfg.seed = 2008;
+  const auto r = core::FleetAnalysis::run(cfg);
+  EXPECT_EQ(r.frames_total, 2446u);
+  EXPECT_EQ(r.frames_collided, 58u);
+  EXPECT_EQ(r.frames_captured, 0u);
+  EXPECT_EQ(r.frames_delivered, 2388u);
+  EXPECT_EQ(r.dup_rx, 0u);
+  EXPECT_EQ(r.tx_attempts, 2446u);
+  EXPECT_EQ(r.retries, 58u);
+  EXPECT_EQ(r.acked, 2388u);
+  EXPECT_EQ(r.arq_failed, 0u);
+  EXPECT_EQ(r.delivered_payload_bits, 152832u);
+  EXPECT_EQ(r.energy_out_j, 0x1.c9266d5bdfa21p-4);
+  EXPECT_EQ(r.energy_per_delivered_bit_j, 0x1.880fcdb5474bfp-21);
 }
 
 }  // namespace

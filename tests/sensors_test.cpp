@@ -52,6 +52,39 @@ TEST(TireEnvironment, CentripetalAccel) {
   EXPECT_GT(env.radial_accel(10.0).value() / 9.81, 100.0);
 }
 
+TEST(TireEnvironment, TemperatureAndPressurePinned) {
+  // Exact samples of the tire model on two drive cycles and a fast, leaky
+  // tire (tau = 120 s), so any re-arrangement of the weighted average has
+  // to keep every bit.
+  TireEnvironment highway(harvest::make_highway_cycle());
+  TireEnvironment city(harvest::make_city_cycle());
+  TireEnvironment::Params p;
+  p.thermal_tau = Duration{120.0};
+  p.leak_per_day = 0.05;
+  TireEnvironment quick(harvest::make_city_cycle(), p);
+  struct Pin {
+    const TireEnvironment* env;
+    double t;
+    double kelvin;
+    double pascal;
+  };
+  const Pin pins[] = {
+      {&highway, 250.0, 0x1.32af671e95e93p+8, 0x1.c990b221058d3p+17},
+      {&highway, 900.5, 0x1.3f79339bc71c2p+8, 0x1.dca51b632358p+17},
+      {&highway, 3600.0, 0x1.46f85b8ad43fep+8, 0x1.e7d46e5b2f39bp+17},
+      {&city, 250.0, 0x1.27b544cd49845p+8, 0x1.b9300f0a0f683p+17},
+      {&city, 900.5, 0x1.28dd793e2f22dp+8, 0x1.bae9fcd5d51a7p+17},
+      {&city, 3600.0, 0x1.2ad4263328db5p+8, 0x1.bdd7f6fe37addp+17},
+      {&quick, 250.0, 0x1.297829ab8e29dp+8, 0x1.bbc057799f3bap+17},
+      {&quick, 900.5, 0x1.2ad4263328db5p+8, 0x1.bd9c7c68edd41p+17},
+      {&quick, 3600.0, 0x1.2a27f6e57dc6ap+8, 0x1.bbe9d2781e9e2p+17},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(pin.env->temperature(pin.t).value(), pin.kelvin) << "t = " << pin.t;
+    EXPECT_EQ(pin.env->pressure(pin.t).value(), pin.pascal) << "t = " << pin.t;
+  }
+}
+
 TEST(MotionScenario, GravityWhenStill) {
   const auto demo = MotionScenario::retreat_demo();
   const auto a = demo.at(5.0);  // before the first pickup
