@@ -302,6 +302,7 @@ void PicoCubeNode::update_harvest() {
     ++harvest_windows_;
     if (res.samples_evaluated == 0) ++harvest_windows_skipped_;
     harvest_samples_ += static_cast<std::uint64_t>(res.samples_evaluated);
+    harvest_visited_ += static_cast<std::uint64_t>(res.samples_visited);
   }
   accountant_.set_harvest_current(Current{res.avg_current.value() * harvest_derate_});
 }
@@ -462,6 +463,7 @@ void PicoCubeNode::publish_metrics(obs::MetricsRegistry& m) const {
       m.add(m.counter("harvest.windows"), static_cast<double>(harvest_windows_));
       m.add(m.counter("harvest.windows_skipped"), static_cast<double>(harvest_windows_skipped_));
       m.add(m.counter("harvest.samples_evaluated"), static_cast<double>(harvest_samples_));
+      m.add(m.counter("harvest.samples_visited"), static_cast<double>(harvest_visited_));
     }
     if (harvest_tr_) {
       // Circuit-level harvest engine: steps, LU-cache traffic, rejected

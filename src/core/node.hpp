@@ -246,10 +246,12 @@ class PicoCubeNode {
   std::unique_ptr<circuits::Transient> harvest_tr_;
   double harvest_i_prev_ = 0.0;  // battery branch current at the last accepted step
   // Behavioral estimator work (published as harvest.*): rectify windows,
-  // those that evaluated no sample, and samples evaluated.
+  // those that evaluated no sample, samples evaluated, and samples whose
+  // speed profile was looked up.
   std::uint64_t harvest_windows_ = 0;
   std::uint64_t harvest_windows_skipped_ = 0;
   std::uint64_t harvest_samples_ = 0;
+  std::uint64_t harvest_visited_ = 0;
 
   // Fault injection (armed at boot when cfg_.faults is non-empty).
   std::unique_ptr<fault::FaultInjector> fault_injector_;

@@ -19,9 +19,10 @@ double Harvester::emf_bound(double, double) const {
 }
 
 int Harvester::sweep_emf(double t0, double dt, int k0, int k1, double /*quiet*/,
-                         double* out) const {
+                         double* out, int* visited) const {
   int n = 0;
   for (int k = k0; k < k1; ++k) out[n++] = open_circuit_voltage(t0 + (k + 0.5) * dt);
+  if (visited != nullptr) *visited = n;
   return n;
 }
 
@@ -44,11 +45,12 @@ ElectromagneticShaker::ElectromagneticShaker(SpeedProfile profile, Params p)
                "EMF coefficient and clamp must be non-negative");
 }
 
-double ElectromagneticShaker::ring_age(double omega, double angle) const {
-  // Rotation phase in "pulse units": a pulse fires each time the phase
-  // crosses an integer.
-  const double pulse_phase = angle / (2.0 * M_PI) * prm_.pulses_per_rev;
-  const double frac = pulse_phase - std::floor(pulse_phase);
+double ElectromagneticShaker::pulse_phase(double angle) const {
+  return angle / (2.0 * M_PI) * prm_.pulses_per_rev;
+}
+
+double ElectromagneticShaker::ring_age(double omega, double phase) const {
+  const double frac = phase - std::floor(phase);
   // Time since the last magnet pass, approximated with the current speed
   // (speed changes slowly relative to a revolution).
   const double pulse_rate = omega / (2.0 * M_PI) * prm_.pulses_per_rev;  // pulses/s
@@ -65,7 +67,7 @@ double ElectromagneticShaker::ring_voltage(double omega, double since) const {
 double ElectromagneticShaker::open_circuit_voltage(double t) const {
   const double omega = profile_.omega(t);
   if (omega < prm_.min_omega) return 0.0;
-  return ring_voltage(omega, ring_age(omega, profile_.angle(t)));
+  return ring_voltage(omega, ring_age(omega, pulse_phase(profile_.angle(t))));
 }
 
 namespace {
@@ -75,41 +77,78 @@ constexpr double kOmegaMargin = 1e-9;
 // Slack on the ring-age cutoff, in e-folds: covers the rounding of exp,
 // log, the division and the two products of ring_voltage.
 constexpr double kDecayMargin = 1e-9;
+// Bound on how far two computed pulse phases of one sweep can stray from
+// the exact phase difference of their sample times, in pulses: an absolute
+// floor for the profile's interpolation and cumulative-angle rounding, plus
+// ~45 ulps of the phase and of the phase advance over one ulp of the time
+// (sample-time and loop-folding rounding), so it holds deep into long runs.
+constexpr double kPhaseSlack = 1e-6;
+constexpr double kPhaseSlackRel = 1e-14;
 }  // namespace
 
-double ElectromagneticShaker::emf_bound(double t0, double t1) const {
+double ElectromagneticShaker::emf_bound_at(double w) const {
   // |voc| <= vpeak = min(k * omega, clamp): the ring envelope and the sine
   // never exceed 1, and a product with a factor <= 1 rounds to at most the
   // other factor.
-  const double w = profile_.max_omega(t0, t1) * (1.0 + kOmegaMargin);
   if (w < prm_.min_omega) return 0.0;  // every sample is below min_omega
   return std::min(prm_.volts_per_rad_per_s * w, prm_.clamp.value());
 }
 
+double ElectromagneticShaker::emf_bound(double t0, double t1) const {
+  return emf_bound_at(profile_.max_omega(t0, t1) * (1.0 + kOmegaMargin));
+}
+
 int ElectromagneticShaker::sweep_emf(double t0, double dt, int k0, int k1, double quiet,
-                                     double* out) const {
+                                     double* out, int* visited) const {
   // |voc| <= bound * exp(-since / tau), so once the ring age passes
   // since / tau >= ln(bound / quiet) no sample can exceed `quiet`.
   double decay_cut = std::numeric_limits<double>::infinity();
-  if (quiet > 0.0) {
-    const double bound = emf_bound(t0 + k0 * dt, t0 + k1 * dt);
-    decay_cut = bound <= quiet ? 0.0 : std::log(bound / quiet) + kDecayMargin;
-  }
-  const bool drop_silent = quiet >= 0.0;  // below min_omega the EMF is exactly 0
+  // Peak pulse rate over the chunk (pulses/s); 0 while nothing is culled.
+  double r_max = 0.0;
   const double tau = prm_.ring_decay.value();
+  if (quiet > 0.0) {
+    const double w = profile_.max_omega(t0 + k0 * dt, t0 + k1 * dt) * (1.0 + kOmegaMargin);
+    const double bound = emf_bound_at(w);
+    decay_cut = bound <= quiet ? 0.0 : std::log(bound / quiet) + kDecayMargin;
+    r_max = w / (2.0 * M_PI) * prm_.pulses_per_rev * (1.0 + kOmegaMargin);
+  }
+  // Pulse skipping. The phase only grows, at no more than r_max, and the
+  // ring age is frac / rate with rate <= r_max. So once a culled sample's
+  // pulse fraction satisfies (frac - slack) / r_max >= cut * tau, every
+  // sample before the next magnet pass is culled too: its fraction is at
+  // least frac - slack and its rate at most r_max. The pass cannot come
+  // sooner than (1 - frac - slack) / r_max; one sample of time slack and a
+  // second `slack` keep the jump short of it. Visited samples run exactly
+  // the operations they would without the jump, so the output is the same.
+  const double skip_age = decay_cut * tau * (1.0 + kDecayMargin);
+  const bool drop_silent = quiet >= 0.0;  // below min_omega the EMF is exactly 0
   SpeedProfile::Cursor cursor(profile_);
   int n = 0;
+  int looked_up = 0;
   for (int k = k0; k < k1; ++k) {
+    ++looked_up;
     const double t = t0 + (k + 0.5) * dt;
-    const double omega = cursor.omega(t);
+    const auto [omega, angle] = cursor.sample(t);
     if (omega < prm_.min_omega) {
       if (!drop_silent) out[n++] = 0.0;
       continue;
     }
-    const double since = ring_age(omega, cursor.angle(t));
-    if (since / tau >= decay_cut) continue;
+    const double phase = pulse_phase(angle);
+    const double since = ring_age(omega, phase);
+    if (since / tau >= decay_cut) {
+      const double frac = phase - std::floor(phase);
+      const double slack =
+          kPhaseSlack + kPhaseSlackRel * (std::fabs(phase) + r_max * std::fabs(t));
+      if ((frac - slack) / r_max >= skip_age) {
+        // Clamped in double: a tiny dt makes the count overflow int.
+        const double jump = std::floor((1.0 - frac - 2.0 * slack) / (r_max * dt)) - 1.0;
+        if (jump >= 1.0) k += static_cast<int>(std::min(jump, static_cast<double>(k1 - 1 - k)));
+      }
+      continue;
+    }
     out[n++] = ring_voltage(omega, since);
   }
+  if (visited != nullptr) *visited = looked_up;
   return n;
 }
 

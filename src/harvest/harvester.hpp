@@ -38,9 +38,12 @@ class Harvester {
   // open_circuit_voltage(t0 + (k + 0.5) * dt) for k in [k0, k1), in order
   // and bit for bit, to `out` — except that a sample whose |voc| is
   // provably <= `quiet` may be left out (quiet < 0: none may). Returns the
-  // number written, at most k1 - k0. The default evaluates every sample.
+  // number written, at most k1 - k0. If `visited` is non-null it receives
+  // the number of samples the model looked at (between the number written
+  // and k1 - k0); the rest were skipped unseen. The default evaluates
+  // every sample.
   [[nodiscard]] virtual int sweep_emf(double t0, double dt, int k0, int k1, double quiet,
-                                      double* out) const;
+                                      double* out, int* visited = nullptr) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -51,9 +54,14 @@ class Harvester {
 // This reproduces the "pulsed waveform" the paper's synchronous rectifier
 // ingests (§7.1).
 //
-// Its EMF bound is min(k * omega_max, clamp) over the window; its sweep
-// skips exp/sin wherever the decayed ring envelope provably stays at or
-// below `quiet`, and walks the speed profile with one segment cursor.
+// Its EMF bound is min(k * omega_max, clamp) over the window. Its sweep
+// walks the speed profile with one segment cursor, skips exp/sin wherever
+// the decayed ring envelope provably stays at or below `quiet`, and, once
+// a ring has provably decayed, jumps to just before the next magnet pass
+// without looking at the samples in between (pulse skipping: the phase
+// only grows, never faster than the chunk's peak pulse rate; see
+// docs/PERFORMANCE.md §8). Samples it does look at run the scalar
+// open_circuit_voltage operations, so its output is the same either way.
 // ---------------------------------------------------------------------------
 class ElectromagneticShaker : public Harvester {
  public:
@@ -78,16 +86,21 @@ class ElectromagneticShaker : public Harvester {
   [[nodiscard]] Duration waveform_period(double t) const override;
   [[nodiscard]] double emf_bound(double t0, double t1) const override;
   [[nodiscard]] int sweep_emf(double t0, double dt, int k0, int k1, double quiet,
-                              double* out) const override;
+                              double* out, int* visited = nullptr) const override;
 
   [[nodiscard]] const SpeedProfile& profile() const { return profile_; }
   [[nodiscard]] const Params& params() const { return prm_; }
 
  private:
-  // The two halves of open_circuit_voltage, shared with sweep_emf so both
-  // paths run the same floating-point operations.
-  [[nodiscard]] double ring_age(double omega, double angle) const;
+  // The steps of open_circuit_voltage, shared with sweep_emf so both paths
+  // run the same floating-point operations. The pulse phase is the
+  // rotation angle in pulses: a magnet passes each time it crosses an
+  // integer.
+  [[nodiscard]] double pulse_phase(double angle) const;
+  [[nodiscard]] double ring_age(double omega, double phase) const;
   [[nodiscard]] double ring_voltage(double omega, double since) const;
+  // The EMF bound for a (padded) peak speed w.
+  [[nodiscard]] double emf_bound_at(double w) const;
 
   SpeedProfile profile_;
   Params prm_;

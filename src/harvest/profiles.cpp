@@ -10,11 +10,15 @@ namespace pico::harvest {
 SpeedProfile::SpeedProfile(std::vector<Point> points, bool loop)
     : pts_(std::move(points)), loop_(loop) {
   PICO_REQUIRE(pts_.size() >= 1, "SpeedProfile needs at least one point");
+  for (const auto& p : pts_) {
+    // A NaN time defeats every ordering test below and in the segment
+    // search, which would then run off the end of the breakpoints.
+    PICO_REQUIRE(std::isfinite(p.t) && std::isfinite(p.omega),
+                 "SpeedProfile times and speeds must be finite");
+    PICO_REQUIRE(p.omega >= 0.0, "angular speed must be non-negative");
+  }
   for (std::size_t i = 1; i < pts_.size(); ++i) {
     PICO_REQUIRE(pts_[i - 1].t < pts_[i].t, "SpeedProfile times must increase");
-  }
-  for (const auto& p : pts_) {
-    PICO_REQUIRE(p.omega >= 0.0, "angular speed must be non-negative");
   }
   // Precompute cumulative angle at breakpoints (trapezoid segments are exact
   // for piecewise-linear speed).
@@ -44,15 +48,15 @@ double SpeedProfile::omega_raw(double t, std::size_t& seg) const {
   return interpolate(seg, t);
 }
 
-double SpeedProfile::angle_raw(double t, std::size_t& seg) const {
-  if (t <= pts_.front().t) return pts_.front().omega * (t - pts_.front().t);
+SpeedProfile::Sample SpeedProfile::sample_raw(double t, std::size_t& seg) const {
+  if (t <= pts_.front().t) return {pts_.front().omega, pts_.front().omega * (t - pts_.front().t)};
   if (t >= pts_.back().t) {
-    return cum_angle_.back() + pts_.back().omega * (t - pts_.back().t);
+    return {pts_.back().omega, cum_angle_.back() + pts_.back().omega * (t - pts_.back().t)};
   }
   seg = segment(t, seg);
   const double dt = t - pts_[seg - 1].t;
   const double w = interpolate(seg, t);
-  return cum_angle_[seg - 1] + 0.5 * (pts_[seg - 1].omega + w) * dt;
+  return {w, cum_angle_[seg - 1] + 0.5 * (pts_[seg - 1].omega + w) * dt};
 }
 
 double SpeedProfile::omega_at(double t, std::size_t& seg) const {
@@ -70,9 +74,26 @@ double SpeedProfile::angle_at(double t, std::size_t& seg) const {
     const double shifted = std::max(t - pts_.front().t, 0.0);
     const double cycles = std::floor(shifted / span);
     const double local = shifted - cycles * span;
-    return cycles * cum_angle_.back() + angle_raw(pts_.front().t + local, seg);
+    return cycles * cum_angle_.back() + sample_raw(pts_.front().t + local, seg).angle;
   }
-  return angle_raw(t, seg);
+  return sample_raw(t, seg).angle;
+}
+
+SpeedProfile::Sample SpeedProfile::sample_at(double t, std::size_t& seg) const {
+  if (loop_ && pts_.size() > 1) {
+    // omega_at and angle_at fold t into the loop by different formulas;
+    // where both land on the same local time one lookup serves both.
+    const double span = pts_.back().t - pts_.front().t;
+    const double shifted = std::max(t - pts_.front().t, 0.0);
+    const double cycles = std::floor(shifted / span);
+    const double local = shifted - cycles * span;
+    const double local_w = std::fmod(shifted, span);
+    Sample s = sample_raw(pts_.front().t + local, seg);
+    if (local_w != local) s.omega = omega_raw(pts_.front().t + local_w, seg);
+    s.angle = cycles * cum_angle_.back() + s.angle;
+    return s;
+  }
+  return sample_raw(t, seg);
 }
 
 double SpeedProfile::omega(double t) const {

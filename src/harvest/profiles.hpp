@@ -21,8 +21,9 @@ class SpeedProfile {
     double omega;  // [rad/s]
   };
 
-  // Points must be strictly increasing in t. Speed holds constant after the
-  // last point; if `loop` is true the profile repeats with period t_back.
+  // Points must be finite and strictly increasing in t, with non-negative
+  // speeds. Speed holds constant after the last point; if `loop` is true
+  // the profile repeats with period t_back.
   explicit SpeedProfile(std::vector<Point> points, bool loop = false);
 
   [[nodiscard]] double omega(double t) const;        // rad/s
@@ -37,6 +38,11 @@ class SpeedProfile {
   // whose loop-local position rounded across a breakpoint.
   [[nodiscard]] double max_omega(double t0, double t1) const;
 
+  struct Sample {
+    double omega;  // omega(t)
+    double angle;  // angle(t)
+  };
+
   // Sequential evaluator for sweeps: omega() and angle() bit for bit, but
   // the segment search resumes from the previous query's segment instead
   // of scanning from the first breakpoint. Queries may go backwards (a
@@ -46,6 +52,8 @@ class SpeedProfile {
     explicit Cursor(const SpeedProfile& p) : p_(&p) {}
     [[nodiscard]] double omega(double t) { return p_->omega_at(t, seg_); }
     [[nodiscard]] double angle(double t) { return p_->angle_at(t, seg_); }
+    // Both at once, sharing one segment search.
+    [[nodiscard]] Sample sample(double t) { return p_->sample_at(t, seg_); }
 
    private:
     const SpeedProfile* p_;
@@ -58,9 +66,10 @@ class SpeedProfile {
   [[nodiscard]] std::size_t segment(double t, std::size_t seg) const;
   [[nodiscard]] double interpolate(std::size_t seg, double t) const;
   [[nodiscard]] double omega_raw(double t, std::size_t& seg) const;
-  [[nodiscard]] double angle_raw(double t, std::size_t& seg) const;
+  [[nodiscard]] Sample sample_raw(double t, std::size_t& seg) const;
   [[nodiscard]] double omega_at(double t, std::size_t& seg) const;
   [[nodiscard]] double angle_at(double t, std::size_t& seg) const;
+  [[nodiscard]] Sample sample_at(double t, std::size_t& seg) const;
 
   std::vector<Point> pts_;
   std::vector<double> cum_angle_;  // angle at each breakpoint

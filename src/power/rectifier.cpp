@@ -52,7 +52,9 @@ RectifierResult Rectifier::rectify(const harvest::Harvester& h, Voltage vdc, dou
     double voc[kSweepChunk] = {};
     for (int k0 = 0, k1 = 0; k0 < samples; k0 = k1) {
       k1 = samples - k0 > kSweepChunk ? k0 + kSweepChunk : samples;
-      const int n = h.sweep_emf(t0, dt, k0, k1, quiet, voc);
+      int visited = 0;
+      const int n = h.sweep_emf(t0, dt, k0, k1, quiet, voc, &visited);
+      res.samples_visited += visited;
       res.samples_evaluated += n;
       for (int j = 0; j < n; ++j) {
         const double i = instantaneous_current(voc[j], v, rs);

@@ -33,6 +33,7 @@ struct RectifierResult {
   Power loss{};             // dissipated in drops/switches/source resistance
   double conduction_fraction = 0.0;  // fraction of samples conducting
   int samples_evaluated = 0;  // samples whose current was computed; the rest were culled
+  int samples_visited = 0;    // samples the harvester looked at (>= samples_evaluated)
 };
 
 class Rectifier {

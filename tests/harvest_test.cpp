@@ -1,9 +1,15 @@
 // Tests for harvester models and motion profiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "harvest/harvester.hpp"
 #include "harvest/profiles.hpp"
 
@@ -42,6 +48,55 @@ TEST(SpeedProfile, AngleIsMonotone) {
 TEST(SpeedProfile, RejectsBadInput) {
   EXPECT_THROW(SpeedProfile({{1.0, 0.0}, {0.5, 1.0}}), pico::DesignError);
   EXPECT_THROW(SpeedProfile({{0.0, -1.0}}), pico::DesignError);
+}
+
+TEST(SpeedProfile, RejectsNonFiniteBreakpoints) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A one-point profile with a NaN time used to pass every ordering check
+  // and then read past its one breakpoint in omega().
+  EXPECT_THROW(SpeedProfile({{nan, 10.0}}), pico::DesignError);
+  EXPECT_THROW(SpeedProfile({{0.0, 1.0}, {nan, 2.0}, {3.0, 1.0}}), pico::DesignError);
+  EXPECT_THROW(SpeedProfile({{0.0, 1.0}, {inf, 2.0}}), pico::DesignError);
+  EXPECT_THROW(SpeedProfile({{-inf, 1.0}, {0.0, 2.0}}), pico::DesignError);
+  EXPECT_THROW(SpeedProfile({{0.0, nan}}), pico::DesignError);
+  EXPECT_THROW(SpeedProfile({{0.0, 1.0}, {1.0, inf}}, true), pico::DesignError);
+}
+
+TEST(SpeedProfile, CursorSampleMatchesScalarQueries) {
+  // Cursor::sample shares one segment search between omega and angle. The
+  // two fold t into a loop by different formulas (fmod vs. floor), which
+  // can disagree in the last bit for a span like 0.3; then it must fall
+  // back to a separate omega lookup.
+  const std::vector<SpeedProfile> profiles = {
+      make_city_cycle(),
+      make_bicycle_ride(),
+      SpeedProfile({{0.1, 3.0}, {0.25, 40.0}, {0.4, 7.0}}, true),
+      SpeedProfile({{-2.0, 5.0}, {1.5, 90.0}, {4.0, 20.0}}),
+      SpeedProfile({{0.0, 12.0}}),
+  };
+  Rng rng(2020);
+  int fold_disagreements = 0;  // on the 0.1..0.4 loop
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    const SpeedProfile& p = profiles[i];
+    SpeedProfile::Cursor cursor(p);
+    for (int k = 0; k < 20000; ++k) {
+      // Mostly forward in time, with backward jumps and large times.
+      const double t = k % 97 == 0 ? rng.uniform(-5.0, 1e7) : rng.uniform(-1.0, 1.0) + 1e-3 * k;
+      const auto s = cursor.sample(t);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(s.omega), std::bit_cast<std::uint64_t>(p.omega(t)))
+          << "t=" << t;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(s.angle), std::bit_cast<std::uint64_t>(p.angle(t)))
+          << "t=" << t;
+      if (i == 2) {
+        const double shifted = std::max(t - 0.1, 0.0);
+        const double span = 0.4 - 0.1;
+        fold_disagreements +=
+            std::fmod(shifted, span) != shifted - std::floor(shifted / span) * span ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(fold_disagreements, 0);
 }
 
 TEST(Shaker, SilentWhenParked) {

@@ -1047,6 +1047,14 @@ TEST(NodeObs, HarvestCullCountersPublish) {
   EXPECT_LT(snap.value("harvest.windows_skipped"), windows);
   EXPECT_GT(snap.value("harvest.samples_evaluated"), 0.0);
   EXPECT_LT(snap.value("harvest.samples_evaluated"), 0.5 * 2048.0 * windows);
+  // Every evaluated sample was visited, and pulse skipping jumps over each
+  // decayed ring: fewer than a quarter of the samples in windows that
+  // evaluated anything are looked at.
+  const double visited = snap.value("harvest.samples_visited");
+  const double live_cap = 2048.0 * (windows - snap.value("harvest.windows_skipped"));
+  EXPECT_LE(snap.value("harvest.samples_evaluated"), visited);
+  EXPECT_LE(visited, live_cap);
+  EXPECT_LT(visited, 0.25 * live_cap);
 
   // A node without the behavioral estimator publishes no harvest.* keys.
   core::PicoCubeNode bare(core::NodeConfig{});

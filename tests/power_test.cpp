@@ -279,6 +279,116 @@ TEST(RectifyCull, CursorMatchesScalarQueries) {
   }
 }
 
+// Pulse skipping: once a ring has provably decayed, the shaker's sweep
+// jumps to just before the next magnet pass. These profiles and windows
+// push its margins: a ramp whose local pulse rate is far below the chunk
+// peak, a crawl just above min_omega (long jumps, past INT_MAX samples at
+// dt = 1 ns), large times where phase and time rounding grow, and sample
+// spacings from 1 ns to longer than a pulse period.
+TEST(RectifyCull, PulseSkipMatchesBruteForceOnAdversarialProfiles) {
+  const harvest::ElectromagneticShaker::Params defaults;
+  const double crawl = defaults.min_omega * (1.0 + 1e-9);
+  const std::vector<std::pair<const char*, harvest::SpeedProfile>> profiles = {
+      {"ramp", harvest::SpeedProfile({{0.0, 0.0}, {0.5, 300.0}})},
+      {"ramp-loop", harvest::SpeedProfile({{0.0, 0.0}, {0.5, 300.0}, {0.75, 0.0}}, true)},
+      {"crawl", harvest::SpeedProfile({{0.0, crawl}, {7.0, crawl}, {13.0, 2.05}}, true)},
+      {"city", harvest::make_city_cycle()},
+  };
+  const double t0s[] = {0.0, 0.2, 1e6 + 0.37, 1e7 + 0.61};
+  const double dts[] = {1e-9, 1e-6, 1e-4, 2e-3, 0.5, 4.0};
+  const std::vector<std::pair<const char*, std::unique_ptr<Rectifier>>> rects = [] {
+    std::vector<std::pair<const char*, std::unique_ptr<Rectifier>>> r;
+    r.emplace_back("ideal@0.05", std::make_unique<IdealRectifier>());
+    r.emplace_back("bridge@1.3", std::make_unique<DiodeBridgeRectifier>());
+    return r;
+  }();
+  const double vdcs[] = {0.05, 1.3};
+  constexpr int kSamples = 1000;  // two uneven rectify chunks
+  Rng rng(2020);
+  double full[kSamples];
+  double split[kSamples];
+  long visited_total = 0;
+  long sampled_total = 0;
+  for (const auto& [pname, profile] : profiles) {
+    for (const double ppr : {1.0, 2.0, 7.5}) {
+      for (const double decay : {2e-3, 20e-3, 1.0}) {
+        harvest::ElectromagneticShaker::Params prm;
+        prm.pulses_per_rev = ppr;
+        prm.ring_decay = Duration{decay};
+        const harvest::ElectromagneticShaker shaker(profile, prm);
+        for (const double t0 : t0s) {
+          for (const double dt : dts) {
+            SCOPED_TRACE(::testing::Message() << pname << " ppr=" << ppr << " decay=" << decay
+                                              << " t0=" << t0 << " dt=" << dt);
+            const double t1 = t0 + kSamples * dt;
+            for (std::size_t r = 0; r < rects.size(); ++r) {
+              const Rectifier& rect = *rects[r].second;
+              const auto got = rect.rectify(shaker, Voltage{vdcs[r]}, t0, t1, kSamples);
+              const auto want = brute_force(rect, shaker, vdcs[r], t0, t1, kSamples);
+              SCOPED_TRACE(rects[r].first);
+              ASSERT_EQ(bits(got.avg_current.value()), bits(want.avg_current.value()));
+              ASSERT_EQ(bits(got.source_power.value()), bits(want.source_power.value()));
+              ASSERT_EQ(bits(got.delivered_power.value()), bits(want.delivered_power.value()));
+              ASSERT_EQ(bits(got.loss.value()), bits(want.loss.value()));
+              ASSERT_EQ(bits(got.conduction_fraction), bits(want.conduction_fraction));
+              ASSERT_LE(got.samples_evaluated, got.samples_visited);
+              ASSERT_LE(got.samples_visited, kSamples);
+            }
+            // The sweep itself, whole and cut at arbitrary chunk bounds:
+            // every sample above `quiet` is written, in order, bit for bit
+            // the scalar value; only samples at or below it are left out.
+            const double sample_dt = (t1 - t0) / kSamples;
+            for (const double quiet : {0.01, 0.5}) {
+              SCOPED_TRACE(::testing::Message() << "quiet=" << quiet);
+              int visited = -1;
+              const int m =
+                  shaker.sweep_emf(t0, sample_dt, 0, kSamples, quiet, full, &visited);
+              ASSERT_LE(m, visited);
+              ASSERT_LE(visited, kSamples);
+              visited_total += visited;
+              sampled_total += kSamples;
+              int ms = 0;
+              for (int k0 = 0, k1 = 0; k0 < kSamples; k0 = k1) {
+                k1 = std::min(kSamples, k0 + 1 + static_cast<int>(rng.below(400)));
+                int v = -1;
+                const int got = shaker.sweep_emf(t0, sample_dt, k0, k1, quiet, &split[ms], &v);
+                ASSERT_LE(got, v);
+                ASSERT_LE(v, k1 - k0);
+                ms += got;
+              }
+              int j_full = 0;
+              int j_split = 0;
+              for (int k = 0; k < kSamples; ++k) {
+                const double voc = shaker.open_circuit_voltage(t0 + (k + 0.5) * sample_dt);
+                const bool in_full = j_full < m && bits(full[j_full]) == bits(voc);
+                const bool in_split = j_split < ms && bits(split[j_split]) == bits(voc);
+                j_full += in_full ? 1 : 0;
+                j_split += in_split ? 1 : 0;
+                if (std::fabs(voc) > quiet) {
+                  ASSERT_TRUE(in_full && in_split) << "k=" << k;
+                }
+              }
+              ASSERT_EQ(j_full, m);
+              ASSERT_EQ(j_split, ms);
+            }
+          }
+        }
+      }
+    }
+  }
+  // The jump fired.
+  EXPECT_LT(visited_total, sampled_total);
+  // A crawl's ring dies ~5 ms into a 3.1 s pulse period: at dt = 1 ns the
+  // jump past it (~3e9 samples) is clamped to the chunk end.
+  harvest::ElectromagneticShaker::Params prm;
+  prm.pulses_per_rev = 1.0;
+  prm.ring_decay = Duration{2e-3};
+  const harvest::ElectromagneticShaker crawler(profiles[2].second, prm);
+  int visited = -1;
+  EXPECT_EQ(crawler.sweep_emf(0.2, 1e-9, 0, kSamples, 0.01, full, &visited), 0);
+  EXPECT_EQ(visited, 1);
+}
+
 TEST(RectifyCull, CurrentMonotoneInAbsVoc) {
   // The contract culling rests on: i >= 0, even in voc, non-decreasing in
   // |voc|.
