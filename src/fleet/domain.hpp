@@ -79,6 +79,15 @@ class Reader;
 
 namespace pico::fleet {
 
+// SNR at and above which a frame decodes with certainty in double
+// arithmetic, so resolve() takes p_ok = 1.0 without evaluating it. For
+// snr >= 80, ook_ber(snr) = 0.5 * exp(-snr / 2) <= 0.5 * exp(-40) ~ 2.1e-18,
+// below 2^-54 ~ 5.6e-17, half the spacing of doubles just under 1.0: so
+// 1.0 - ber rounds to exactly 1.0, and pow(1.0, n) is 1.0 for every n by
+// IEEE 754. The shortcut is bit-exact, not an approximation. A clean frame
+// above the -75 dBm squelch has an SNR of ~3800 or more.
+inline constexpr double kCertainDecodeSnr = 80.0;
+
 // Constants shared by every domain: the calibrated cycle, the radio link
 // budget, and the fault subset schedules. Immutable during a run.
 struct KernelModel {
@@ -338,6 +347,8 @@ class Domain {
 
   WakeHeap heap_;
 
+  // Prefetch the record of the node now at the top of the calendar.
+  void prefetch_top() const;
   // Fire one wake of node `i`: bill the cycle, generate the frame
   // (beacon) or the stop-and-wait retry chain (ARQ), record kFrameTx into
   // `flight`, and export boundary copies.

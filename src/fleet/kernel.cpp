@@ -187,17 +187,35 @@ bool WakeHeap::ordered() const {
 }
 
 void WakeHeap::sift_down(std::size_t i) {
+  // Floyd's bottom-up sift. Walk the smaller-child path from i to a leaf,
+  // pulling each child up into the hole, then climb back to where the
+  // displaced entry belongs. (key, index) is a total order and the
+  // entries on that path increase, so the entry lands in exactly the
+  // slot the textbook top-down sift picks and every other path entry
+  // ends one level up, as it would there: slots() does not move. A wake's
+  // next key nearly always sinks to a leaf, so the descent trades the
+  // textbook's unpredictable stop-or-continue branch per level for one
+  // branch-free child select, and the climb usually stops at once.
+  Entry* const h = h_.data();
   const std::size_t n = h_.size();
-  for (;;) {
-    const std::size_t l = 2 * i + 1;
-    if (l >= n) return;
-    std::size_t best = l;
-    const std::size_t r = l + 1;
-    if (r < n && less(h_[r], h_[l])) best = r;
-    if (!less(h_[best], h_[i])) return;
-    std::swap(h_[i], h_[best]);
-    i = best;
+  const Entry moving = h[i];
+  const std::size_t root = i;
+  for (std::size_t c = 2 * i + 1; c + 1 < n; c = 2 * i + 1) {
+    c += static_cast<std::size_t>(less(h[c + 1], h[c]));
+    h[i] = h[c];
+    i = c;
   }
+  if (2 * i + 1 < n) {  // a lone left child on the last level
+    h[i] = h[2 * i + 1];
+    i = 2 * i + 1;
+  }
+  while (i > root) {
+    const std::size_t p = (i - 1) / 2;
+    if (!less(moving, h[p])) break;
+    h[i] = h[p];
+    i = p;
+  }
+  h[i] = moving;
 }
 
 }  // namespace pico::fleet

@@ -162,10 +162,13 @@ class WakeHeap {
     sift_down(0);
   }
 
-  // Checkpoint/restore (src/ckpt): the slot order is saved verbatim so a
-  // restored calendar pops in the exact layout the original had, rather
-  // than relying on build() reproducing an incrementally-sifted heap.
-  // Keys are not saved; restore re-reads them through key_of.
+  // Checkpoint/restore (src/ckpt): pop order depends only on the keys —
+  // (key, index) is a total order — so any valid layout of the same
+  // entries pops the same way. The slot order is saved verbatim so blobs
+  // stay byte-stable: a restored session re-saves the bytes it loaded,
+  // and a change to the sift that moved slots would show up in every
+  // saved blob. Keys are not saved; restore re-reads them through key_of
+  // and checks ordered().
   [[nodiscard]] std::vector<std::uint32_t> slots() const {
     std::vector<std::uint32_t> out(h_.size());
     for (std::size_t i = 0; i < h_.size(); ++i) out[i] = h_[i].index;
@@ -185,8 +188,11 @@ class WakeHeap {
   [[nodiscard]] bool ordered() const;
 
  private:
+  // Non-short-circuit form so the compiler can select the smaller child
+  // without a branch; identical to `a.key != b.key ? a.key < b.key :
+  // a.index < b.index` for every key, +inf and NaN included.
   static bool less(const Entry& a, const Entry& b) {
-    return a.key != b.key ? a.key < b.key : a.index < b.index;
+    return (a.key < b.key) | ((a.key == b.key) & (a.index < b.index));
   }
   void sift_down(std::size_t i);
   std::vector<Entry> h_;

@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "ckpt/codec.hpp"
@@ -23,6 +25,7 @@
 #include "obs/envelope.hpp"
 #include "obs/flight.hpp"
 #include "obs/series.hpp"
+#include "radio/receiver.hpp"
 
 // --- Global allocation counter ----------------------------------------------
 // Counts every path through the replaceable global operator new, so a test
@@ -124,6 +127,123 @@ TEST(WakeHeapTest, DrainsInKeyThenIndexOrder) {
   const std::vector<std::uint32_t> expect = {1, 3, 5, 2, 4, 0};
   EXPECT_EQ(order, expect);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+}
+
+// The textbook top-down sift the calendar used before its bottom-up sift:
+// the reference the calendar's slot layout must match exactly, because
+// checkpoints save that layout verbatim.
+class TextbookHeap {
+ public:
+  template <typename KeyOf>
+  void build(std::size_t n, KeyOf&& key_of) {
+    h_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_[i] = WakeHeap::Entry{key_of(i), static_cast<std::uint32_t>(i)};
+    }
+    for (std::size_t i = n / 2; i-- > 0;) sift_down(i);
+  }
+  void replace_top(double key) {
+    h_[0].key = key;
+    sift_down(0);
+  }
+  [[nodiscard]] std::vector<std::uint32_t> slots() const {
+    std::vector<std::uint32_t> out;
+    for (const auto& e : h_) out.push_back(e.index);
+    return out;
+  }
+
+ private:
+  static bool less(const WakeHeap::Entry& a, const WakeHeap::Entry& b) {
+    return a.key != b.key ? a.key < b.key : a.index < b.index;
+  }
+  void sift_down(std::size_t i) {
+    const std::size_t n = h_.size();
+    for (;;) {
+      const std::size_t l = 2 * i + 1;
+      if (l >= n) return;
+      std::size_t best = l;
+      const std::size_t r = l + 1;
+      if (r < n && less(h_[r], h_[l])) best = r;
+      if (!less(h_[best], h_[i])) return;
+      std::swap(h_[i], h_[best]);
+      i = best;
+    }
+  }
+  std::vector<WakeHeap::Entry> h_;
+};
+
+TEST(WakeHeapTest, BottomUpSiftKeepsTextbookLayout) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng = Rng::stream(0x51F7, 0);
+  // Keys on a coarse grid so ties are common, a few +inf retirements,
+  // and the rest continuous.
+  const auto draw_key = [&](double from) {
+    const std::uint64_t kind = rng.below(10);
+    if (kind == 0) return kInf;
+    if (kind < 6) return from + static_cast<double>(rng.below(4));
+    return from + rng.uniform(0.0, 6.0);
+  };
+  for (std::size_t n = 1; n <= 300; ++n) {
+    std::vector<double> key(n);
+    for (double& k : key) k = draw_key(0.0);
+    WakeHeap h;
+    TextbookHeap ref;
+    h.build(n, [&](std::size_t i) { return key[i]; });
+    ref.build(n, [&](std::size_t i) { return key[i]; });
+    ASSERT_EQ(h.slots(), ref.slots()) << "build, n=" << n;
+    ASSERT_TRUE(h.ordered()) << "build, n=" << n;
+
+    for (std::size_t op = 0; op < 3 * n; ++op) {
+      const double next = draw_key(h.top_key() == kInf ? 0.0 : h.top_key());
+      key[h.top()] = next;
+      h.replace_top(next);
+      ref.replace_top(next);
+      ASSERT_EQ(h.slots(), ref.slots()) << "n=" << n << " op=" << op;
+      ASSERT_TRUE(h.ordered()) << "n=" << n << " op=" << op;
+    }
+
+    // Drain every finite key by retiring the top: it must come out in
+    // sorted (key, index) order.
+    std::vector<std::pair<double, std::uint32_t>> want;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (key[i] != kInf) want.emplace_back(key[i], i);
+    }
+    std::sort(want.begin(), want.end());
+    std::vector<std::pair<double, std::uint32_t>> got;
+    while (h.top_key() != kInf) {
+      got.emplace_back(h.top_key(), h.top());
+      h.replace_top(kInf);
+      ref.replace_top(kInf);
+      ASSERT_EQ(h.slots(), ref.slots()) << "drain, n=" << n;
+    }
+    EXPECT_EQ(got, want) << "n=" << n;
+  }
+}
+
+TEST(DecodeShortcutTest, CertainDecodeSnrRoundsToExactlyOne) {
+  // resolve() takes p_ok = 1.0 at snr >= kCertainDecodeSnr without
+  // evaluating it; the evaluated expression must give 1.0 bit for bit
+  // there, for any frame length.
+  const CycleProfile profile = CycleProfile::calibrate(core::NodeConfig{});
+  ASSERT_GT(profile.decode_bits, 0u);
+  std::vector<double> snrs = {
+      std::nextafter(kCertainDecodeSnr, 0.0), kCertainDecodeSnr,
+      std::nextafter(kCertainDecodeSnr, std::numeric_limits<double>::infinity()),
+      std::numeric_limits<double>::infinity()};
+  // Log grid, 100 points per decade, from the threshold to 1e15.
+  for (int k = 0;; ++k) {
+    const double snr = kCertainDecodeSnr * std::pow(10.0, k / 100.0);
+    if (snr > 1e15) break;
+    snrs.push_back(snr);
+  }
+  ASSERT_GT(snrs.size(), 1300u);
+  for (const double n : {1.0, 8.0, static_cast<double>(profile.decode_bits), 65536.0}) {
+    for (const double snr : snrs) {
+      const double p_ok = std::pow(1.0 - radio::SuperregenReceiver::ook_ber(snr), n);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(p_ok), std::bit_cast<std::uint64_t>(1.0))
+          << "snr=" << snr << " n=" << n;
+    }
+  }
 }
 
 // --- Physics against the scalar shared medium -------------------------------
@@ -660,6 +780,42 @@ TEST(FleetArqTest, FlightStreamCountsUnderJamArePinned) {
   EXPECT_EQ(c.collision, 277u);
   EXPECT_EQ(c.fault_active, 1u);
   EXPECT_EQ(c.epoch_barrier, 8u);
+}
+
+// --- Checkpoint bytes --------------------------------------------------------
+// FNV-1a of a whole blob saved mid-run. The blob carries every domain's
+// calendar slots verbatim, so these pins fail if a change to the wake
+// calendar moves a single slot, or if any other FDOM byte shifts.
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t mid_run_blob_hash(const FleetSpec& spec, int epochs) {
+  FleetSession s(spec);
+  s.run_until(static_cast<double>(epochs) * s.epoch_step_s());
+  return fnv1a(s.save());
+}
+
+TEST(FleetCheckpointBytesTest, HarvestingBeaconBlobIsPinned) {
+  FleetSpec spec;
+  spec.nodes = 160;
+  spec.domains = 4;
+  spec.sim_time_s = 60.0;
+  spec.epoch_s = 7.0;
+  spec.randomize_phase = true;
+  spec.attach_harvester = true;
+  EXPECT_EQ(mid_run_blob_hash(spec, 4), 0xbc0ea2fb8d386bf3ULL);
+}
+
+TEST(FleetCheckpointBytesTest, ArqJamBlobIsPinned) {
+  // Cut inside the jam window, with retry chains in flight.
+  EXPECT_EQ(mid_run_blob_hash(arq_jam_spec(), 3), 0x05690e8161976265ULL);
 }
 
 TEST(FleetArqTest, CleanChannelCollapsesToBeaconCounts) {

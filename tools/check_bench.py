@@ -15,13 +15,21 @@ The baseline file maps entry names to::
         "tolerance": 0.50,
         "values": {"BM_MnaTransientRc/10000": 1.23e7, ...}
       },
+      "fleet_arq": {
+        "tolerance": 0.50,
+        "values": {"node_sim_s_per_wall_s": 4.3e7, ...},
+        "exact": {"frames_delivered": 153325.0, ...}
+      },
       ...
     }
 
-A value diverges when ``|current - baseline| / |baseline|`` exceeds the
-tolerance (per-entry, overridable with --tolerance). Perf numbers are
-machine-relative, so baselines only make sense against a baseline recorded
-on the same class of machine — keep tolerances generous.
+A ``values`` entry diverges when ``|current - baseline| / |baseline|``
+exceeds the tolerance (per-entry, overridable with --tolerance). Perf
+numbers are machine-relative, so baselines only make sense against a
+baseline recorded on the same class of machine — keep tolerances generous.
+An ``exact`` entry holds outcomes that are a pure function of the
+simulation (frame counts, rates of outcomes, physics results): it must
+match bit for bit on any machine, and no tolerance applies to it.
 
 Usage:
     check_bench.py --bench ./bench_engine_perf --baseline BENCH_BASELINE.json \
@@ -29,7 +37,8 @@ Usage:
     check_bench.py --current BENCH_storage.json --baseline ... --name storage
     check_bench.py --validate-series out/run.series.jsonl
 
---update rewrites the named entry from the current run instead of checking.
+--update rewrites the named entry from the current run instead of checking
+(keys already under ``exact`` stay there; every other key is banded).
 --validate-series is a standalone mode: it checks a telemetry-series JSONL
 file (one object per sample row) for schema sanity — numeric strictly
 increasing ``t_s``, one consistent key set across rows, every value numeric
@@ -40,6 +49,7 @@ Exit code: 0 on success, 1 on divergence or missing values, 2 on usage error.
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -65,6 +75,26 @@ def extract_values(doc):
     else:
         raise ValueError("unrecognized bench JSON shape (no benchmarks/metrics/checks)")
     return values
+
+
+def same_bits(a, b):
+    """Whether two floats are the same IEEE-754 double, bit for bit."""
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def record_entry(entry, current, tolerance):
+    """Rewrite `entry` from a run: exact keys keep their map, the rest band."""
+    exact = entry.get("exact", {})
+    entry.setdefault("tolerance", tolerance or DEFAULT_TOLERANCE)
+    entry["values"] = {k: v for k, v in current.items() if k not in exact}
+    if exact:
+        entry["exact"] = {k: current[k] for k in exact if k in current}
+
+
+def write_baseline(path, baseline):
+    with open(path, "w") as f:
+        json.dump(baseline, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def run_bench(binary):
@@ -181,23 +211,15 @@ def main():
             baseline = json.load(f)
 
     if args.update:
-        entry = baseline.setdefault(args.name, {})
-        entry.setdefault("tolerance", args.tolerance or DEFAULT_TOLERANCE)
-        entry["values"] = current
-        with open(args.baseline, "w") as f:
-            json.dump(baseline, f, indent=2, sort_keys=True)
-            f.write("\n")
+        record_entry(baseline.setdefault(args.name, {}), current, args.tolerance)
+        write_baseline(args.baseline, baseline)
         print(f"updated '{args.name}' in {args.baseline} ({len(current)} values)")
         return 0
 
     if args.name not in baseline:
         if args.record_missing:
-            entry = baseline.setdefault(args.name, {})
-            entry.setdefault("tolerance", args.tolerance or DEFAULT_TOLERANCE)
-            entry["values"] = current
-            with open(args.baseline, "w") as f:
-                json.dump(baseline, f, indent=2, sort_keys=True)
-                f.write("\n")
+            record_entry(baseline.setdefault(args.name, {}), current, args.tolerance)
+            write_baseline(args.baseline, baseline)
             print(f"warning: no baseline entry '{args.name}' — recorded "
                   f"{len(current)} value(s) from this run")
             return 0
@@ -209,6 +231,17 @@ def main():
         else entry.get("tolerance", DEFAULT_TOLERANCE)
 
     failures = 0
+    exact = entry.get("exact", {})
+    for key, base_val in sorted(exact.items()):
+        if key not in current:
+            print(f"MISSING   {key} (exact {base_val!r})")
+            failures += 1
+            continue
+        ok = same_bits(current[key], base_val)
+        status = "ok      " if ok else "DIFFERS "
+        print(f"{status}  {key}: exact {base_val!r}, current {current[key]!r}")
+        if not ok:
+            failures += 1
     for key, base_val in sorted(entry["values"].items()):
         if key not in current:
             print(f"MISSING   {key} (baseline {base_val:g})")
@@ -230,21 +263,20 @@ def main():
     # Keys present in the run but absent from the baseline are new metrics
     # (a bench gained a counter): record them into the baseline and warn,
     # rather than failing — only divergence and disappearance are errors.
-    new_keys = sorted(set(current) - set(entry["values"]))
+    new_keys = sorted(set(current) - set(entry["values"]) - set(exact))
     if new_keys:
         for key in new_keys:
             print(f"NEW       {key}: {current[key]:g} (recorded to baseline)")
             entry["values"][key] = current[key]
-        with open(args.baseline, "w") as f:
-            json.dump(baseline, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_baseline(args.baseline, baseline)
         print(f"warning: {len(new_keys)} new metric(s) recorded into "
               f"'{args.name}' in {args.baseline}")
 
     if failures:
-        print(f"\n{failures} value(s) outside tolerance for '{args.name}'")
+        print(f"\n{failures} value(s) outside tolerance or not exact for '{args.name}'")
         return 1
-    print(f"\nall {len(entry['values'])} value(s) within tolerance for '{args.name}'")
+    print(f"\nall {len(entry['values'])} value(s) within tolerance and "
+          f"{len(exact)} exact value(s) equal for '{args.name}'")
     return 0
 
 
