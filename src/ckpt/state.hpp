@@ -12,9 +12,10 @@
 //   FLTI v1  fault::FaultInjector windows
 //   NODE v1  scalar-node envelope (plan spec + SIMC + PWRA + FLTI)
 //
-// The fleet engine's FLET section lives in src/fleet/engine.cpp (the
-// domain SoA layout is private to the engine); it reuses the inline Rng
-// helpers here.
+// The fleet engine writes its own sections in src/fleet (the domain
+// layout is private to the engine): FSPC v2 (spec guard), FENG v1
+// (epoch-loop cursors) and FDOM v3 (domain state, which embeds one inline
+// Rng::State per node through the helpers here).
 #pragma once
 
 #include <vector>

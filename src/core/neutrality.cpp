@@ -24,17 +24,11 @@ NeutralityAnalysis::Result NeutralityAnalysis::balance(const NodeConfig& cfg,
   Result r;
   r.consumption = average_node_power(cfg, sim_time);
 
-  const harvest::SpeedProfile profile =
-      cfg.drive.has_value() ? *cfg.drive : harvest::make_city_cycle();
-  harvest::ElectromagneticShaker shaker(profile);
+  const harvest::SpeedProfile profile = drive_profile(cfg);
+  const harvest::ElectromagneticShaker shaker(profile);
   const Duration window{profile.duration() > 0.0 ? profile.duration() : 60.0};
-  if (cfg.power == NodeConfig::PowerVersion::kIc) {
-    power::SynchronousRectifier rect;
-    r.harvest = average_harvest_power(shaker, rect, Voltage{1.25}, window);
-  } else {
-    power::DiodeBridgeRectifier rect;
-    r.harvest = average_harvest_power(shaker, rect, Voltage{1.25}, window);
-  }
+  r.harvest =
+      average_harvest_power(shaker, *make_rectifier(cfg.power), Voltage{1.25}, window);
   r.net = r.harvest - r.consumption;
   r.neutral = r.net.value() >= 0.0;
   return r;

@@ -19,6 +19,17 @@ std::unique_ptr<PowerTrain> make_train(const NodeConfig& cfg) {
 }
 }  // namespace
 
+harvest::SpeedProfile drive_profile(const NodeConfig& cfg) {
+  return cfg.drive.has_value() ? *cfg.drive : harvest::make_city_cycle();
+}
+
+std::unique_ptr<power::Rectifier> make_rectifier(NodeConfig::PowerVersion power) {
+  if (power == NodeConfig::PowerVersion::kIc) {
+    return std::make_unique<power::SynchronousRectifier>();
+  }
+  return std::make_unique<power::DiodeBridgeRectifier>();
+}
+
 PicoCubeNode::PicoCubeNode(NodeConfig cfg, sim::Simulator* shared_sim)
     : cfg_(std::move(cfg)),
       owned_sim_(shared_sim ? nullptr : std::make_unique<sim::Simulator>()),
@@ -33,17 +44,12 @@ PicoCubeNode::PicoCubeNode(NodeConfig cfg, sim::Simulator* shared_sim)
       sequencer_(sim_) {
   // Stimuli.
   if (cfg_.sensor == NodeConfig::Sensor::kTpms || cfg_.attach_harvester) {
-    harvest::SpeedProfile profile =
-        cfg_.drive.has_value() ? *cfg_.drive : harvest::make_city_cycle();
+    const harvest::SpeedProfile profile = drive_profile(cfg_);
     tire_env_ = std::make_unique<sensors::TireEnvironment>(profile);
     if (cfg_.attach_harvester &&
         cfg_.harvester == NodeConfig::HarvesterKind::kShaker) {
       shaker_ = std::make_unique<harvest::ElectromagneticShaker>(profile);
-      if (cfg_.power == NodeConfig::PowerVersion::kIc) {
-        rectifier_ = std::make_unique<power::SynchronousRectifier>();
-      } else {
-        rectifier_ = std::make_unique<power::DiodeBridgeRectifier>();
-      }
+      rectifier_ = make_rectifier(cfg_.power);
     }
   }
   if (cfg_.attach_harvester && cfg_.harvester == NodeConfig::HarvesterKind::kSolar) {

@@ -114,6 +114,14 @@ struct NodeConfig {
   std::uint64_t seed = 1;
 };
 
+// The shaker harvest front end a config selects, shared by the node, the
+// fleet harvest grid and the neutrality analysis: the drive profile
+// (cfg.drive, else the city cycle) and the rectifier topology (IC:
+// synchronous, COTS: diode bridge).
+[[nodiscard]] harvest::SpeedProfile drive_profile(const NodeConfig& cfg);
+[[nodiscard]] std::unique_ptr<power::Rectifier> make_rectifier(
+    NodeConfig::PowerVersion power);
+
 class PicoCubeNode {
  public:
   // Stand-alone: the node owns its simulator. Pass `shared_sim` to put

@@ -6,11 +6,22 @@
 #include <string>
 
 #include "ckpt/codec.hpp"
+#include "ckpt/state.hpp"
 #include "common/error.hpp"
 #include "obs/flight.hpp"
 #include "radio/receiver.hpp"
 
 namespace pico::fleet {
+
+namespace {
+
+// The one order of every air run — pending frames, outboxes, the routed
+// inbox, carry and the air picture: start time, then global node id.
+constexpr auto start_then_id = [](const auto& a, const auto& b) {
+  return a.start_s != b.start_s ? a.start_s < b.start_s : a.global_node < b.global_node;
+};
+
+}  // namespace
 
 double KernelModel::loss_probability(double t) const {
   double p = 0.0;
@@ -132,11 +143,8 @@ void Domain::advance(double epoch_end_s, const KernelModel& m,
     // an earlier chain: restore the (start, id) invariant the merge-based
     // resolve and the neighbor inbox merges rely on. Keys never tie — a
     // node's attempts are spaced by at least airtime + ack timeout.
-    const auto edge_less = [](const EdgeFrame& a, const EdgeFrame& b) {
-      return a.start_s != b.start_s ? a.start_s < b.start_s : a.node < b.node;
-    };
-    std::sort(outbox_left_.begin(), outbox_left_.end(), edge_less);
-    std::sort(outbox_right_.begin(), outbox_right_.end(), edge_less);
+    std::sort(outbox_left_.begin(), outbox_left_.end(), start_then_id);
+    std::sort(outbox_right_.begin(), outbox_right_.end(), start_then_id);
   }
 }
 
@@ -287,13 +295,10 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m, Scratch& s,
     // chain begun last epoch can reach into this one past frames already
     // kept. Restore the (start, id) invariant here. (start, gid) never
     // ties: a node's attempts are spaced by at least airtime + ack timeout.
-    std::sort(pending_.begin(), pending_.end(), [](const Frame& a, const Frame& b) {
-      if (a.start_s != b.start_s) return a.start_s < b.start_s;
-      return a.global_node < b.global_node;
-    });
+    std::sort(pending_.begin(), pending_.end(), start_then_id);
   }
   std::vector<AirRecord>& records = s.records;
-  const std::vector<EdgeFrame>& inbox = s.inbox;
+  const std::vector<AirRecord>& inbox = s.inbox;
   records.clear();
   if (carry_.empty() && inbox.empty()) {
     // Sparse-fleet common case: nothing carried, nothing imported — the
@@ -330,7 +335,7 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m, Scratch& s,
           bn = g;
         }
       }
-      if (k < ni && (pick < 0 || less(inbox[k].start_s, inbox[k].node, bs, bn))) {
+      if (k < ni && (pick < 0 || less(inbox[k].start_s, inbox[k].global_node, bs, bn))) {
         pick = 2;
       }
       if (pick == 0) {
@@ -339,8 +344,7 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m, Scratch& s,
         const Frame& f = pending_[j++];
         records.push_back({f.start_s, f.end_s, f.p_rx_w, f.global_node});
       } else {
-        const EdgeFrame& e = inbox[k++];
-        records.push_back({e.start_s, e.end_s, e.p_rx_w, e.node});
+        records.push_back(inbox[k++]);
       }
     }
   }
@@ -408,14 +412,14 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m, Scratch& s,
   s.inbox.clear();
 }
 
-bool Domain::route_inbox(const std::vector<EdgeFrame>* from_left,
-                         const std::vector<EdgeFrame>* from_right, Scratch& s) const {
+bool Domain::route_inbox(const std::vector<AirRecord>* from_left,
+                         const std::vector<AirRecord>* from_right, Scratch& s) const {
   // Writes only the lent inbox and reads only neighbor outboxes, which
   // are immutable from the advance barrier until the next advance — every
   // domain can route concurrently, and a neighbor resolving meanwhile
   // never touches them. Merge order is fixed by (start, id); the two node
   // sets are disjoint, so keys never tie.
-  std::vector<EdgeFrame>& inbox = s.inbox;
+  std::vector<AirRecord>& inbox = s.inbox;
   inbox.clear();
   const std::size_t nl = from_left != nullptr ? from_left->size() : 0;
   const std::size_t nr = from_right != nullptr ? from_right->size() : 0;
@@ -423,11 +427,9 @@ bool Domain::route_inbox(const std::vector<EdgeFrame>* from_left,
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < nl && j < nr) {
-    const EdgeFrame& a = (*from_left)[i];
-    const EdgeFrame& b = (*from_right)[j];
-    const bool take_a =
-        a.start_s != b.start_s ? a.start_s < b.start_s : a.node < b.node;
-    if (take_a) {
+    const AirRecord& a = (*from_left)[i];
+    const AirRecord& b = (*from_right)[j];
+    if (start_then_id(a, b)) {
       inbox.push_back(a);
       ++i;
     } else {
@@ -467,43 +469,30 @@ void Domain::rebuild_carry(double epoch_end_s, const KernelModel& m,
 
 namespace {
 
-void save_edge_frames(ckpt::Writer& w, const std::vector<Domain::EdgeFrame>& v) {
+void save_air(ckpt::Writer& w, const std::vector<Domain::AirRecord>& v) {
   w.u64(v.size());
-  for (const Domain::EdgeFrame& e : v) {
-    w.f64(e.start_s);
-    w.f64(e.end_s);
-    w.f64(e.p_rx_w);
-    w.u32(e.node);
+  for (const Domain::AirRecord& a : v) {
+    w.f64(a.start_s);
+    w.f64(a.end_s);
+    w.f64(a.p_rx_w);
+    w.u32(a.global_node);
   }
 }
 
-void restore_edge_frames(ckpt::Reader& r, std::vector<Domain::EdgeFrame>& v) {
+// No reserve from the blob's count: a corrupt count must run out of
+// payload (a CheckpointError), not request a huge allocation.
+// FleetSession reserves every air run once restore returns.
+void restore_air(ckpt::Reader& r, std::vector<Domain::AirRecord>& v) {
   const std::uint64_t n = r.u64();
   v.clear();
-  v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    Domain::EdgeFrame e;
-    e.start_s = r.f64();
-    e.end_s = r.f64();
-    e.p_rx_w = r.f64();
-    e.node = r.u32();
-    v.push_back(e);
+    Domain::AirRecord a;
+    a.start_s = r.f64();
+    a.end_s = r.f64();
+    a.p_rx_w = r.f64();
+    a.global_node = r.u32();
+    v.push_back(a);
   }
-}
-
-void save_rng(ckpt::Writer& w, const Rng& rng) {
-  const Rng::State st = rng.state();
-  for (std::uint64_t s : st.s) w.u64(s);
-  w.f64(st.cached_normal);
-  w.b(st.has_cached_normal);
-}
-
-void restore_rng(ckpt::Reader& r, Rng& rng) {
-  Rng::State st;
-  for (auto& s : st.s) s = r.u64();
-  st.cached_normal = r.f64();
-  st.has_cached_normal = r.b();
-  rng.set_state(st);
 }
 
 }  // namespace
@@ -524,7 +513,7 @@ void Domain::save(ckpt::Writer& w) const {
   }
   w.u64(n);
   w.f64v(next_wake);
-  for (const Node& nd : node_) save_rng(w, nd.rng);
+  for (const Node& nd : node_) ckpt::write_rng(w, nd.rng.state());
   w.u32v(seq);
   w.u8v(alive_);
   w.u64v(cycles);
@@ -540,45 +529,27 @@ void Domain::save(ckpt::Writer& w) const {
     w.u32(f.seq);
     w.b(f.lost);
   }
-  w.u64(carry_.size());
-  for (const AirRecord& a : carry_) {
-    w.f64(a.start_s);
-    w.f64(a.end_s);
-    w.f64(a.p_rx_w);
-    w.u32(a.global_node);
-  }
-  save_edge_frames(w, outbox_left_);
-  save_edge_frames(w, outbox_right_);
+  save_air(w, carry_);
+  save_air(w, outbox_left_);
+  save_air(w, outbox_right_);
   w.b(heap_.built());
   w.u32v(heap_.slots());
-  w.u64(c_.wake_cycles);
-  w.u64(c_.frames_on_air);
-  w.u64(c_.frames_completed);
-  w.u64(c_.frames_lost);
-  w.u64(c_.collided);
-  w.u64(c_.captured);
-  w.u64(c_.below_squelch);
-  w.u64(c_.crc_rejected);
-  w.u64(c_.delivered);
-  w.u64(c_.delivered_payload_bits);
-  w.u64(c_.edge_exports);
-  w.u64(c_.nodes_dead);
-  w.u64(c_.arq_retries);
-  w.u64(c_.arq_gaveup);
-  w.f64(c_.airtime_s);
-  w.f64(c_.energy_out_j);
-  w.f64(c_.energy_in_j);
-  w.f64(c_.cycle_energy_j);
-  w.f64(c_.node_seconds_alive);
+  for_each_counter([&](auto field) {
+    if constexpr (kIsSumField<decltype(field)>) {
+      w.f64(c_.*field);
+    } else {
+      w.u64(c_.*field);
+    }
+  });
 }
 
-void Domain::restore(ckpt::Reader& r) {
+void Domain::restore(ckpt::Reader& r, double barrier_t_s) {
   const std::uint64_t n = r.u64();
   PICO_REQUIRE(n == nodes(),
                "fleet checkpoint domain population does not match the spec layout");
   const std::vector<double> next_wake = r.f64v();
   PICO_REQUIRE(next_wake.size() == n, "fleet checkpoint wake array mismatch");
-  for (Node& nd : node_) restore_rng(r, nd.rng);
+  for (Node& nd : node_) nd.rng.set_state(ckpt::read_rng(r));
   const std::vector<std::uint32_t> seq = r.u32v();
   alive_ = r.u8v();
   const std::vector<std::uint64_t> cycles = r.u64v();
@@ -589,14 +560,22 @@ void Domain::restore(ckpt::Reader& r) {
                "fleet checkpoint node-state array mismatch");
   for (std::size_t i = 0; i < n; ++i) {
     Node& nd = node_[i];
+    // Every wake at or before the barrier has fired. A NaN key would pass
+    // the calendar's order check (it compares false against any key) and
+    // silence the node for the rest of the run.
+    if (!(next_wake[i] > barrier_t_s)) {
+      throw ckpt::CheckpointError(
+          "fleet checkpoint wake time of node " + std::to_string(nd.global_id) + " (" +
+          std::to_string(next_wake[i]) + " s) is not after the barrier at " +
+          std::to_string(barrier_t_s) + " s");
+    }
     nd.next_wake_s = next_wake[i];
     nd.seq = seq[i];
     nd.cycles = cycles[i];
     nd.cycle_energy_j = cycle_energy[i];
   }
   const std::uint64_t np = r.u64();
-  pending_.clear();
-  pending_.reserve(np);
+  pending_.clear();  // no reserve from the blob's count, as in restore_air
   for (std::uint64_t i = 0; i < np; ++i) {
     Frame f;
     f.start_s = r.f64();
@@ -614,19 +593,9 @@ void Domain::restore(ckpt::Reader& r) {
     f.global_node = node_[f.node].global_id;
     pending_.push_back(f);
   }
-  const std::uint64_t na = r.u64();
-  carry_.clear();
-  carry_.reserve(na);
-  for (std::uint64_t i = 0; i < na; ++i) {
-    AirRecord a;
-    a.start_s = r.f64();
-    a.end_s = r.f64();
-    a.p_rx_w = r.f64();
-    a.global_node = r.u32();
-    carry_.push_back(a);
-  }
-  restore_edge_frames(r, outbox_left_);
-  restore_edge_frames(r, outbox_right_);
+  restore_air(r, carry_);
+  restore_air(r, outbox_left_);
+  restore_air(r, outbox_right_);
   // The calendar: a built one must be a heap-ordered permutation of the
   // nodes (a duplicated slot would fire that node twice per period while
   // another never wakes); an unbuilt one holds nothing.
@@ -657,25 +626,13 @@ void Domain::restore(ckpt::Reader& r) {
     throw ckpt::CheckpointError(
         "fleet checkpoint calendar slots break heap order against the wake times");
   }
-  c_.wake_cycles = r.u64();
-  c_.frames_on_air = r.u64();
-  c_.frames_completed = r.u64();
-  c_.frames_lost = r.u64();
-  c_.collided = r.u64();
-  c_.captured = r.u64();
-  c_.below_squelch = r.u64();
-  c_.crc_rejected = r.u64();
-  c_.delivered = r.u64();
-  c_.delivered_payload_bits = r.u64();
-  c_.edge_exports = r.u64();
-  c_.nodes_dead = r.u64();
-  c_.arq_retries = r.u64();
-  c_.arq_gaveup = r.u64();
-  c_.airtime_s = r.f64();
-  c_.energy_out_j = r.f64();
-  c_.energy_in_j = r.f64();
-  c_.cycle_energy_j = r.f64();
-  c_.node_seconds_alive = r.f64();
+  for_each_counter([&](auto field) {
+    if constexpr (kIsSumField<decltype(field)>) {
+      c_.*field = r.f64();
+    } else {
+      c_.*field = r.u64();
+    }
+  });
 }
 
 void Domain::finalize(const KernelModel& m, obs::FlightRing* flight) {

@@ -64,6 +64,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -162,7 +164,7 @@ struct DomainCounters {
   std::uint64_t delivered = 0;
   std::uint64_t delivered_payload_bits = 0;
   std::uint64_t edge_exports = 0;
-  std::uint64_t nodes_dead = 0;
+  std::uint64_t nodes_dead = 0;  // live gauge: grows as nodes retire mid-run
   // ARQ link mode: retries burned and chains that exhausted the retry
   // budget without a clean attempt (zero in beacon mode).
   std::uint64_t arq_retries = 0;
@@ -178,21 +180,55 @@ struct DomainCounters {
   double node_seconds_alive = 0.0;
 };
 
+// Every DomainCounters field, in declaration order. That is also the FDOM
+// wire order and the FleetMetrics::fingerprint order, so Domain::save and
+// restore, the fingerprint and the reduction all walk this one table.
+inline constexpr auto kCounterFields = std::make_tuple(
+    &DomainCounters::wake_cycles, &DomainCounters::frames_on_air,
+    &DomainCounters::frames_completed, &DomainCounters::frames_lost,
+    &DomainCounters::collided, &DomainCounters::captured,
+    &DomainCounters::below_squelch, &DomainCounters::crc_rejected,
+    &DomainCounters::delivered, &DomainCounters::delivered_payload_bits,
+    &DomainCounters::edge_exports, &DomainCounters::nodes_dead,
+    &DomainCounters::arq_retries, &DomainCounters::arq_gaveup,
+    &DomainCounters::airtime_s, &DomainCounters::energy_out_j,
+    &DomainCounters::energy_in_j, &DomainCounters::cycle_energy_j,
+    &DomainCounters::node_seconds_alive);
+
+// Call `fn(field)` with each member pointer of kCounterFields, in order.
+template <typename Fn>
+constexpr void for_each_counter(Fn&& fn) {
+  std::apply([&fn](auto... field) { (fn(field), ...); }, kCounterFields);
+}
+
+// Whether `Field` points at a double (an energy/time sum) rather than an
+// integer count: the codec and the fingerprint encode the two differently.
+template <typename Field>
+inline constexpr bool kIsSumField = std::is_same_v<Field, double DomainCounters::*>;
+
+// A field missing from the table changes the struct's size but not the
+// table's: refuse to compile rather than drop it from the wire.
+static_assert(std::apply([](auto... field) { return (sizeof(DomainCounters{}.*field) + ...); },
+                         kCounterFields) == sizeof(DomainCounters),
+              "every DomainCounters field must be listed in kCounterFields");
+
+// Field-wise sum. Reducing domains in a fixed order keeps every double
+// total bit-identical.
+inline DomainCounters& operator+=(DomainCounters& a, const DomainCounters& b) {
+  for_each_counter([&](auto field) { a.*field += b.*field; });
+  return a;
+}
+
 class Domain {
  public:
-  // An interference-only record exported across a boundary.
-  struct EdgeFrame {
-    double start_s = 0.0;
-    double end_s = 0.0;
-    double p_rx_w = 0.0;
-    std::uint32_t node = 0;  // global id (tie-break determinism)
-  };
-  // A sortable air record (own frame or imported interference).
+  // One record on the air — own frame, carried tail, or interference-only
+  // copy exported to a neighbor (outbox, routed inbox). Every run of them
+  // is (start_s, global_node)-sorted.
   struct AirRecord {
     double start_s = 0.0;
     double end_s = 0.0;
     double p_rx_w = 0.0;
-    std::uint32_t global_node = 0;
+    std::uint32_t global_node = 0;  // global id (tie-break determinism)
   };
   // Pass-2 transient state, lent by the engine: the routed inbox and the
   // merged air picture. Neither carries anything from one step to the
@@ -201,7 +237,7 @@ class Domain {
   // turn.
   struct Scratch {
     std::vector<AirRecord> records;
-    std::vector<EdgeFrame> inbox;
+    std::vector<AirRecord> inbox;
     // Grow the reservation to cover a domain of `own_nodes` nodes whose
     // neighbors' facing margin bands hold `imported_nodes` nodes.
     void fit(std::size_t own_nodes, std::size_t imported_nodes, const KernelModel& m);
@@ -250,8 +286,8 @@ class Domain {
   // the merge keeps them so. Reads neighbors' outboxes only — safe for
   // every domain in parallel after the advance barrier. Returns whether
   // the inbox is non-empty (the domain now has air work).
-  bool route_inbox(const std::vector<EdgeFrame>* from_left,
-                   const std::vector<EdgeFrame>* from_right, Scratch& s) const;
+  bool route_inbox(const std::vector<AirRecord>* from_left,
+                   const std::vector<AirRecord>* from_right, Scratch& s) const;
   // O(1) test: any air records (pending/carry) carried into pass 2?
   [[nodiscard]] bool has_air_work() const {
     return !pending_.empty() || !carry_.empty();
@@ -290,16 +326,18 @@ class Domain {
   // layout (ids, intervals, distances) is rebuilt from the spec by
   // FleetSession, which calls restore() after add_node — it validates the
   // node count, rejects node indices (pending frames, calendar slots)
-  // outside it, and rejects a calendar that is not a heap-ordered
-  // permutation of the nodes. Scratch is dead at every epoch barrier, the
-  // only place checkpoints happen, so it never hits the wire.
+  // outside it, rejects a wake time that is NaN or not after the restored
+  // barrier `barrier_t_s` (retired nodes hold +inf), and rejects a calendar
+  // that is not a heap-ordered permutation of the nodes. Scratch is dead
+  // at every epoch barrier, the only place checkpoints happen, so it never
+  // hits the wire.
   void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  void restore(ckpt::Reader& r, double barrier_t_s = 0.0);
 
   [[nodiscard]] std::size_t nodes() const { return node_.size(); }
   [[nodiscard]] const DomainCounters& counters() const { return c_; }
-  [[nodiscard]] const std::vector<EdgeFrame>& outbox_left() const { return outbox_left_; }
-  [[nodiscard]] const std::vector<EdgeFrame>& outbox_right() const {
+  [[nodiscard]] const std::vector<AirRecord>& outbox_left() const { return outbox_left_; }
+  [[nodiscard]] const std::vector<AirRecord>& outbox_right() const {
     return outbox_right_;
   }
 
@@ -342,8 +380,8 @@ class Domain {
   // Air runs that cross barriers (capacity reused across epochs).
   std::vector<Frame> pending_;       // own frames awaiting resolution
   std::vector<AirRecord> carry_;     // boundary-spanning records
-  std::vector<EdgeFrame> outbox_left_;
-  std::vector<EdgeFrame> outbox_right_;
+  std::vector<AirRecord> outbox_left_;
+  std::vector<AirRecord> outbox_right_;
 
   WakeHeap heap_;
 

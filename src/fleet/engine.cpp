@@ -9,6 +9,7 @@
 
 #include "ckpt/codec.hpp"
 #include "ckpt/state.hpp"
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "core/fleet.hpp"
 #include "obs/flight.hpp"
@@ -23,32 +24,18 @@ namespace pico::fleet {
 
 namespace {
 constexpr double kBoltzmann = 1.380649e-23;
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  // splitmix64 finalizer over a running hash: cheap, stable, and any
-  // single-bit difference avalanches.
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ULL;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBULL;
-  h ^= h >> 31;
-  return h;
-}
 }  // namespace
 
 std::uint64_t FleetMetrics::fingerprint() const {
-  std::uint64_t h = 0x5EED5EED5EED5EEDULL;
-  for (std::uint64_t v :
-       {nodes, domains, wake_cycles, frames_on_air, frames_completed, frames_lost,
-        collided, captured, below_squelch, crc_rejected, delivered,
-        delivered_payload_bits, edge_exports, nodes_dead, arq_retries,
-        arq_gaveup}) {
-    h = mix(h, v);
-  }
-  for (double v : {airtime_s, energy_out_j, energy_in_j, node_seconds_alive}) {
-    h = mix(h, std::bit_cast<std::uint64_t>(v));
-  }
+  std::uint64_t h = digest_mix(digest_mix(0x5EED5EED5EED5EEDULL, nodes), domains);
+  for_each_counter([&](auto field) {
+    if constexpr (kIsSumField<decltype(field)>) {
+      if (field == &DomainCounters::cycle_energy_j) return;  // series-only view
+      h = digest_mix(h, std::bit_cast<std::uint64_t>(this->*field));
+    } else {
+      h = digest_mix(h, this->*field);
+    }
+  });
   return h;
 }
 
@@ -144,14 +131,6 @@ struct FleetSession::Impl {
     std::uint64_t advanced = 0;
     std::uint64_t resolved = 0;
   };
-  struct alignas(64) SampleAgg {
-    std::uint64_t wake = 0;
-    std::uint64_t on_air = 0;
-    std::uint64_t coll = 0;
-    std::uint64_t deliv = 0;
-    std::uint64_t lost = 0;
-    double cycle_j = 0.0;  // summed per-domain wake energy (ARQ series)
-  };
   static constexpr std::size_t kAggBlock = 64;
 
   // Immutable for the life of the session (rebuilt from the spec by a
@@ -173,7 +152,7 @@ struct FleetSession::Impl {
   std::vector<FaultOpen> fault_opens;
   std::vector<ShardStat> shard_stats;
   std::size_t agg_blocks = 0;
-  std::vector<SampleAgg> agg;
+  std::vector<DomainCounters> agg;  // per-block partial sums for the series
 
   // Mutable epoch-loop state. The FENG section serializes the cursors;
   // the dense active-set arrays are re-derived from domain state on
@@ -534,18 +513,10 @@ void FleetSession::Impl::run_until(double t_target_s) {
   // the per-domain accumulators (ARQ: fixed blocks combined in block
   // order, so the rounding is reproduced bit-for-bit).
   auto sample_block = [&](std::size_t b) {
-    SampleAgg a;
+    DomainCounters a;
     const std::size_t lo = b * kAggBlock;
     const std::size_t hi = std::min(lo + kAggBlock, n_domains);
-    for (std::size_t d = lo; d < hi; ++d) {
-      const DomainCounters& c = domains[d].counters();
-      a.wake += c.wake_cycles;
-      a.on_air += c.frames_on_air;
-      a.coll += c.collided;
-      a.deliv += c.delivered;
-      a.lost += c.frames_lost;
-      a.cycle_j += c.cycle_energy_j;
-    }
+    for (std::size_t d = lo; d < hi; ++d) a += domains[d].counters();
     agg[b] = a;
   };
 
@@ -578,38 +549,32 @@ void FleetSession::Impl::run_until(double t_target_s) {
         }
         if (hooks.series != nullptr && hooks.series->due(epoch_end)) {
           runner.run_indexed(agg_blocks, sample_block);
-          SampleAgg tot;
-          for (const SampleAgg& a : agg) {
-            tot.wake += a.wake;
-            tot.on_air += a.on_air;
-            tot.coll += a.coll;
-            tot.deliv += a.deliv;
-            tot.lost += a.lost;
-            tot.cycle_j += a.cycle_j;
-          }
+          DomainCounters tot;
+          for (const DomainCounters& a : agg) tot += a;
           hooks.series->begin_row(epoch_end);
-          hooks.series->set(sid.wake_cycles, static_cast<double>(tot.wake));
-          hooks.series->set(sid.frames_on_air, static_cast<double>(tot.on_air));
-          hooks.series->set(sid.collided, static_cast<double>(tot.coll));
-          hooks.series->set(sid.delivered, static_cast<double>(tot.deliv));
-          hooks.series->set(sid.frames_lost, static_cast<double>(tot.lost));
+          hooks.series->set(sid.wake_cycles, static_cast<double>(tot.wake_cycles));
+          hooks.series->set(sid.frames_on_air, static_cast<double>(tot.frames_on_air));
+          hooks.series->set(sid.collided, static_cast<double>(tot.collided));
+          hooks.series->set(sid.delivered, static_cast<double>(tot.delivered));
+          hooks.series->set(sid.frames_lost, static_cast<double>(tot.frames_lost));
           const double dt = epoch_end - prev_sample_t;
           if (dt > 0.0) {
             hooks.series->set(sid.delivered_per_s,
-                              static_cast<double>(tot.deliv - prev_delivered) / dt);
+                              static_cast<double>(tot.delivered - prev_delivered) / dt);
           }
-          if (tot.on_air > 0) {
-            hooks.series->set(sid.collision_rate, static_cast<double>(tot.coll) /
-                                                      static_cast<double>(tot.on_air));
+          if (tot.frames_on_air > 0) {
+            hooks.series->set(sid.collision_rate,
+                              static_cast<double>(tot.collided) /
+                                  static_cast<double>(tot.frames_on_air));
           }
           hooks.series->set(sid.energy_cycle_j,
                             m.profile.arq
-                                ? tot.cycle_j
-                                : static_cast<double>(tot.wake) *
+                                ? tot.cycle_energy_j
+                                : static_cast<double>(tot.wake_cycles) *
                                       m.profile.cycle_energy_j);
           hooks.series->commit_row();
           prev_sample_t = epoch_end;
-          prev_delivered = tot.deliv;
+          prev_delivered = tot.delivered;
         }
         phase.obs_s += seconds_since(t_obs);
       }
@@ -642,27 +607,7 @@ FleetMetrics FleetSession::Impl::finish_run() {
   out.nodes = spec.nodes;
   out.domains = n_domains;
   out.shards = n_shards;
-  for (const Domain& d : domains) {
-    const DomainCounters& c = d.counters();
-    out.wake_cycles += c.wake_cycles;
-    out.frames_on_air += c.frames_on_air;
-    out.frames_completed += c.frames_completed;
-    out.frames_lost += c.frames_lost;
-    out.collided += c.collided;
-    out.captured += c.captured;
-    out.below_squelch += c.below_squelch;
-    out.crc_rejected += c.crc_rejected;
-    out.delivered += c.delivered;
-    out.delivered_payload_bits += c.delivered_payload_bits;
-    out.edge_exports += c.edge_exports;
-    out.nodes_dead += c.nodes_dead;
-    out.arq_retries += c.arq_retries;
-    out.arq_gaveup += c.arq_gaveup;
-    out.airtime_s += c.airtime_s;
-    out.energy_out_j += c.energy_out_j;
-    out.energy_in_j += c.energy_in_j;
-    out.node_seconds_alive += c.node_seconds_alive;
-  }
+  for (const Domain& d : domains) out += d.counters();
   if (out.frames_on_air > 0) {
     out.collision_rate = static_cast<double>(out.collided) /
                          static_cast<double>(out.frames_on_air);
@@ -735,7 +680,7 @@ FleetSession::Impl::guard_fields() const {
   // arq.max_retries, its values by the calibration inputs above — the
   // digest catches any drift in the tabulated energies themselves.
   std::uint64_t table = 0;
-  for (const double e : m.profile.retry_cycle_energy_j) table = mix(table, d(e));
+  for (const double e : m.profile.retry_cycle_energy_j) table = digest_mix(table, d(e));
   g.emplace_back("profile.retry_table", table);
   g.emplace_back("check_depletion", m.check_depletion ? 1u : 0u);
   const bool has_series = obs::kEnabled && hooks.series != nullptr;
@@ -868,7 +813,7 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
                                 " domains; the spec lays out " +
                                 std::to_string(domains.size()));
   }
-  for (Domain& dom : domains) dom.restore(r);
+  for (Domain& dom : domains) dom.restore(r, t);
   r.leave_section();
   // A restored calendar may already be built, so the first advance would
   // not reserve: reserve every domain's air runs here, in parallel.

@@ -139,28 +139,13 @@ struct FleetPhaseBreakdown {
   std::uint64_t domains_resolved = 0;   // resolve() actually entered
 };
 
-struct FleetMetrics {
+// The fleet-wide counters are the domain counters reduced in domain order;
+// cycle_energy_j (an advance-time view that feeds the series) stays out of
+// fingerprint() and publish_metrics().
+struct FleetMetrics : DomainCounters {
   std::uint64_t nodes = 0;
   std::uint64_t domains = 0;
   std::uint64_t shards = 0;
-  std::uint64_t wake_cycles = 0;
-  std::uint64_t frames_on_air = 0;
-  std::uint64_t frames_completed = 0;
-  std::uint64_t frames_lost = 0;
-  std::uint64_t collided = 0;
-  std::uint64_t captured = 0;
-  std::uint64_t below_squelch = 0;
-  std::uint64_t crc_rejected = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t delivered_payload_bits = 0;
-  std::uint64_t edge_exports = 0;
-  std::uint64_t nodes_dead = 0;     // live gauge: grows as nodes retire mid-run
-  std::uint64_t arq_retries = 0;    // ARQ mode: retransmissions burned
-  std::uint64_t arq_gaveup = 0;     // ARQ mode: chains that exhausted the budget
-  double airtime_s = 0.0;
-  double energy_out_j = 0.0;
-  double energy_in_j = 0.0;
-  double node_seconds_alive = 0.0;  // alive-population integral over sim time
   double collision_rate = 0.0;     // collided / frames_on_air
   double aloha_prediction = 0.0;   // per-domain closed form, for sanity
   FleetPhaseBreakdown phase;       // wall-clock; NOT part of fingerprint()

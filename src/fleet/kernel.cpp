@@ -137,15 +137,8 @@ HarvestIntegral::HarvestIntegral(const core::NodeConfig& cfg, double horizon_s) 
   // EMF into the power train's rectifier topology against the battery's
   // initial OCV (the OCV drift over a run is far below the estimator's
   // own fidelity).
-  harvest::SpeedProfile profile =
-      cfg.drive.has_value() ? *cfg.drive : harvest::make_city_cycle();
-  harvest::ElectromagneticShaker shaker(profile);
-  std::unique_ptr<power::Rectifier> rectifier;
-  if (cfg.power == core::NodeConfig::PowerVersion::kIc) {
-    rectifier = std::make_unique<power::SynchronousRectifier>();
-  } else {
-    rectifier = std::make_unique<power::DiodeBridgeRectifier>();
-  }
+  const harvest::ElectromagneticShaker shaker(core::drive_profile(cfg));
+  const std::unique_ptr<power::Rectifier> rectifier = core::make_rectifier(cfg.power);
   storage::NiMhBattery::Params bp;
   bp.initial_soc = cfg.battery_initial_soc;
   const Voltage ocv = storage::NiMhBattery(bp).open_circuit_voltage();

@@ -4,24 +4,11 @@
 #include <bit>
 #include <fstream>
 
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 
 namespace pico::obs {
-
-namespace {
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  // splitmix64 finalizer over a running hash (same digest discipline as
-  // FleetMetrics::fingerprint): any single-bit difference avalanches.
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ULL;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBULL;
-  h ^= h >> 31;
-  return h;
-}
-}  // namespace
 
 const char* to_string(FlightEventKind kind) {
   switch (kind) {
@@ -186,11 +173,11 @@ std::vector<FlightRecorder::MergedEvent> FlightRecorder::merged() const {
 std::uint64_t FlightRecorder::fingerprint() const {
   std::uint64_t h = 0xF117F117F117F117ULL;
   for (const MergedEvent& e : merged()) {
-    h = mix(h, std::bit_cast<std::uint64_t>(e.ev.t_s));
-    h = mix(h, static_cast<std::uint64_t>(e.ev.kind));
-    h = mix(h, (static_cast<std::uint64_t>(e.ev.a) << 32) | e.ev.b);
-    h = mix(h, std::bit_cast<std::uint64_t>(e.ev.v));
-    h = mix(h, e.ring);
+    h = digest_mix(h, std::bit_cast<std::uint64_t>(e.ev.t_s));
+    h = digest_mix(h, static_cast<std::uint64_t>(e.ev.kind));
+    h = digest_mix(h, (static_cast<std::uint64_t>(e.ev.a) << 32) | e.ev.b);
+    h = digest_mix(h, std::bit_cast<std::uint64_t>(e.ev.v));
+    h = digest_mix(h, e.ring);
   }
   return h;
 }

@@ -13,6 +13,7 @@
 // which `bench_soak_corpus --index N --checkpoint-at T` replays directly.
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -138,42 +139,53 @@ std::string repro_line(const scenario::GeneratorParams& p, std::uint64_t index,
          " threads=" + std::to_string(spec.threads);
 }
 
-// Rewrite the version field of section `section_tag` in a sealed blob and
-// re-seal it, so only the section-version check can reject the result.
-// Container layout: a 16-byte header, then sections of {u32 tag, u32
-// version, u64 length, payload}, then a trailing FNV-1a-64 digest of
-// everything before it.
-std::vector<std::uint8_t> with_section_version(std::vector<std::uint8_t> blob,
-                                               std::uint32_t section_tag,
-                                               std::uint32_t version) {
-  const auto le = [&blob](std::size_t at, int bytes) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) {
-      v |= static_cast<std::uint64_t>(blob[at + static_cast<std::size_t>(i)]) << (8 * i);
-    }
-    return v;
-  };
-  const std::size_t digest_at = blob.size() - 8;
-  bool found = false;
-  for (std::size_t at = 16; at + 16 <= digest_at;
-       at += 16 + static_cast<std::size_t>(le(at + 8, 8))) {
-    if (le(at, 4) != section_tag) continue;
-    for (int i = 0; i < 4; ++i) {
-      blob[at + 4 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(version >> (8 * i));
-    }
-    found = true;
-    break;
+// Blob surgery. Container layout: a 16-byte header, then sections of
+// {u32 tag, u32 version, u64 length, payload}, then a trailing FNV-1a-64
+// digest of everything before it.
+std::uint64_t read_le(const std::vector<std::uint8_t>& blob, std::size_t at, int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<std::uint64_t>(blob[at + static_cast<std::size_t>(i)]) << (8 * i);
   }
-  EXPECT_TRUE(found) << "section not in blob";
+  return v;
+}
+
+void write_le(std::vector<std::uint8_t>& blob, std::size_t at, int bytes, std::uint64_t v) {
+  for (int i = 0; i < bytes; ++i) {
+    blob[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// Offset of section `section_tag`'s header in a sealed blob.
+std::size_t section_at(const std::vector<std::uint8_t>& blob, std::uint32_t section_tag) {
+  const std::size_t digest_at = blob.size() - 8;
+  for (std::size_t at = 16; at + 16 <= digest_at;
+       at += 16 + static_cast<std::size_t>(read_le(blob, at + 8, 8))) {
+    if (read_le(blob, at, 4) == section_tag) return at;
+  }
+  ADD_FAILURE() << "section not in blob";
+  return 0;
+}
+
+// Recompute the trailing digest after an edit.
+std::vector<std::uint8_t> resealed(std::vector<std::uint8_t> blob) {
+  const std::size_t digest_at = blob.size() - 8;
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (std::size_t i = 0; i < digest_at; ++i) {
     h ^= blob[i];
     h *= 0x100000001b3ULL;
   }
-  for (int i = 0; i < 8; ++i) {
-    blob[digest_at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(h >> (8 * i));
-  }
+  write_le(blob, digest_at, 8, h);
   return blob;
+}
+
+// Rewrite the version field of section `section_tag` in a sealed blob and
+// re-seal it, so only the section-version check can reject the result.
+std::vector<std::uint8_t> with_section_version(std::vector<std::uint8_t> blob,
+                                               std::uint32_t section_tag,
+                                               std::uint32_t version) {
+  write_le(blob, section_at(blob, section_tag) + 4, 4, version);
+  return resealed(std::move(blob));
 }
 
 }  // namespace
@@ -293,6 +305,43 @@ TEST(FleetCheckpointTest, RejectsPreviousDomainSectionVersion) {
     EXPECT_NE(what.find("FDOM"), std::string::npos) << what;
     EXPECT_NE(what.find("v2"), std::string::npos) << what;
   }
+}
+
+// A restored wake time must lie after the restored barrier. A NaN key
+// compares false against every other key, so the calendar's heap-order
+// check cannot see it: the node would silently stop waking (8 nodes cut
+// at 14 s resumed to 69 wake cycles instead of 76).
+TEST(FleetCheckpointTest, RejectsRestoredWakeTimeNotAfterBarrier) {
+  fleet::FleetSpec spec;
+  spec.nodes = 8;
+  spec.domains = 1;
+  spec.sim_time_s = 60.0;
+  spec.epoch_s = 7.0;
+  std::vector<std::uint8_t> blob;
+  {
+    fleet::FleetSession s(spec);
+    s.run_until(14.0);
+    blob = s.save();
+  }
+  // FDOM payload: u64 domain count, then domain 0's u64 node count and
+  // its wake-time array (u64 length, one f64 per node).
+  const std::size_t wake0 = section_at(blob, ckpt::tag("FDOM")) + 16 + 24;
+  ASSERT_EQ(read_le(blob, wake0 - 8, 8), spec.nodes);
+  ASSERT_GT(std::bit_cast<double>(read_le(blob, wake0, 8)), 14.0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 14.0, 3.0}) {
+    std::vector<std::uint8_t> edited = blob;
+    write_le(edited, wake0, 8, std::bit_cast<std::uint64_t>(bad));
+    fleet::FleetSession s(spec);
+    try {
+      s.restore(resealed(std::move(edited)));
+      ADD_FAILURE() << "wake time " << bad << " at a 14 s barrier must be rejected";
+    } catch (const ckpt::CheckpointError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("wake time of node 0"), std::string::npos) << what;
+    }
+  }
+  fleet::FleetSession s(spec);
+  EXPECT_NO_THROW(s.restore(blob));
 }
 
 namespace {

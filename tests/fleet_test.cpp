@@ -818,6 +818,42 @@ TEST(FleetCheckpointBytesTest, ArqJamBlobIsPinned) {
   EXPECT_EQ(mid_run_blob_hash(arq_jam_spec(), 3), 0x05690e8161976265ULL);
 }
 
+// --- Series rows -------------------------------------------------------------
+// FNV-1a of every row's time and fleet.* values, as bits: the sampler's
+// domain-block reduction must reproduce the same sums in the same order.
+// 96 domains span two reduction blocks, so the block-order combine of the
+// summed wake energy is pinned too.
+
+std::uint64_t series_rows_hash(const FleetSpec& spec, std::size_t expect_rows) {
+  obs::TimeSeriesRecorder series(5.0, 512);
+  FleetObsHooks hooks;
+  hooks.series = &series;
+  (void)ShardedFleetEngine::run(spec, hooks);
+  EXPECT_EQ(series.rows(), expect_rows);
+  EXPECT_EQ(series.series_count(), 8u);
+  std::vector<std::uint8_t> bytes;
+  const auto put = [&bytes](double v) {
+    const auto b = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(b >> (8 * i)));
+  };
+  for (std::size_t row = 0; row < series.rows(); ++row) {
+    put(series.times()[row]);
+    for (obs::TimeSeriesRecorder::SeriesId id = 0; id < series.series_count(); ++id) {
+      put(series.column(id)[row]);
+    }
+  }
+  return fnv1a(bytes);
+}
+
+TEST(FleetArqTest, SeriesRowsUnderJamArePinned) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  EXPECT_EQ(series_rows_hash(arq_jam_spec(), 24), 0x5e783c3948e5d272ULL);
+  FleetSpec wide = arq_jam_spec();
+  wide.nodes = 2400;
+  wide.domains = 96;
+  EXPECT_EQ(series_rows_hash(wide, 24), 0x64a687fa367140f8ULL);
+}
+
 TEST(FleetArqTest, CleanChannelCollapsesToBeaconCounts) {
   // With no channel loss a stop-and-wait chain is exactly one attempt, so
   // every frame-level counter must equal the beacon run's — only the
@@ -976,6 +1012,8 @@ TEST(FleetRetirementTest, KernelRetirementMatchesScalarBrownoutWithinOneWake) {
 // fires next, so restore() must check them all.
 struct DomainBlob {
   std::uint32_t frame_node = 0;
+  std::uint64_t pending_count = 1;
+  std::uint64_t carry_count = 0;
   bool calendar_built = true;
   std::vector<std::uint32_t> slots = {0, 1};
   std::vector<double> next_wake = {6.0, 6.5};
@@ -996,7 +1034,7 @@ std::vector<std::uint8_t> two_node_domain_blob(const DomainBlob& b) {
   w.f64v({2e-6, 2e-6});  // cycle energy
   w.f64v({std::numeric_limits<double>::infinity(),
           std::numeric_limits<double>::infinity()});  // death time
-  w.u64(1);  // one pending frame
+  w.u64(b.pending_count);  // one pending frame follows
   w.f64(5.0);
   w.f64(5.001);
   w.f64(1e-9);
@@ -1004,7 +1042,7 @@ std::vector<std::uint8_t> two_node_domain_blob(const DomainBlob& b) {
   w.u32(b.frame_node);
   w.u32(0);
   w.b(false);
-  w.u64(0);  // carry
+  w.u64(b.carry_count);  // no carry records follow
   w.u64(0);  // left outbox
   w.u64(0);  // right outbox
   w.b(b.calendar_built);
@@ -1027,6 +1065,17 @@ TEST(DomainTest, RestoreRejectsPendingFrameOutsideDomain) {
   DomainBlob b;
   b.frame_node = 2;
   EXPECT_THROW(restore_two_node_domain(b), ckpt::CheckpointError);
+}
+
+TEST(DomainTest, RestoreRejectsAirRunCountBeyondPayload) {
+  // A corrupt count must fail on the missing records, not reserve them:
+  // 2^58 records made vector::reserve throw std::length_error.
+  DomainBlob pending;
+  pending.pending_count = std::uint64_t{1} << 58;
+  EXPECT_THROW(restore_two_node_domain(pending), ckpt::CheckpointError);
+  DomainBlob carry;
+  carry.carry_count = std::uint64_t{1} << 58;
+  EXPECT_THROW(restore_two_node_domain(carry), ckpt::CheckpointError);
 }
 
 TEST(DomainTest, RestoreRejectsCalendarSlotOutsideDomain) {
