@@ -203,12 +203,15 @@ void Reader::need(std::size_t n) const {
                           " bytes, " + std::to_string(limit - pos_) + " remain");
 }
 
-void Reader::need_count(std::uint64_t count, std::size_t elem_size) const {
+std::uint64_t Reader::count(std::size_t min_elem_bytes) {
+  PICO_ASSERT(min_elem_bytes >= 1);
+  const std::uint64_t n = u64();
   const std::size_t limit = in_section_ ? section_end_ : end_;
   const std::uint64_t remain = limit - pos_;
-  if (count > remain / elem_size)
-    throw CheckpointError("corrupt element count " + std::to_string(count) +
+  if (n > remain / min_elem_bytes)
+    throw CheckpointError("corrupt element count " + std::to_string(n) +
                           " exceeds remaining payload");
+  return n;
 }
 
 std::uint8_t Reader::u8() {
@@ -255,8 +258,7 @@ std::string Reader::str() {
 }
 
 std::vector<std::uint8_t> Reader::u8v() {
-  const std::uint64_t n = u64();
-  need_count(n, 1);
+  const std::uint64_t n = count(1);
   std::vector<std::uint8_t> v(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
                               buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
@@ -264,24 +266,21 @@ std::vector<std::uint8_t> Reader::u8v() {
 }
 
 std::vector<std::uint32_t> Reader::u32v() {
-  const std::uint64_t n = u64();
-  need_count(n, 4);
+  const std::uint64_t n = count(4);
   std::vector<std::uint32_t> v(n);
   for (auto& x : v) x = u32();
   return v;
 }
 
 std::vector<std::uint64_t> Reader::u64v() {
-  const std::uint64_t n = u64();
-  need_count(n, 8);
+  const std::uint64_t n = count(8);
   std::vector<std::uint64_t> v(n);
   for (auto& x : v) x = u64();
   return v;
 }
 
 std::vector<double> Reader::f64v() {
-  const std::uint64_t n = u64();
-  need_count(n, 8);
+  const std::uint64_t n = count(8);
   std::vector<double> v(n);
   for (auto& x : v) x = f64();
   return v;

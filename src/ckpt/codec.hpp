@@ -104,6 +104,12 @@ class Reader {
   [[nodiscard]] std::vector<std::uint64_t> u64v();
   [[nodiscard]] std::vector<double> f64v();
 
+  // Read a u64 element count and check it against the payload left, given
+  // that each element takes at least `min_elem_bytes` on the wire: a
+  // corrupt count raises CheckpointError before anything is allocated
+  // from it. Every count a blob declares goes through here.
+  [[nodiscard]] std::uint64_t count(std::size_t min_elem_bytes);
+
   // Open the next section, requiring its tag; returns the section
   // version. leave_section() verifies the payload was consumed exactly.
   std::uint32_t enter_section(std::uint32_t expected_tag);
@@ -114,9 +120,6 @@ class Reader {
 
  private:
   void need(std::size_t n) const;
-  // Guard a declared element count against the bytes actually remaining,
-  // so a corrupt count cannot trigger a huge allocation.
-  void need_count(std::uint64_t count, std::size_t elem_size) const;
 
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;

@@ -5,10 +5,12 @@ namespace pico::ckpt {
 namespace {
 constexpr std::uint32_t kSeries = tag("SERS");
 constexpr std::uint32_t kFlight = tag("FLIT");
-constexpr std::uint32_t kSim = tag("SIMC");
-constexpr std::uint32_t kPower = tag("PWRA");
-constexpr std::uint32_t kFaults = tag("FLTI");
-constexpr std::uint32_t kNode = tag("NODE");
+
+// Smallest wire size of one element of each blob-declared count, the
+// bound Reader::count checks the count against.
+constexpr std::size_t kSeriesEntryBytes = 4 + 8;              // empty name, empty column
+constexpr std::size_t kFlightRingBytes = 8 + 8;               // recorded, event count
+constexpr std::size_t kFlightEventBytes = 8 + 2 + 4 + 4 + 8;  // t, kind, a, b, v
 
 void write_flight_event(Writer& w, const obs::FlightEvent& ev) {
   w.f64(ev.t_s);
@@ -68,7 +70,7 @@ obs::TimeSeriesRecorder::CheckpointState read_series(Reader& r) {
   st.max_rows = r.u64();
   st.decimations = r.u64();
   st.t = r.f64v();
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(kSeriesEntryBytes);
   st.names.reserve(n);
   st.cols.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -109,150 +111,18 @@ obs::FlightRecorder::CheckpointState read_flight(Reader& r) {
   st.storm_times = r.f64v();
   st.storm_head = r.u64();
   st.storm_seen = r.u64();
-  const std::uint64_t rings = r.u64();
+  const std::uint64_t rings = r.count(kFlightRingBytes);
   st.rings.reserve(rings);
   for (std::uint64_t i = 0; i < rings; ++i) {
     obs::FlightRecorder::CheckpointState::Ring ring;
     ring.recorded = r.u64();
-    const std::uint64_t n = r.u64();
+    const std::uint64_t n = r.count(kFlightEventBytes);
     ring.retained.reserve(n);
     for (std::uint64_t j = 0; j < n; ++j) ring.retained.push_back(read_flight_event(r));
     st.rings.push_back(std::move(ring));
   }
   r.leave_section();
   return st;
-}
-
-void write_sim(Writer& w, const sim::Simulator::CheckpointState& st) {
-  w.begin_section(kSim, 1);
-  w.f64(st.now_s);
-  w.u64(st.next_seq);
-  w.u64(st.dispatched);
-  w.u64(st.queue_peak);
-  w.end_section();
-}
-
-sim::Simulator::CheckpointState read_sim(Reader& r) {
-  r.enter_section(kSim);
-  sim::Simulator::CheckpointState st;
-  st.now_s = r.f64();
-  st.next_seq = r.u64();
-  st.dispatched = r.u64();
-  st.queue_peak = r.u64();
-  r.leave_section();
-  return st;
-}
-
-void write_accountant(Writer& w, const core::PowerAccountant::CheckpointState& st) {
-  w.begin_section(kPower, 1);
-  w.u64(st.device_names.size());
-  for (std::size_t i = 0; i < st.device_names.size(); ++i) {
-    w.str(st.device_names[i]);
-    w.u32(st.device_rails[i]);
-    w.f64(st.device_currents_a[i]);
-    w.f64(st.device_energies_j[i]);
-  }
-  w.f64(st.load_mcu_a);
-  w.f64(st.load_radio_digital_a);
-  w.f64(st.load_radio_rf_a);
-  w.f64(st.harvest_a);
-  w.f64(st.converter_derate);
-  w.f64(st.last_time_s);
-  w.f64(st.energy_out_j);
-  w.f64(st.energy_in_j);
-  w.b(st.empty_signaled);
-  w.u64(st.intervals);
-  w.u64(st.brownouts);
-  w.end_section();
-}
-
-core::PowerAccountant::CheckpointState read_accountant(Reader& r) {
-  r.enter_section(kPower);
-  core::PowerAccountant::CheckpointState st;
-  const std::uint64_t n = r.u64();
-  st.device_names.reserve(n);
-  st.device_rails.reserve(n);
-  st.device_currents_a.reserve(n);
-  st.device_energies_j.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    st.device_names.push_back(r.str());
-    st.device_rails.push_back(r.u32());
-    st.device_currents_a.push_back(r.f64());
-    st.device_energies_j.push_back(r.f64());
-  }
-  st.load_mcu_a = r.f64();
-  st.load_radio_digital_a = r.f64();
-  st.load_radio_rf_a = r.f64();
-  st.harvest_a = r.f64();
-  st.converter_derate = r.f64();
-  st.last_time_s = r.f64();
-  st.energy_out_j = r.f64();
-  st.energy_in_j = r.f64();
-  st.empty_signaled = r.b();
-  st.intervals = r.u64();
-  st.brownouts = r.u64();
-  r.leave_section();
-  return st;
-}
-
-void write_injector(Writer& w, const fault::FaultInjector::CheckpointState& st) {
-  w.begin_section(kFaults, 1);
-  w.u64(st.counters.events_armed);
-  w.u64(st.counters.events_fired);
-  w.u64(st.counters.windows_closed);
-  w.u64(st.counters.harvest_derates);
-  w.u64(st.counters.storage_agings);
-  w.u64(st.counters.converter_derates);
-  w.u64(st.counters.channel_loss_windows);
-  w.u64(st.counters.supply_glitches);
-  w.f64v(st.active_harvest);
-  w.f64v(st.active_converter);
-  w.f64v(st.active_loss);
-  w.f64v(st.active_glitch);
-  w.end_section();
-}
-
-fault::FaultInjector::CheckpointState read_injector(Reader& r) {
-  r.enter_section(kFaults);
-  fault::FaultInjector::CheckpointState st;
-  st.counters.events_armed = r.u64();
-  st.counters.events_fired = r.u64();
-  st.counters.windows_closed = r.u64();
-  st.counters.harvest_derates = r.u64();
-  st.counters.storage_agings = r.u64();
-  st.counters.converter_derates = r.u64();
-  st.counters.channel_loss_windows = r.u64();
-  st.counters.supply_glitches = r.u64();
-  st.active_harvest = r.f64v();
-  st.active_converter = r.f64v();
-  st.active_loss = r.f64v();
-  st.active_glitch = r.f64v();
-  r.leave_section();
-  return st;
-}
-
-std::vector<std::uint8_t> encode_node(const NodeCheckpoint& node) {
-  Writer w;
-  w.begin_section(kNode, 1);
-  w.str(node.fault_plan_spec);
-  w.end_section();
-  write_sim(w, node.sim);
-  write_accountant(w, node.power);
-  write_injector(w, node.faults);
-  return w.finish();
-}
-
-NodeCheckpoint decode_node(const std::vector<std::uint8_t>& blob) {
-  Reader r(blob);
-  NodeCheckpoint node;
-  r.enter_section(kNode);
-  node.fault_plan_spec = r.str();
-  r.leave_section();
-  node.sim = read_sim(r);
-  node.power = read_accountant(r);
-  node.faults = read_injector(r);
-  if (!r.at_end()) throw CheckpointError("trailing bytes after node checkpoint");
-  return node;
 }
 
 }  // namespace pico::ckpt

@@ -161,59 +161,6 @@ Energy PowerAccountant::management_overhead() const {
   return Energy{energy_out_ - devices_total};
 }
 
-PowerAccountant::CheckpointState PowerAccountant::checkpoint_state() const {
-  CheckpointState st;
-  st.device_names.reserve(devices_.size());
-  st.device_rails.reserve(devices_.size());
-  st.device_currents_a.reserve(devices_.size());
-  st.device_energies_j.reserve(devices_.size());
-  for (const DeviceLedger& d : devices_) {
-    st.device_names.push_back(d.name);
-    st.device_rails.push_back(static_cast<std::uint32_t>(d.rail));
-    st.device_currents_a.push_back(d.current.value());
-    st.device_energies_j.push_back(d.energy_j);
-  }
-  st.load_mcu_a = loads_.mcu_sensor.value();
-  st.load_radio_digital_a = loads_.radio_digital.value();
-  st.load_radio_rf_a = loads_.radio_rf.value();
-  st.harvest_a = harvest_.value();
-  st.converter_derate = converter_derate_;
-  st.last_time_s = last_time_;
-  st.energy_out_j = energy_out_;
-  st.energy_in_j = energy_in_;
-  st.empty_signaled = empty_signaled_;
-  st.intervals = intervals_;
-  st.brownouts = brownouts_;
-  return st;
-}
-
-void PowerAccountant::restore(const CheckpointState& st) {
-  PICO_REQUIRE(st.device_names.size() == devices_.size() &&
-                   st.device_rails.size() == devices_.size() &&
-                   st.device_currents_a.size() == devices_.size() &&
-                   st.device_energies_j.size() == devices_.size(),
-               "accountant checkpoint device count mismatch");
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    PICO_REQUIRE(st.device_names[i] == devices_[i].name &&
-                     st.device_rails[i] == static_cast<std::uint32_t>(devices_[i].rail),
-                 "accountant checkpoint device '" + st.device_names[i] +
-                     "' does not match registered device '" + devices_[i].name + "'");
-    devices_[i].current = Current{st.device_currents_a[i]};
-    devices_[i].energy_j = st.device_energies_j[i];
-  }
-  loads_.mcu_sensor = Current{st.load_mcu_a};
-  loads_.radio_digital = Current{st.load_radio_digital_a};
-  loads_.radio_rf = Current{st.load_radio_rf_a};
-  harvest_ = Current{st.harvest_a};
-  converter_derate_ = st.converter_derate;
-  last_time_ = st.last_time_s;
-  energy_out_ = st.energy_out_j;
-  energy_in_ = st.energy_in_j;
-  empty_signaled_ = st.empty_signaled;
-  intervals_ = st.intervals;
-  brownouts_ = st.brownouts;
-}
-
 void PowerAccountant::publish_metrics(obs::MetricsRegistry& m, const std::string& prefix) const {
   if constexpr (obs::kEnabled) {
     m.add(m.counter(prefix + ".integration_intervals"), static_cast<double>(intervals_));

@@ -104,32 +104,6 @@ class PowerAccountant {
     flight_node_ = node_id;
   }
 
-  // --- Checkpoint/restore (src/ckpt) -----------------------------------------
-  // The resumable ledger: per-device draws and consumed energy (flat
-  // parallel vectors for the codec), rail loads, harvest current, derate,
-  // the integration cursor, and the lifetime totals/latches. Devices are
-  // structural — the restoring host registers the same devices in the same
-  // order before restore(), which verifies names and rails match.
-  struct CheckpointState {
-    std::vector<std::string> device_names;
-    std::vector<std::uint32_t> device_rails;
-    std::vector<double> device_currents_a;
-    std::vector<double> device_energies_j;
-    double load_mcu_a = 0.0;
-    double load_radio_digital_a = 0.0;
-    double load_radio_rf_a = 0.0;
-    double harvest_a = 0.0;
-    double converter_derate = 1.0;
-    double last_time_s = 0.0;
-    double energy_out_j = 0.0;
-    double energy_in_j = 0.0;
-    bool empty_signaled = false;
-    std::uint64_t intervals = 0;
-    std::uint64_t brownouts = 0;
-  };
-  [[nodiscard]] CheckpointState checkpoint_state() const;
-  void restore(const CheckpointState& st);
-
  private:
   void integrate_to_now();
   void record();

@@ -127,20 +127,6 @@ void FaultInjector::refresh(FaultKind kind) {
   }
 }
 
-void FaultInjector::restore(const CheckpointState& st) {
-  PICO_REQUIRE(!armed_, "restore() must run before arm()");
-  counters_ = st.counters;
-  active_harvest_ = st.active_harvest;
-  active_converter_ = st.active_converter;
-  active_loss_ = st.active_loss;
-  active_glitch_ = st.active_glitch;
-  // Re-apply the combined factors so the host models see mid-window faults.
-  refresh(FaultKind::kHarvesterDerate);
-  refresh(FaultKind::kConverterDegradation);
-  refresh(FaultKind::kChannelLoss);
-  refresh(FaultKind::kSupplyGlitch);
-}
-
 std::size_t FaultInjector::active_windows() const {
   return active_harvest_.size() + active_converter_.size() + active_loss_.size() +
          active_glitch_.size();

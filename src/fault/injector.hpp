@@ -81,28 +81,6 @@ class FaultInjector {
   // No-op when observability is compiled out.
   void set_flight(obs::FlightRecorder* recorder) { flight_ = recorder; }
 
-  // --- Checkpoint/restore (src/ckpt) -----------------------------------------
-  // Counters plus the open-window magnitude stacks. The plan itself
-  // travels as its spec text (FaultPlan::to_spec round-trips bit-identical)
-  // in the host's checkpoint section; the scheduled open/close events are
-  // simulator closures and follow the simulator's re-arm contract — on
-  // resume the host constructs a fresh injector from the remaining-future
-  // plan events and calls restore() before arm(). restore() replays each
-  // kind's combined factor through the hooks so the host models pick up
-  // mid-window faults.
-  struct CheckpointState {
-    Counters counters;
-    std::vector<double> active_harvest;
-    std::vector<double> active_converter;
-    std::vector<double> active_loss;
-    std::vector<double> active_glitch;
-  };
-  [[nodiscard]] CheckpointState checkpoint_state() const {
-    return CheckpointState{counters_, active_harvest_, active_converter_,
-                           active_loss_, active_glitch_};
-  }
-  void restore(const CheckpointState& st);
-
  private:
   void open_window(const FaultEvent& ev);
   void close_window(const FaultEvent& ev);

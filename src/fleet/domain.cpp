@@ -469,6 +469,12 @@ void Domain::rebuild_carry(double epoch_end_s, const KernelModel& m,
 
 namespace {
 
+// Wire sizes of one air record (start, end, p_rx; node) and one pending
+// frame (start, end, p_rx, u_decode; node, seq; lost), the bounds their
+// counts are checked against on restore.
+constexpr std::size_t kAirRecordBytes = 3 * 8 + 4;
+constexpr std::size_t kFrameBytes = 4 * 8 + 2 * 4 + 1;
+
 void save_air(ckpt::Writer& w, const std::vector<Domain::AirRecord>& v) {
   w.u64(v.size());
   for (const Domain::AirRecord& a : v) {
@@ -479,11 +485,9 @@ void save_air(ckpt::Writer& w, const std::vector<Domain::AirRecord>& v) {
   }
 }
 
-// No reserve from the blob's count: a corrupt count must run out of
-// payload (a CheckpointError), not request a huge allocation.
 // FleetSession reserves every air run once restore returns.
 void restore_air(ckpt::Reader& r, std::vector<Domain::AirRecord>& v) {
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(kAirRecordBytes);
   v.clear();
   for (std::uint64_t i = 0; i < n; ++i) {
     Domain::AirRecord a;
@@ -574,8 +578,8 @@ void Domain::restore(ckpt::Reader& r, double barrier_t_s) {
     nd.cycles = cycles[i];
     nd.cycle_energy_j = cycle_energy[i];
   }
-  const std::uint64_t np = r.u64();
-  pending_.clear();  // no reserve from the blob's count, as in restore_air
+  const std::uint64_t np = r.count(kFrameBytes);
+  pending_.clear();
   for (std::uint64_t i = 0; i < np; ++i) {
     Frame f;
     f.start_s = r.f64();

@@ -124,7 +124,10 @@ FlightRecorder::CheckpointState FlightRecorder::checkpoint_state() const {
 }
 
 void FlightRecorder::restore(const CheckpointState& st) {
-  PICO_REQUIRE(st.ring_capacity >= 1, "flight checkpoint has zero ring capacity");
+  // The blob's capacity sizes every ring: bound it by this recorder's.
+  PICO_REQUIRE(st.ring_capacity == ring_capacity_,
+               "flight checkpoint ring capacity " + std::to_string(st.ring_capacity) +
+                   " differs from this recorder's " + std::to_string(ring_capacity_));
   PICO_REQUIRE(!st.rings.empty(), "flight checkpoint has no rings");
   PICO_REQUIRE(st.storm_count >= 2 && st.storm_window_s > 0.0,
                "flight checkpoint has invalid storm threshold");
@@ -132,7 +135,6 @@ void FlightRecorder::restore(const CheckpointState& st) {
                "flight checkpoint storm window length mismatch");
   PICO_REQUIRE(st.storm_head < st.storm_count,
                "flight checkpoint storm cursor out of range");
-  ring_capacity_ = static_cast<std::size_t>(st.ring_capacity);
   rings_.clear();
   configure_rings(st.rings.size());
   for (std::size_t i = 0; i < st.rings.size(); ++i) {

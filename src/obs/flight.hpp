@@ -132,7 +132,8 @@ class FlightRecorder {
 
   // --- Checkpoint/restore (src/ckpt) -----------------------------------------
   // Rings plus the storm-detector window and the one-shot dump latch. The
-  // dump hook itself is not state — the restoring host re-arms it.
+  // dump hook itself is not state — the restoring host re-arms it. The
+  // checkpoint must come from a recorder with the same ring capacity.
   struct CheckpointState {
     std::uint64_t ring_capacity = 0;
     bool dumped = false;

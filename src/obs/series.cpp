@@ -117,28 +117,33 @@ void TimeSeriesRecorder::restore(const CheckpointState& st) {
   PICO_REQUIRE(!row_open_, "cannot restore a series recorder mid-row");
   PICO_REQUIRE(st.dt0_s > 0.0 && st.dt_s >= st.dt0_s,
                "series checkpoint has invalid cadence");
-  PICO_REQUIRE(st.max_rows >= 4, "series checkpoint row cap must be at least 4");
+  // The blob's row cap sizes every column: bound it by this recorder's.
+  PICO_REQUIRE(st.max_rows == cap_,
+               "series checkpoint row cap " + std::to_string(st.max_rows) +
+                   " differs from this recorder's " + std::to_string(cap_));
   PICO_REQUIRE(st.names.size() == st.cols.size(),
                "series checkpoint column/name count mismatch");
-  for (const auto& col : st.cols) {
-    PICO_REQUIRE(col.size() == st.t.size(),
+  // Hosts hold SeriesIds into this recorder, so the checkpoint must carry
+  // exactly the series registered here, in registration order.
+  PICO_REQUIRE(st.names.size() == cols_.size(),
+               "series checkpoint holds " + std::to_string(st.names.size()) +
+                   " series; this recorder registers " + std::to_string(cols_.size()));
+  for (std::size_t i = 0; i < cols_.size(); ++i) {
+    PICO_REQUIRE(st.names[i] == cols_[i].name,
+                 "series checkpoint column " + std::to_string(i) + " is '" +
+                     st.names[i] + "'; this recorder registers '" + cols_[i].name + "'");
+    PICO_REQUIRE(st.cols[i].size() == st.t.size(),
                  "series checkpoint column length mismatch");
   }
   dt0_ = st.dt0_s;
   dt_ = st.dt_s;  // the decimated cadence, not dt0 — see CheckpointState
   next_t_ = st.next_t_s;
-  cap_ = static_cast<std::size_t>(st.max_rows);
   decimations_ = static_cast<std::size_t>(st.decimations);
   t_ = st.t;
   t_.reserve(cap_);
-  cols_.clear();
-  cols_.reserve(st.names.size());
-  for (std::size_t i = 0; i < st.names.size(); ++i) {
-    Column c;
-    c.name = st.names[i];
-    c.v = st.cols[i];
-    c.v.reserve(cap_);
-    cols_.push_back(std::move(c));
+  for (std::size_t i = 0; i < cols_.size(); ++i) {
+    cols_[i].v = st.cols[i];
+    cols_[i].v.reserve(cap_);
   }
 }
 

@@ -93,7 +93,9 @@ class TimeSeriesRecorder {
     std::vector<std::vector<double>> cols;  // one per name, all t.size() long
   };
   [[nodiscard]] CheckpointState checkpoint_state() const;
-  // Replace this recorder's contents wholesale (no row may be open).
+  // Replace this recorder's rows, cadence and decimation level (no row
+  // may be open). The checkpoint must come from a recorder with the same
+  // row cap and the same series registered in the same order.
   void restore(const CheckpointState& st);
 
   // --- Export ----------------------------------------------------------------

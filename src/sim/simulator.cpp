@@ -21,16 +21,6 @@ void Simulator::reserve(std::size_t events) {
   }
 }
 
-void Simulator::restore(const CheckpointState& st) {
-  PICO_REQUIRE(live_events_ == 0 && heap_.empty(),
-               "simulator restore requires an empty event queue (re-arm after)");
-  PICO_REQUIRE(st.now_s >= 0.0, "simulator checkpoint has negative clock");
-  now_ = Duration{st.now_s};
-  next_seq_ = st.next_seq;
-  dispatched_ = st.dispatched;
-  peak_live_ = static_cast<std::size_t>(st.queue_peak);
-}
-
 std::uint32_t Simulator::acquire_slot() {
   if (free_slots_.empty()) {
     slots_.emplace_back();

@@ -95,24 +95,6 @@ class Simulator {
   // observability is compiled out.
   void publish_metrics(obs::MetricsRegistry& m, const std::string& prefix = "sim") const;
 
-  // --- Checkpoint/restore (src/ckpt) -----------------------------------------
-  // Event bodies are closures (std::function) and cannot cross a process
-  // boundary, so a simulator checkpoint is the clock plus lifetime
-  // counters. Restore requires an empty queue: the restoring host
-  // re-schedules its own periodic machinery against the restored clock
-  // (the re-arm contract in docs/SCENARIOS.md). Capture is read-only and
-  // may happen with events pending.
-  struct CheckpointState {
-    double now_s = 0.0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t dispatched = 0;
-    std::uint64_t queue_peak = 0;
-  };
-  [[nodiscard]] CheckpointState checkpoint_state() const {
-    return CheckpointState{now_.value(), next_seq_, dispatched_, peak_live_};
-  }
-  void restore(const CheckpointState& st);
-
  private:
   struct Event {
     Duration at;

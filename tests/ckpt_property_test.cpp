@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -342,6 +343,60 @@ TEST(FleetCheckpointTest, RejectsRestoredWakeTimeNotAfterBarrier) {
   }
   fleet::FleetSession s(spec);
   EXPECT_NO_THROW(s.restore(blob));
+}
+
+// Every count the SERS and FLIT payloads declare is bounded before
+// anything is allocated from it. A 2^60 "count" swept over every byte
+// offset of a small session's two recorder sections must either restore
+// or be rejected as a DesignError (CheckpointError is one) — never escape
+// as std::length_error or std::bad_alloc out of a vector reserve.
+TEST(FleetCheckpointTest, HugeCountAnywhereInRecorderSectionsIsRejected) {
+  fleet::FleetSpec spec;
+  spec.nodes = 8;
+  spec.domains = 2;
+  spec.sim_time_s = 40.0;
+  spec.epoch_s = 5.0;
+  // At most four rows and four events per ring keep every section small,
+  // so the sweep stays short while still crossing each field.
+  struct SmallObs {
+    obs::TimeSeriesRecorder series{2.0, 4};
+    obs::FlightRecorder flight{4};
+    fleet::FleetObsHooks hooks() {
+      fleet::FleetObsHooks h;
+      h.series = &series;
+      h.flight = &flight;
+      return h;
+    }
+  };
+  std::vector<std::uint8_t> blob;
+  {
+    SmallObs o;
+    fleet::FleetSession s(spec, o.hooks());
+    s.run_until(20.0);
+    ASSERT_FALSE(o.series.times().empty());
+    ASSERT_GT(o.flight.total_recorded(), 0u);
+    blob = s.save();
+  }
+  for (const auto& [name, section_tag] : {std::pair{"SERS", ckpt::tag("SERS")},
+                                          std::pair{"FLIT", ckpt::tag("FLIT")}}) {
+    const std::size_t payload = section_at(blob, section_tag) + 16;
+    const std::size_t len = static_cast<std::size_t>(read_le(blob, payload - 8, 8));
+    ASSERT_GT(len, 0u) << name;
+    for (std::size_t off = 0; off < len; ++off) {
+      // The last offsets spill into the next section header or the
+      // digest; resealing rewrites the digest either way.
+      std::vector<std::uint8_t> edited = blob;
+      write_le(edited, payload + off, 8, std::uint64_t{1} << 60);
+      SmallObs o;
+      fleet::FleetSession s(spec, o.hooks());
+      try {
+        s.restore(resealed(std::move(edited)));
+      } catch (const DesignError&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << name << " payload offset " << off << ": " << e.what();
+      }
+    }
+  }
 }
 
 namespace {

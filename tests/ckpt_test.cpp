@@ -1,16 +1,13 @@
-// ckpt_test.cpp — checkpoint codec and subsystem restore contracts.
+// ckpt_test.cpp — checkpoint codec and recorder restore contracts.
 //
-// Three layers, bottom-up:
+// Two layers, bottom-up:
 //   * container: primitives/sections/digest round-trip; corrupt, truncated,
 //     bit-flipped and wrong-version blobs are rejected with CheckpointError,
-//     never UB (this suite runs in the asan lane — see CMakePresets.json).
-//   * scenario library: a NodeCheckpoint built from every named fault
-//     scenario re-serializes byte-identically (save → restore → re-save),
-//     the round-trip contract golden checkpoints rely on.
-//   * subsystem restore semantics: the series recorder resumed at a
-//     non-zero decimation level (the regression the tentpole fixed), the
-//     flight ring's overwrite-oldest behavior across a restore, and the
-//     RNG's cached Box–Muller deviate.
+//     never UB (this suite runs in the asan lane — see CMakePresets.json),
+//     and no blob-declared count can force a huge allocation.
+//   * restore semantics: the series recorder resumed at a non-zero
+//     decimation level, the flight ring's overwrite-oldest behavior across
+//     a restore, and the RNG's cached Box–Muller deviate.
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -22,48 +19,11 @@
 #include "ckpt/codec.hpp"
 #include "ckpt/state.hpp"
 #include "common/rng.hpp"
-#include "fault/scenarios.hpp"
 #include "obs/flight.hpp"
 #include "obs/series.hpp"
 #include "scenario/generator.hpp"
 
 using namespace pico;
-
-namespace {
-
-// A deterministic, scenario-flavored NodeCheckpoint: the plan is the
-// scenario's own; the numeric state is drawn from a seeded stream so every
-// scenario exercises different bit patterns.
-ckpt::NodeCheckpoint synth_node_checkpoint(const fault::Scenario& sc,
-                                           std::uint64_t index) {
-  Rng rng = Rng::stream(0xC0DEC, index);
-  ckpt::NodeCheckpoint node;
-  node.fault_plan_spec = sc.config.faults.to_spec();
-  node.sim.now_s = rng.uniform(0.0, sc.sim_time.value());
-  node.sim.next_seq = rng.next();
-  node.sim.dispatched = rng.below(1u << 20);
-  node.sim.queue_peak = rng.below(64);
-  for (int d = 0; d < 3; ++d) {
-    node.power.device_names.push_back("dev" + std::to_string(d));
-    node.power.device_rails.push_back(static_cast<std::uint32_t>(d % 2));
-    node.power.device_currents_a.push_back(rng.uniform(0.0, 1e-3));
-    node.power.device_energies_j.push_back(rng.uniform(0.0, 10.0));
-  }
-  node.power.load_mcu_a = rng.uniform(0.0, 1e-3);
-  node.power.load_radio_rf_a = rng.uniform(0.0, 1e-2);
-  node.power.last_time_s = node.sim.now_s;
-  node.power.energy_out_j = rng.uniform(0.0, 5.0);
-  node.power.energy_in_j = rng.uniform(0.0, 5.0);
-  node.power.intervals = rng.below(100000);
-  node.power.brownouts = rng.below(3);
-  node.faults.counters.events_armed = sc.config.faults.size();
-  node.faults.counters.events_fired = rng.below(sc.config.faults.size() + 1);
-  node.faults.active_harvest.push_back(rng.uniform(0.0, 1.0));
-  node.faults.active_loss.push_back(rng.uniform(0.0, 1.0));
-  return node;
-}
-
-}  // namespace
 
 // --- Container ---------------------------------------------------------------
 
@@ -177,17 +137,14 @@ TEST(CheckpointCodecTest, RejectsForeignAndCorruptBlobs) {
   }
 }
 
-TEST(CheckpointCodecTest, CorruptCountCannotForceHugeAllocation) {
-  // A bit-flipped element count must be caught against the remaining
-  // bytes, not handed to vector::resize. Build a blob whose digest is
-  // recomputed after corrupting the count, so only the count guard can
-  // reject it.
-  ckpt::Writer w;
-  w.f64v({1.0, 2.0});
-  auto blob = w.finish();
-  // Payload starts at byte 16 with the u64 element count; make it huge.
-  for (int i = 0; i < 8; ++i) blob[16 + static_cast<std::size_t>(i)] = 0xFF;
-  // Recompute the trailing FNV-1a digest over everything before it.
+namespace {
+
+// Overwrite the u64 at `at` with `v` and recompute the trailing FNV-1a
+// digest, so only the reader's count guard can reject the result.
+std::vector<std::uint8_t> with_u64_resealed(std::vector<std::uint8_t> blob,
+                                            std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    blob[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (std::size_t i = 0; i + 8 < blob.size(); ++i) {
     h ^= blob[i];
@@ -197,30 +154,78 @@ TEST(CheckpointCodecTest, CorruptCountCannotForceHugeAllocation) {
     blob[blob.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(h >> (8 * i));
   }
-  ckpt::Reader r(blob);
-  EXPECT_THROW((void)r.f64v(), ckpt::CheckpointError);
+  return blob;
 }
 
-// --- Scenario library round trips -------------------------------------------
+}  // namespace
 
-TEST(CheckpointCodecTest, ScenarioLibraryReSerializesByteIdentical) {
-  const auto library = fault::scenario_library();
-  ASSERT_FALSE(library.empty());
-  std::uint64_t index = 0;
-  for (const fault::Scenario& sc : library) {
-    const ckpt::NodeCheckpoint node = synth_node_checkpoint(sc, index++);
-    const std::vector<std::uint8_t> blob = ckpt::encode_node(node);
-    const ckpt::NodeCheckpoint back = ckpt::decode_node(blob);
-    const std::vector<std::uint8_t> again = ckpt::encode_node(back);
-    EXPECT_EQ(blob, again) << "scenario " << sc.name;
-    // The plan spec round-trips to an equal plan (bit-identical replay).
-    EXPECT_EQ(fault::FaultPlan::parse(back.fault_plan_spec), sc.config.faults)
-        << "scenario " << sc.name;
-    EXPECT_EQ(back.sim.now_s, node.sim.now_s) << "scenario " << sc.name;
-    EXPECT_EQ(back.power.device_names, node.power.device_names);
-    EXPECT_EQ(back.faults.counters.events_armed, node.faults.counters.events_armed);
+TEST(CheckpointCodecTest, CorruptCountCannotForceHugeAllocation) {
+  // A corrupt element count must be caught against the remaining bytes,
+  // not handed to vector::reserve/resize (which would throw
+  // std::length_error or exhaust memory). Offsets below: a 16-byte
+  // container header, then a 16-byte section header before each payload.
+  ckpt::Writer vw;
+  vw.f64v({1.0, 2.0});
+  const std::vector<std::uint8_t> vec_blob = vw.finish();
+
+  obs::TimeSeriesRecorder::CheckpointState series;
+  series.dt0_s = series.dt_s = 1.0;
+  series.max_rows = 8;
+  series.names = {"a"};
+  series.cols = {{}};
+  ckpt::Writer sw;
+  ckpt::write_series(sw, series);
+  const std::vector<std::uint8_t> series_blob = sw.finish();
+
+  obs::FlightRecorder::CheckpointState flight;
+  flight.ring_capacity = 4;
+  flight.storm_count = 2;
+  flight.storm_window_s = 1.0;
+  flight.rings.resize(1);
+  flight.rings[0].retained.resize(1);
+  flight.rings[0].recorded = 1;
+  ckpt::Writer fw;
+  ckpt::write_flight(fw, flight);
+  const std::vector<std::uint8_t> flight_blob = fw.finish();
+
+  // FLIT: capacity, dumped flag, empty reason (u32 length), storm count
+  // and window, empty storm times, head and seen, then the ring count.
+  constexpr std::size_t kRingsAt = 32 + 8 + 1 + 4 + 8 + 8 + 8 + 8 + 8;
+  struct Case {
+    const char* count;
+    const std::vector<std::uint8_t>& blob;
+    std::size_t at;
+    std::uint64_t saved;  // the count the untouched blob holds there
+    void (*read)(ckpt::Reader&);
+  };
+  const Case cases[] = {
+      // The payload opens with the vector's element count.
+      {"f64v elements", vec_blob, 16, 2, [](ckpt::Reader& r) { (void)r.f64v(); }},
+      // SERS: five 8-byte scalars, the empty time axis' count, then names.
+      {"series names", series_blob, 32 + 5 * 8 + 8, 1,
+       [](ckpt::Reader& r) { (void)ckpt::read_series(r); }},
+      {"flight rings", flight_blob, kRingsAt, 1,
+       [](ckpt::Reader& r) { (void)ckpt::read_flight(r); }},
+      // Ring 0: its recorded counter, then its event count.
+      {"flight ring events", flight_blob, kRingsAt + 8 + 8, 1,
+       [](ckpt::Reader& r) { (void)ckpt::read_flight(r); }},
+  };
+  for (const Case& c : cases) {
+    // The offset really is the count, and the untouched blob reads back.
+    std::uint64_t saved = 0;
+    for (int i = 0; i < 8; ++i)
+      saved |= std::uint64_t{c.blob[c.at + static_cast<std::size_t>(i)]} << (8 * i);
+    ASSERT_EQ(saved, c.saved) << c.count;
+    ckpt::Reader good(c.blob);
+    ASSERT_NO_THROW(c.read(good)) << c.count;
+    for (const std::uint64_t huge : {~std::uint64_t{0}, std::uint64_t{1} << 60}) {
+      ckpt::Reader r(with_u64_resealed(c.blob, c.at, huge));
+      EXPECT_THROW(c.read(r), ckpt::CheckpointError) << c.count << " = " << huge;
+    }
   }
 }
+
+// --- Fault-plan spec through the container ---------------------------------
 
 TEST(CheckpointCodecTest, GeneratedCorpusReSerializesByteIdentical) {
   scenario::GeneratorParams p;
@@ -309,6 +314,23 @@ TEST(CheckpointSeriesTest, RestoreValidatesShape) {
   st.names = {"a"};
   st.cols = {{1.0, 2.0}};  // column longer than the time axis
   EXPECT_THROW(rec.restore(st), DesignError);
+
+  st.cols = {{}};
+  st.max_rows = 16;  // the row cap sizes every column: it must be this recorder's
+  EXPECT_THROW(rec.restore(st), DesignError);
+  st.max_rows = 8;
+
+  // The host holds SeriesIds into the recorder: a checkpoint with other
+  // series (or none) would leave them pointing past or at the wrong column.
+  st.names = {"b"};
+  EXPECT_THROW(rec.restore(st), DesignError);
+  st.names = {};
+  st.cols = {};
+  EXPECT_THROW(rec.restore(st), DesignError);
+
+  st.names = {"a"};
+  st.cols = {{}};
+  EXPECT_NO_THROW(rec.restore(st));
 }
 
 // --- Flight restore ----------------------------------------------------------
@@ -324,6 +346,10 @@ TEST(CheckpointFlightTest, WrappedRingKeepsOverwriteOrderAcrossRestore) {
   original.configure_rings(2);
   for (std::uint32_t i = 0; i < 7; ++i) original.ring(1).push(ev(0.1 * i, i));
   original.record(ev(0.9, 100));  // ring 0 via the host path
+
+  // The capacity sizes every ring: only a recorder configured alike restores.
+  obs::FlightRecorder wider(8);
+  EXPECT_THROW(wider.restore(original.checkpoint_state()), DesignError);
 
   obs::FlightRecorder restored(4);
   restored.restore(original.checkpoint_state());

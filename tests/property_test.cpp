@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "core/node.hpp"
 #include "fault/plan.hpp"
+#include "fault/scenarios.hpp"
 #include "power/rectifier.hpp"
 #include "radio/packet.hpp"
 #include "scopt/analysis.hpp"
@@ -370,6 +371,14 @@ TEST(FaultPlanProperty, SpecCodecRoundTripsRandomPlans) {
     fault::FaultPlan plan =
         fault::FaultPlan::randomized(rng, Duration{rng.uniform(10.0, 3600.0)});
     EXPECT_EQ(fault::FaultPlan::parse(plan.to_spec()), plan) << plan.to_spec();
+  }
+  // The named scenarios' hand-written plans are inputs too: replaying a
+  // scenario from its spec text must rebuild exactly its plan.
+  const auto library = fault::scenario_library();
+  ASSERT_FALSE(library.empty());
+  for (const fault::Scenario& sc : library) {
+    const fault::FaultPlan& plan = sc.config.faults;
+    EXPECT_EQ(fault::FaultPlan::parse(plan.to_spec()), plan) << sc.name;
   }
 }
 
