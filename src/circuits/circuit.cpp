@@ -49,12 +49,6 @@ bool Circuit::linear_time_invariant() const {
   return true;
 }
 
-std::uint64_t Circuit::matrix_version_sum() const {
-  std::uint64_t sum = 0;
-  for (const auto& c : components_) sum += c->matrix_version();
-  return sum;
-}
-
 const std::string& Circuit::node_name(Node n) const {
   static const std::string kGroundName = "GND";
   if (n == kGround) return kGroundName;

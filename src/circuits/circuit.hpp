@@ -119,11 +119,8 @@ class Component {
   // that change the A stamp must call bump_matrix_version(). Components
   // that cannot guarantee this keep the default and disable the fast path.
   [[nodiscard]] virtual bool linear_time_invariant() const { return false; }
-  // Incremented on every matrix-affecting mutation; the transient engine
-  // re-factorizes its cached LU whenever the circuit-wide epoch changes.
-  [[nodiscard]] std::uint64_t matrix_version() const { return matrix_version_; }
-  // Installed by Circuit::add so mutations also bump the circuit-level
-  // epoch, giving the step loop an O(1) staleness check.
+  // Installed by Circuit::add: every matrix-affecting mutation bumps the
+  // circuit-level epoch, the step loop's O(1) staleness check.
   void set_version_sink(std::uint64_t* sink) { version_sink_ = sink; }
   // Scheduling hints: the step loop skips components that keep the
   // defaults, so a no-op pre_step/commit costs nothing per step. A
@@ -163,13 +160,11 @@ class Component {
 
  protected:
   void bump_matrix_version() {
-    ++matrix_version_;
     if (version_sink_ != nullptr) ++*version_sink_;
   }
 
  private:
   std::string name_;
-  std::uint64_t matrix_version_ = 0;
   std::uint64_t* version_sink_ = nullptr;
   std::vector<double> breakpoints_;
 };
@@ -208,9 +203,6 @@ class Circuit {
   // True when every component opted into the linear fast path (and none is
   // nonlinear); cached by finalize().
   [[nodiscard]] bool linear_time_invariant() const;
-  // Sum of all component matrix versions; changes whenever any component's
-  // A-matrix contribution was mutated (switch toggled, resistance changed).
-  [[nodiscard]] std::uint64_t matrix_version_sum() const;
   // O(1) mutation epoch: bumped (via a sink pointer installed by add())
   // every time any owned component's A-matrix contribution mutates.
   [[nodiscard]] std::uint64_t matrix_epoch() const { return matrix_epoch_; }

@@ -134,8 +134,11 @@ void Transient::solve_cached(StampContext& ctx) {
 void Transient::solve_full(StampContext& ctx) {
   const std::size_t dim = circuit_.system_size();
   iterate_ = x_;
+  constexpr int kMaxNewton = 100;   // Newton iterations per step
+  constexpr double kTolAbs = 1e-9;  // absolute convergence tolerance [V / A]
+  constexpr double kTolRel = 1e-6;  // relative convergence tolerance
   const bool needs_newton = circuit_.has_nonlinear();
-  const int iters = needs_newton ? opt_.max_newton : 1;
+  const int iters = needs_newton ? kMaxNewton : 1;
 
   prev_state_ = x_;  // last accepted solution, for companion history
   ctx.previous = &prev_state_;
@@ -160,7 +163,7 @@ void Transient::solve_full(StampContext& ctx) {
       scale = std::max(scale, std::fabs(next_[i]));
     }
     std::swap(iterate_, next_);
-    if (!needs_newton || delta <= opt_.tol_abs + opt_.tol_rel * scale) {
+    if (!needs_newton || delta <= kTolAbs + kTolRel * scale) {
       converged = true;
       ++it;
       break;

@@ -51,9 +51,6 @@ class Transient {
   struct Options {
     Method method = Method::kTrapezoidal;
     double dt = 1e-6;        // timestep [s]; adaptive: initial/restart size
-    int max_newton = 100;    // Newton iterations per step
-    double tol_abs = 1e-9;   // absolute convergence tolerance [V / A]
-    double tol_rel = 1e-6;   // relative convergence tolerance
     // Cache LU factorizations across steps for linear circuits
     // (bit-identical waveforms either way; off forces the full
     // refactorize-every-step path).

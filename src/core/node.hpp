@@ -292,7 +292,6 @@ class PicoCubeNode {
   std::uint8_t seq_ = 0;
   double cycle_start_s_ = 0.0;
   double last_cycle_s_ = 0.0;
-  double harvested_avg_w_ = 0.0;
   bool booted_ = false;
 };
 

@@ -8,18 +8,14 @@
 
 namespace pico::fault {
 
-namespace {
-
-// Remove one instance of `value` from `v` (windows close in any order).
-void erase_one(std::vector<double>& v, double value) {
-  const auto it = std::find(v.begin(), v.end(), value);
-  if (it != v.end()) v.erase(it);
-}
-
-}  // namespace
-
 FaultInjector::FaultInjector(sim::Simulator& sim, FaultPlan plan, FaultHooks hooks)
-    : sim_(sim), plan_(std::move(plan)), hooks_(std::move(hooks)) {}
+    : sim_(sim),
+      plan_(std::move(plan)),
+      hooks_(std::move(hooks)),
+      harvest_(plan_.schedule(FaultKind::kHarvesterDerate)),
+      converter_(plan_.schedule(FaultKind::kConverterDegradation)),
+      loss_(plan_.schedule(FaultKind::kChannelLoss)),
+      glitch_(plan_.schedule(FaultKind::kSupplyGlitch)) {}
 
 void FaultInjector::arm() {
   if (armed_) return;
@@ -32,7 +28,8 @@ void FaultInjector::arm() {
     sim_.schedule_at(Duration{ev.at_s}, [this, ev] { open_window(ev); }, label);
     if (ev.windowed() && ev.duration_s > 0.0) {
       sim_.schedule_at(Duration{ev.at_s + ev.duration_s},
-                       [this, ev] { close_window(ev); }, label + ".end");
+                       [this, kind = ev.kind] { ++counters_.windows_closed; apply(kind); },
+                       label + ".end");
     }
   }
 }
@@ -50,86 +47,49 @@ void FaultInjector::open_window(const FaultEvent& ev) {
   switch (ev.kind) {
     case FaultKind::kHarvesterDerate:
       ++counters_.harvest_derates;
-      active_harvest_.push_back(ev.magnitude);
-      refresh(ev.kind);
       break;
     case FaultKind::kStorageAging:
       ++counters_.storage_agings;
       if (hooks_.age_storage) hooks_.age_storage(ev.magnitude, ev.param2, ev.param3);
-      break;
+      return;
     case FaultKind::kConverterDegradation:
       ++counters_.converter_derates;
-      active_converter_.push_back(ev.magnitude);
-      refresh(ev.kind);
       break;
     case FaultKind::kChannelLoss:
       ++counters_.channel_loss_windows;
-      active_loss_.push_back(ev.magnitude);
-      refresh(ev.kind);
       break;
     case FaultKind::kSupplyGlitch:
       ++counters_.supply_glitches;
-      active_glitch_.push_back(ev.magnitude);
-      refresh(ev.kind);
       break;
   }
+  apply(ev.kind);
 }
 
-void FaultInjector::close_window(const FaultEvent& ev) {
-  ++counters_.windows_closed;
-  switch (ev.kind) {
+void FaultInjector::apply(FaultKind kind) {
+  const double t = sim_.now().value();
+  switch (kind) {
     case FaultKind::kHarvesterDerate:
-      erase_one(active_harvest_, ev.magnitude);
+      if (hooks_.set_harvest_derate) hooks_.set_harvest_derate(harvest_.level(t));
       break;
-    case FaultKind::kStorageAging:
-      return;  // aging is permanent
     case FaultKind::kConverterDegradation:
-      erase_one(active_converter_, ev.magnitude);
+      if (hooks_.set_converter_derate) hooks_.set_converter_derate(1.0 / converter_.level(t));
       break;
     case FaultKind::kChannelLoss:
-      erase_one(active_loss_, ev.magnitude);
+      if (hooks_.set_frame_loss) hooks_.set_frame_loss(loss_.level(t));
       break;
     case FaultKind::kSupplyGlitch:
-      erase_one(active_glitch_, ev.magnitude);
+      if (hooks_.set_glitch_load) hooks_.set_glitch_load(glitch_.level(t));
       break;
-  }
-  refresh(ev.kind);
-}
-
-void FaultInjector::refresh(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kHarvesterDerate: {
-      double factor = 1.0;
-      for (double f : active_harvest_) factor *= f;
-      if (hooks_.set_harvest_derate) hooks_.set_harvest_derate(factor);
-      break;
-    }
-    case FaultKind::kConverterDegradation: {
-      double eff = 1.0;
-      for (double f : active_converter_) eff *= f;
-      if (hooks_.set_converter_derate) hooks_.set_converter_derate(1.0 / eff);
-      break;
-    }
-    case FaultKind::kChannelLoss: {
-      double pass = 1.0;
-      for (double p : active_loss_) pass *= 1.0 - p;
-      if (hooks_.set_frame_loss) hooks_.set_frame_loss(1.0 - pass);
-      break;
-    }
-    case FaultKind::kSupplyGlitch: {
-      double amps = 0.0;
-      for (double a : active_glitch_) amps += a;
-      if (hooks_.set_glitch_load) hooks_.set_glitch_load(amps);
-      break;
-    }
     case FaultKind::kStorageAging:
       break;
   }
 }
 
 std::size_t FaultInjector::active_windows() const {
-  return active_harvest_.size() + active_converter_.size() + active_loss_.size() +
-         active_glitch_.size();
+  const double t = sim_.now().value();
+  return static_cast<std::size_t>(
+      std::count_if(plan_.events().begin(), plan_.events().end(),
+                    [t](const FaultEvent& ev) { return ev.windowed() && ev.in_effect(t); }));
 }
 
 void FaultInjector::publish_metrics(obs::MetricsRegistry& m,

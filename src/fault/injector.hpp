@@ -3,17 +3,16 @@
 // The injector is deliberately blind to the node's internals: the host
 // (PicoCubeNode, or a bare storage soak) hands it a `FaultHooks` bundle of
 // callbacks and the injector schedules open/close events on the shared
-// `sim::Simulator`. Overlapping windows of the same kind compose the way
-// physics would: amplitude factors multiply, loss probabilities combine as
-// 1 - Π(1 - p), glitch currents add. Everything is a pure function of the
-// plan and the event clock, so a seeded scenario replays bit-identically
+// `sim::Simulator`. At each edge it hands the hook the level its kind's
+// FaultSchedule composes from every window then in effect (fault/plan.hpp),
+// the same levels the fleet kernel reads. Everything is a pure function of
+// the plan and the event clock, so a seeded scenario replays bit-identically
 // at any ParallelRunner thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "fault/plan.hpp"
 #include "sim/simulator.hpp"
@@ -66,7 +65,7 @@ class FaultInjector {
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const Counters& counters() const { return counters_; }
-  // Number of windows currently open (any kind).
+  // Number of windows in effect at the simulator's current time (any kind).
   [[nodiscard]] std::size_t active_windows() const;
 
   // Publish "<prefix>.*" counters into `m` (fault.events_fired,
@@ -83,8 +82,8 @@ class FaultInjector {
 
  private:
   void open_window(const FaultEvent& ev);
-  void close_window(const FaultEvent& ev);
-  void refresh(FaultKind kind);
+  // Pass `kind`'s scheduled level at the current time to its hook.
+  void apply(FaultKind kind);
 
   sim::Simulator& sim_;
   FaultPlan plan_;
@@ -92,11 +91,10 @@ class FaultInjector {
   Counters counters_;
   obs::FlightRecorder* flight_ = nullptr;
   bool armed_ = false;
-  // Active window magnitudes per composable kind.
-  std::vector<double> active_harvest_;
-  std::vector<double> active_converter_;
-  std::vector<double> active_loss_;
-  std::vector<double> active_glitch_;
+  FaultSchedule harvest_;
+  FaultSchedule converter_;
+  FaultSchedule loss_;
+  FaultSchedule glitch_;
 };
 
 }  // namespace pico::fault

@@ -122,6 +122,36 @@ FaultPlan& FaultPlan::supply_glitch(double at_s, double duration_s, double amps)
   return add({FaultKind::kSupplyGlitch, at_s, duration_s, amps, 1.0, 1.0});
 }
 
+FaultSchedule FaultPlan::schedule(FaultKind kind) const {
+  PICO_REQUIRE(kind != FaultKind::kStorageAging, "storage aging has no windowed level");
+  const bool factor = kind == FaultKind::kHarvesterDerate ||
+                      kind == FaultKind::kConverterDegradation;
+  FaultSchedule s;
+  s.neutral_ = factor ? 1.0 : 0.0;
+  for (const FaultEvent& ev : events_) {
+    if (ev.kind != kind) continue;
+    s.edge_s_.push_back(ev.at_s);
+    if (ev.duration_s > 0.0) s.edge_s_.push_back(ev.at_s + ev.duration_s);
+  }
+  std::sort(s.edge_s_.begin(), s.edge_s_.end());
+  s.edge_s_.erase(std::unique(s.edge_s_.begin(), s.edge_s_.end()), s.edge_s_.end());
+  for (const double t : s.edge_s_) {
+    double level = s.neutral_;
+    for (const FaultEvent& ev : events_) {
+      if (ev.kind != kind || !ev.in_effect(t)) continue;
+      if (factor) {
+        level *= ev.magnitude;
+      } else if (kind == FaultKind::kChannelLoss) {
+        level += ev.magnitude * (1.0 - level);
+      } else {
+        level += ev.magnitude;
+      }
+    }
+    s.level_.push_back(level);
+  }
+  return s;
+}
+
 std::string FaultPlan::to_spec() const {
   std::string out;
   for (const FaultEvent& ev : events_) {

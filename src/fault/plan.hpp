@@ -12,6 +12,7 @@
 // (docs/ROBUSTNESS.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -57,6 +58,44 @@ struct FaultEvent {
   // Validate the event's fields against its kind; throws DesignError.
   void validate() const;
   [[nodiscard]] bool windowed() const;
+  // The window rule: a windowed event is in effect over
+  // [at_s, at_s + duration_s), or from at_s on when duration_s <= 0.
+  [[nodiscard]] bool in_effect(double t) const {
+    return at_s <= t && (duration_s <= 0.0 || t < at_s + duration_s);
+  }
+};
+
+// The level of one windowed fault kind over time, piecewise constant
+// between window edges: the one composition rule both engines read. The
+// windows in effect at t compose in plan order — factors multiply, glitch
+// currents add, losses combine as 1 - Π(1 - p) folded as l <- l + p(1 - l),
+// so a lone window yields its own level exactly. With none in effect the
+// level is neutral: 1 for factors, 0 for losses and currents.
+class FaultSchedule {
+ public:
+  // Level in effect at t. Allocates nothing.
+  [[nodiscard]] double level(double t) const {
+    const auto k = static_cast<std::size_t>(
+        std::upper_bound(edge_s_.begin(), edge_s_.end(), t) - edge_s_.begin());
+    return k == 0 ? neutral_ : level_[k - 1];
+  }
+  // Calls f(a, b, level) for each non-neutral segment clipped to [a, b) of
+  // [t0, t1), in time order.
+  template <typename F>
+  void for_each_segment(double t0, double t1, F&& f) const {
+    for (std::size_t k = 0; k < edge_s_.size() && edge_s_[k] < t1; ++k) {
+      const double end = k + 1 < edge_s_.size() ? edge_s_[k + 1] : t1;
+      const double a = std::max(t0, edge_s_[k]);
+      const double b = std::min(t1, end);
+      if (b > a && level_[k] != neutral_) f(a, b, level_[k]);
+    }
+  }
+
+ private:
+  friend class FaultPlan;
+  double neutral_ = 0.0;
+  std::vector<double> edge_s_;  // ascending window edges
+  std::vector<double> level_;   // level_[k] holds on [edge_s_[k], edge_s_[k + 1])
 };
 
 class FaultPlan {
@@ -76,6 +115,8 @@ class FaultPlan {
   [[nodiscard]] bool empty() const { return events_.empty(); }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] const std::vector<FaultEvent>& events() const { return events_; }
+  // The composed level of windowed `kind` (not kStorageAging) over time.
+  [[nodiscard]] FaultSchedule schedule(FaultKind kind) const;
 
   bool operator==(const FaultPlan&) const = default;
 

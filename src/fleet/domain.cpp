@@ -23,28 +23,13 @@ constexpr auto start_then_id = [](const auto& a, const auto& b) {
 
 }  // namespace
 
-double KernelModel::loss_probability(double t) const {
-  double p = 0.0;
-  // Plan order, last matching window wins — the scalar FaultInjector sets
-  // the loss at each window start and clears it at the end.
-  for (const auto& w : loss_windows) {
-    if (t < w.at_s) continue;
-    if (w.end_s > w.at_s && t >= w.end_s) continue;
-    p = w.p;
-  }
-  return p;
-}
-
 double KernelModel::harvest_charge(double t0, double t1) const {
   if (harvest == nullptr || harvest->empty() || t1 <= t0) return 0.0;
+  // A derate segment at factor F removes (1 - F) of its own charge.
   double charge = harvest->charge_between(t0, t1);
-  for (const auto& w : derate_windows) {
-    const double end = w.end_s > w.at_s ? w.end_s : t1;
-    const double a = std::max(t0, w.at_s);
-    const double b = std::min(t1, end);
-    if (b <= a) continue;
-    charge += (w.factor - 1.0) * harvest->charge_between(a, b);
-  }
+  derate.for_each_segment(t0, t1, [&](double a, double b, double factor) {
+    charge += (factor - 1.0) * harvest->charge_between(a, b);
+  });
   return std::max(0.0, charge);
 }
 
@@ -178,7 +163,7 @@ void Domain::fire_wake(std::uint32_t i, double wake, const KernelModel& m,
     const double start = attempt_start;
     const double end = start + m.profile.airtime_s;
     bool lost = false;
-    const double lp = m.loss_probability(end);
+    const double lp = m.loss.level(end);
     if (lp > 0.0) lost = rng.chance(lp);
     double shadow = 1.0;
     if (m.shadowing_sigma_db > 0.0) {
@@ -562,6 +547,7 @@ void Domain::restore(ckpt::Reader& r, double barrier_t_s) {
   PICO_REQUIRE(seq.size() == n && alive_.size() == n && cycles.size() == n &&
                    cycle_energy.size() == n && death_t_s_.size() == n,
                "fleet checkpoint node-state array mismatch");
+  std::uint64_t retired = 0;
   for (std::size_t i = 0; i < n; ++i) {
     Node& nd = node_[i];
     // Every wake at or before the barrier has fired. A NaN key would pass
@@ -573,6 +559,16 @@ void Domain::restore(ckpt::Reader& r, double barrier_t_s) {
           std::to_string(next_wake[i]) + " s) is not after the barrier at " +
           std::to_string(barrier_t_s) + " s");
     }
+    // A live node has no death time; a retired one never wakes again and
+    // died by the barrier. finalize() bills each node by its flag alone.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double t_d = death_t_s_[i];
+    const bool retired_ok = next_wake[i] == inf && t_d >= 0.0 && t_d <= barrier_t_s;
+    if (alive_[i] == 1 ? t_d != inf : alive_[i] != 0 || !retired_ok) {
+      throw ckpt::CheckpointError("fleet checkpoint liveness of node " +
+                                  std::to_string(nd.global_id) + " is inconsistent");
+    }
+    if (alive_[i] == 0) ++retired;
     nd.next_wake_s = next_wake[i];
     nd.seq = seq[i];
     nd.cycles = cycles[i];
@@ -637,6 +633,11 @@ void Domain::restore(ckpt::Reader& r, double barrier_t_s) {
       c_.*field = r.u64();
     }
   });
+  if (retired != c_.nodes_dead) {
+    throw ckpt::CheckpointError("fleet checkpoint domain counts " +
+                                std::to_string(c_.nodes_dead) + " dead nodes but flags " +
+                                std::to_string(retired) + " retired");
+  }
 }
 
 void Domain::finalize(const KernelModel& m, obs::FlightRing* flight) {

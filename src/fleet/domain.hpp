@@ -69,6 +69,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fault/plan.hpp"
 #include "fleet/kernel.hpp"
 
 namespace pico::obs {
@@ -91,7 +92,7 @@ namespace pico::fleet {
 inline constexpr double kCertainDecodeSnr = 80.0;
 
 // Constants shared by every domain: the calibrated cycle, the radio link
-// budget, and the fault subset schedules. Immutable during a run.
+// budget, and the fault schedules. Immutable during a run.
 struct KernelModel {
   CycleProfile profile{};
   double sim_time_s = 0.0;
@@ -118,26 +119,13 @@ struct KernelModel {
   // check entirely (and stay bit-identical to the pre-retirement path).
   bool check_depletion = false;
 
-  // Channel-loss fault windows (kind kChannelLoss), in plan order.
-  struct LossWindow {
-    double at_s = 0.0;
-    double end_s = 0.0;  // <= at_s means permanent
-    double p = 0.0;
-  };
-  std::vector<LossWindow> loss_windows;
-  // Harvester derate windows (kind kHarvesterDerate).
-  struct DerateWindow {
-    double at_s = 0.0;
-    double end_s = 0.0;
-    double factor = 1.0;
-  };
-  std::vector<DerateWindow> derate_windows;
+  // Channel-loss probability and harvester derate factor over time,
+  // compiled once at session setup (fault/plan.hpp).
+  fault::FaultSchedule loss;
+  fault::FaultSchedule derate;
   const HarvestIntegral* harvest = nullptr;  // null: no harvest path
 
-  // Frame-loss probability in effect at time t (last matching window wins,
-  // like the scalar FaultInjector applying events in plan order).
-  [[nodiscard]] double loss_probability(double t) const;
-  // Harvest charge over [t0, t1] with derate windows applied.
+  // Harvest charge over [t0, t1] with the derate schedule applied.
   [[nodiscard]] double harvest_charge(double t0, double t1) const;
   // Received power at the gateway for a link of length `d_m`.
   [[nodiscard]] double rx_power_w(double d_m) const;

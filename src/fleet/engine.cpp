@@ -252,20 +252,13 @@ FleetSession::Impl::Impl(const FleetSpec& spec_in, const FleetObsHooks& hooks_in
     m.harvest = &harvest;
   }
   for (const fault::FaultEvent& ev : spec.faults.events()) {
-    const double end = ev.windowed() ? ev.at_s + ev.duration_s : ev.at_s;
-    switch (ev.kind) {
-      case fault::FaultKind::kHarvesterDerate:
-        m.derate_windows.push_back({ev.at_s, end, ev.magnitude});
-        break;
-      case fault::FaultKind::kChannelLoss:
-        m.loss_windows.push_back({ev.at_s, end, ev.magnitude});
-        break;
-      default:
-        PICO_REQUIRE(false,
-                     "sharded fleet engine supports only harvester-derate and "
-                     "channel-loss faults");
-    }
+    PICO_REQUIRE(ev.kind == fault::FaultKind::kHarvesterDerate ||
+                     ev.kind == fault::FaultKind::kChannelLoss,
+                 "sharded fleet engine supports only harvester-derate and "
+                 "channel-loss faults");
   }
+  m.loss = spec.faults.schedule(fault::FaultKind::kChannelLoss);
+  m.derate = spec.faults.schedule(fault::FaultKind::kHarvesterDerate);
 
   // --- Fleet layout ---------------------------------------------------------
   // The same drawn periods as core::FleetAnalysis.

@@ -111,7 +111,8 @@ struct FleetSpec {
 
   // Fault subset understood by the kernel: kHarvesterDerate and
   // kChannelLoss. Other kinds are rejected (run those scenarios on the
-  // scalar path).
+  // scalar path). Overlapping windows compose as on the scalar path: the
+  // session compiles each kind once into a fault::FaultSchedule.
   fault::FaultPlan faults;
 };
 

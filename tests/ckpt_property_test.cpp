@@ -12,8 +12,10 @@
 // prints a one-line repro (corpus seed, index, cut, shards, threads),
 // which `bench_soak_corpus --index N --checkpoint-at T` replays directly.
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -469,6 +471,84 @@ TEST(FleetCheckpointTest, MidRunDeathResumesFingerprintEqual) {
     EXPECT_LT(m.node_seconds_alive,
               static_cast<double>(spec.nodes) * spec.sim_time_s);
   }
+}
+
+// A node's alive flag, wake time and death time must agree, and a domain's
+// retired flags must add up to its nodes_dead counter. finalize() bills a
+// node by its flag alone: unchecked, a blob with one live node's alive
+// byte cleared restored, the node kept waking on its finite calendar key,
+// and the run then billed it as retired at +inf (energy_out_j and
+// node_seconds_alive +inf).
+TEST(FleetCheckpointTest, RejectsInconsistentLiveness) {
+  fleet::FleetSpec spec = retirement_spec();
+  spec.nodes = 8;
+  spec.domains = 1;
+  spec.epoch_s = 2.0;
+  const double barrier = 24.0;
+  std::vector<std::uint8_t> blob;
+  {
+    fleet::FleetSession s(spec);
+    s.run_until(barrier);
+    blob = s.save();
+  }
+  // FDOM payload: u64 domain count, then domain 0's u64 node count and
+  // its per-node arrays, each a u64 length and the elements: wake (f64),
+  // one 41-byte RNG state per node (no length), seq (u32), alive (u8),
+  // cycles (u64), cycle energy (f64), death time (f64).
+  const std::size_t n = spec.nodes;
+  const std::size_t wake0 = section_at(blob, ckpt::tag("FDOM")) + 16 + 24;
+  const std::size_t alive0 = wake0 + 8 * n + 41 * n + (8 + 4 * n) + 8;
+  const std::size_t death0 = alive0 + n + 2 * (8 + 8 * n) + 8;
+  ASSERT_EQ(read_le(blob, alive0 - 8, 8), n);
+  ASSERT_EQ(read_le(blob, death0 - 8, 8), n);
+  std::size_t live = n;
+  std::size_t dead = n;
+  for (std::size_t i = 0; i < n; ++i) (blob[alive0 + i] != 0 ? live : dead) = i;
+  ASSERT_LT(live, n) << "the cut must keep a node alive";
+  ASSERT_LT(dead, n) << "the cut must come after a node retired";
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Edit {
+    const char* what;
+    std::size_t node;
+    std::uint8_t alive;
+    std::optional<double> wake;  // nullopt: leave as saved
+    std::optional<double> death;
+  };
+  const Edit edits[] = {
+      {"alive byte 2", live, 2, {}, {}},
+      {"live node with a death time", live, 1, {}, 10.0},
+      {"live node flagged retired, still waking", live, 0, {}, {}},
+      {"retired node that still wakes", dead, 0, barrier + 6.0, {}},
+      {"retired node dying after the barrier", dead, 0, {}, barrier + 1.0},
+      {"retired node dying before the run", dead, 0, {}, -1.0},
+      {"retired node with a NaN death time", dead, 0, {}, nan},
+      {"one retirement more than nodes_dead counts", live, 0, inf, 10.0},
+  };
+  for (const Edit& e : edits) {
+    std::vector<std::uint8_t> edited = blob;
+    edited[alive0 + e.node] = e.alive;
+    if (e.wake) write_le(edited, wake0 + 8 * e.node, 8, std::bit_cast<std::uint64_t>(*e.wake));
+    if (e.death) {
+      write_le(edited, death0 + 8 * e.node, 8, std::bit_cast<std::uint64_t>(*e.death));
+    }
+    fleet::FleetSession s(spec);
+    try {
+      s.restore(resealed(std::move(edited)));
+      ADD_FAILURE() << e.what << ": restored";
+    } catch (const ckpt::CheckpointError& err) {
+      const std::string why = err.what();
+      const bool count_case = e.wake == inf;
+      EXPECT_NE(why.find(count_case ? "dead nodes" : "liveness of node"), std::string::npos)
+          << e.what << ": " << why;
+    }
+  }
+  fleet::FleetSession s(spec);
+  s.restore(blob);
+  const fleet::FleetMetrics m = s.finish();
+  EXPECT_TRUE(std::isfinite(m.energy_out_j));
+  EXPECT_TRUE(std::isfinite(m.node_seconds_alive));
 }
 
 // restore() then save() reproduces the blob byte for byte — the session

@@ -610,6 +610,37 @@ TEST(ShardedEngineTest, FaultSubsetStaysDeterministicAndEffective) {
   EXPECT_EQ(c.frames_lost, 0u);
 }
 
+// Overlapping windows of one kind compose by the one rule the scalar
+// injector uses, not last-window-wins or additive derates: two p = 0.5
+// jams pass a frame with probability 0.25, and two 0.2 derates leave
+// 0.04 of the harvest.
+TEST(ShardedEngineTest, OverlappingFaultWindowsComposeLikeTheInjector) {
+  FleetSpec spec;
+  spec.nodes = 200;
+  spec.domains = 1;
+  spec.sim_time_s = 60.0;
+  FleetSpec jammed = spec;
+  jammed.faults.channel_loss(0.0, 100.0, 0.5).channel_loss(0.0, 100.0, 0.5);
+  const FleetMetrics j = ShardedFleetEngine::run(jammed);
+  // Each frame draws its loss independently: frames_lost ~ Binomial(n,
+  // 0.75). Six standard deviations is ~5.8 % of n at n ~ 2000; one jam's
+  // 0.5 sits ~25 standard deviations below.
+  const double n = static_cast<double>(j.frames_on_air);
+  ASSERT_GT(n, 1500.0);
+  EXPECT_NEAR(static_cast<double>(j.frames_lost), 0.75 * n, 6.0 * std::sqrt(n * 0.75 * 0.25))
+      << j.frames_lost << " of " << j.frames_on_air << " frames lost";
+
+  spec.attach_harvester = true;
+  FleetSpec two = spec;
+  two.faults.harvester_derate(10.0, 30.0, 0.2).harvester_derate(10.0, 30.0, 0.2);
+  FleetSpec one = spec;
+  one.faults.harvester_derate(10.0, 30.0, 0.04);
+  const FleetMetrics a = ShardedFleetEngine::run(two);
+  const FleetMetrics b = ShardedFleetEngine::run(one);
+  ASSERT_GT(b.energy_in_j, 0.0);
+  EXPECT_NEAR(a.energy_in_j, b.energy_in_j, 1e-12 * b.energy_in_j);
+}
+
 // --- Guard rails ------------------------------------------------------------
 
 TEST(ShardedEngineTest, RejectsUnsupportedFaultsAndBadBudgetOverride) {

@@ -2,6 +2,8 @@
 // hold across whole families of inputs, not just hand-picked cases.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <tuple>
@@ -12,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/node.hpp"
+#include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fault/scenarios.hpp"
 #include "power/rectifier.hpp"
@@ -380,6 +383,81 @@ TEST(FaultPlanProperty, SpecCodecRoundTripsRandomPlans) {
     const fault::FaultPlan& plan = sc.config.faults;
     EXPECT_EQ(fault::FaultPlan::parse(plan.to_spec()), plan) << sc.name;
   }
+}
+
+// One window rule for every engine: at each window edge the injector
+// hands the hook exactly its kind's FaultSchedule level, and that level
+// composes the windows in effect there as the rule says — factors
+// multiply, losses combine as 1 - Π(1 - p), currents add — checked against
+// a direct evaluation over the plan. Dense random plans overlap windows of
+// one kind, several deep, and land edges on each other.
+TEST(FaultPlanProperty, InjectorPassesTheScheduledLevelAtEveryEdge) {
+  using fault::FaultKind;
+  constexpr std::array kKinds = {FaultKind::kHarvesterDerate,
+                                 FaultKind::kConverterDegradation,
+                                 FaultKind::kChannelLoss, FaultKind::kSupplyGlitch};
+  Rng rng(0x5C4ED);
+  std::size_t overlapped = 0;  // edges with two or more windows of the kind open
+  for (int trial = 0; trial < 200; ++trial) {
+    fault::FaultPlan plan = fault::FaultPlan::randomized(rng, Duration{100.0}, 16);
+    // A copy of a window at the same edges, and a permanent converter
+    // window, exercise coinciding edges and open-ended segments.
+    const fault::FaultEvent first = plan.events().front();
+    if (first.windowed()) plan.add(first);
+    if (trial % 4 == 0) plan.converter_degradation(rng.uniform(0.0, 90.0), 0.0, 0.7);
+
+    sim::Simulator sim;
+    std::array<std::vector<std::pair<double, double>>, 5> seen;  // (t, value) by kind
+    const auto log = [&](FaultKind kind) {
+      return [&seen, &sim, kind](double v) {
+        seen[static_cast<std::size_t>(kind)].emplace_back(sim.now().value(), v);
+      };
+    };
+    fault::FaultHooks hooks;
+    hooks.set_harvest_derate = log(FaultKind::kHarvesterDerate);
+    hooks.set_converter_derate = log(FaultKind::kConverterDegradation);
+    hooks.set_frame_loss = log(FaultKind::kChannelLoss);
+    hooks.set_glitch_load = log(FaultKind::kSupplyGlitch);
+    fault::FaultInjector inj(sim, plan, hooks);
+    inj.arm();
+    sim.run_until(Duration{200.0});
+
+    for (const FaultKind kind : kKinds) {
+      const fault::FaultSchedule schedule = plan.schedule(kind);
+      std::size_t edges = 0;
+      for (const fault::FaultEvent& ev : plan.events()) {
+        if (ev.kind == kind) edges += ev.duration_s > 0.0 ? 2 : 1;
+      }
+      const auto& calls = seen[static_cast<std::size_t>(kind)];
+      ASSERT_EQ(calls.size(), edges) << plan.to_spec();
+      for (const auto& [t, value] : calls) {
+        const double level = schedule.level(t);
+        const double passed = kind == FaultKind::kConverterDegradation ? 1.0 / level : level;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(value), std::bit_cast<std::uint64_t>(passed))
+            << to_string(kind) << " at " << t << " s: " << plan.to_spec();
+        double product = 1.0;
+        double pass = 1.0;
+        double sum = 0.0;
+        int open_windows = 0;
+        for (const fault::FaultEvent& ev : plan.events()) {
+          const bool open =
+              ev.at_s <= t && (ev.duration_s <= 0.0 || t < ev.at_s + ev.duration_s);
+          if (ev.kind != kind || !open) continue;
+          ++open_windows;
+          product *= ev.magnitude;
+          pass *= 1.0 - ev.magnitude;
+          sum += ev.magnitude;
+        }
+        const double want = kind == FaultKind::kChannelLoss    ? 1.0 - pass
+                            : kind == FaultKind::kSupplyGlitch ? sum
+                                                               : product;
+        EXPECT_NEAR(level, want, 1e-12 * std::max(1.0, std::fabs(want)))
+            << to_string(kind) << " at " << t << " s: " << plan.to_spec();
+        if (open_windows >= 2) ++overlapped;
+      }
+    }
+  }
+  EXPECT_GT(overlapped, 200u);
 }
 
 TEST(StorageFuzz, NonFiniteTransfersAreRejectedWithDiagnostic) {
