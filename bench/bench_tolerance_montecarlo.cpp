@@ -110,12 +110,15 @@ int main(int argc, char** argv) {
   bench::heading("E14", "Monte Carlo tolerance study of the 6 uW figure");
 
   constexpr std::uint64_t kBaseSeed = 20260706;
+  runtime::ParallelRunner runner(threads);
   if (io.telemetry()) {
     io.telemetry()->manifest().set_seed(kBaseSeed);
     io.telemetry()->manifest().set("trials", static_cast<std::uint64_t>(n));
+    // The worker count follows the host, not the outcome: it goes in the
+    // run manifest, and the --json report stays identical at any --threads.
+    io.telemetry()->manifest().set("threads", static_cast<std::uint64_t>(runner.threads()));
     if (!faults.empty()) io.telemetry()->manifest().set("faults", faults.to_spec());
   }
-  runtime::ParallelRunner runner(threads);
   std::vector<Sample> trial(n);
   {
     auto run_span = io.span("montecarlo.run_trials");
@@ -154,7 +157,6 @@ int main(int argc, char** argv) {
 
   io.metric("base_seed", static_cast<double>(kBaseSeed));
   io.metric("trials", static_cast<double>(n));
-  io.metric("threads", static_cast<double>(runner.threads()));
   io.metric("avg_power_uw_mean", avg.mean());
   io.metric("avg_power_uw_stddev", avg.stddev());
   io.metric("avg_power_uw_min", avg.min());

@@ -1,11 +1,73 @@
 #include "circuits/transient.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
 namespace pico::circuits {
+
+namespace {
+// The biased exponent field: for positive doubles, a larger field means a
+// larger value.
+int binade(double v) { return static_cast<int>(std::bit_cast<std::uint64_t>(v) >> 52); }
+}  // namespace
+
+DtLadder::DtLadder(double dt_min, double ratio, double dt_max) : dt_min_(dt_min), ratio_(ratio) {
+  PICO_REQUIRE(dt_min > 0.0, "dt ladder needs a positive dt_min");
+  if (ratio <= 1.0) return;
+  log_ratio_ = std::log(ratio);
+  // Every rung up to dt_max, bounded so a ratio barely above 1 cannot blow
+  // up the table; snap falls back to the formula above it.
+  constexpr std::size_t kMaxRungs = 256;
+  for (std::size_t k = 0; k < kMaxRungs; ++k) {
+    const double rung = dt_min * std::pow(ratio, static_cast<double>(k));
+    rungs_.push_back(rung);
+    if (rung > dt_max) break;
+  }
+  // Edges for rungs 0 .. rungs_.size(), while k * log(ratio) <= 64 keeps the
+  // rounding of both the edge and the formula far inside snap's 1e-12 band.
+  for (std::size_t k = 0; k <= rungs_.size(); ++k) {
+    const double span = log_ratio_ * (static_cast<double>(k) - 1e-9);
+    if (span > 64.0) break;
+    edges_.push_back(dt_min * std::exp(span));
+  }
+  binade0_ = binade(edges_.front());
+  for (std::size_t k = 0; k < edges_.size(); ++k) {
+    while (binade0_ + static_cast<int>(first_edge_.size()) <= binade(edges_[k])) {
+      first_edge_.push_back(k);
+    }
+  }
+}
+
+// Counting the edges at or below dt finds the formula's rung without a
+// log; dt's binade says how many edges lie below it, and one compare per
+// edge inside that binade finishes the count (one or two at ratio 2). The formula rounds log(dt / dt_min) /
+// log(ratio) + 1e-9 with an error of a few ulps of k, ~1e-15 relative in
+// dt, and the tabled edges carry the same order of error, so a dt more than
+// 1e-12 relative away from every edge provably lands on the rung the
+// formula gives. Closer than that, or past the last edge, snap evaluates
+// the formula itself. Exact rungs sit 1e-9 * log(ratio) relative above
+// their edge, so for any ratio above ~1.001 (the default is 2) they never
+// take that path.
+double DtLadder::snap(double dt) const {
+  if (ratio_ <= 1.0 || dt <= dt_min_) return std::max(dt, dt_min_);
+  // dt > dt_min > edges_[0], so dt's binade is at or above binade0_.
+  const auto b = static_cast<std::size_t>(binade(dt) - binade0_);
+  if (b < first_edge_.size()) {
+    std::size_t n = first_edge_[b];  // edges at or below dt; ends >= 1
+    while (n < edges_.size() && edges_[n] <= dt) ++n;
+    constexpr double kBand = 1e-12;
+    if (n < edges_.size() && edges_[n] - dt > kBand * dt && dt - edges_[n - 1] > kBand * dt) {
+      return rungs_[n - 1];
+    }
+  }
+  const double k = std::floor(std::log(dt / dt_min_) / log_ratio_ + 1e-9);
+  if (k < static_cast<double>(rungs_.size())) return rungs_[static_cast<std::size_t>(k)];
+  return dt_min_ * std::pow(ratio_, k);
+}
 
 Transient::Transient(Circuit& circuit, Options options) : circuit_(circuit), opt_(options) {
   PICO_REQUIRE(opt_.dt > 0.0, "transient timestep must be positive");
@@ -38,18 +100,7 @@ Transient::Transient(Circuit& circuit, Options options) : circuit_(circuit), opt
     PICO_REQUIRE(opt_.lte_tol > 0.0, "adaptive lte_tol must be positive");
     PICO_REQUIRE(opt_.growth_cap > 1.0, "adaptive growth_cap must exceed 1");
     PICO_REQUIRE(opt_.observe_dt >= 0.0, "observe_dt must be non-negative");
-    const double r = opt_.dt_ladder_ratio;
-    if (r > 1.0) {
-      log_ladder_ratio_ = std::log(r);
-      // Every rung up to dt_max, bounded so a ratio barely above 1 cannot
-      // blow up the table; snap_to_ladder falls back to the formula above it.
-      constexpr std::size_t kMaxRungs = 256;
-      for (std::size_t k = 0; k < kMaxRungs; ++k) {
-        const double rung = opt_.dt_min * std::pow(r, static_cast<double>(k));
-        ladder_.push_back(rung);
-        if (rung > effective_dt_max()) break;
-      }
-    }
+    ladder_ = DtLadder(opt_.dt_min, opt_.dt_ladder_ratio, effective_dt_max());
     x_hist1_.assign(dim, 0.0);
     x_hist2_.assign(dim, 0.0);
     x_accept_.assign(dim, 0.0);
@@ -227,16 +278,6 @@ double Transient::effective_dt_max() const {
   return opt_.dt_max > 0.0 ? opt_.dt_max : 1000.0 * opt_.dt;
 }
 
-double Transient::snap_to_ladder(double dt) const {
-  const double r = opt_.dt_ladder_ratio;
-  if (r <= 1.0 || dt <= opt_.dt_min) return std::max(dt, opt_.dt_min);
-  // Snap down to dt_min * r^k; the slop keeps exact rungs on their rung.
-  // k >= 0 here, and the table holds exactly dt_min * std::pow(r, k).
-  const double k = std::floor(std::log(dt / opt_.dt_min) / log_ladder_ratio_ + 1e-9);
-  if (k < static_cast<double>(ladder_.size())) return ladder_[static_cast<std::size_t>(k)];
-  return opt_.dt_min * std::pow(r, k);
-}
-
 void Transient::reset_predictor() {
   history_count_ = 0;
   last_err_ = 0.0;
@@ -298,7 +339,7 @@ double Transient::step_adaptive(double t_end) {
   }
 
   const double dt_hi = effective_dt_max();
-  const double dt_prop = snap_to_ladder(std::clamp(dt_next_, opt_.dt_min, dt_hi));
+  const double dt_prop = ladder_.snap(std::clamp(dt_next_, opt_.dt_min, dt_hi));
   double dt = dt_prop;
   const double remaining = limit - time_;
   bool clamped = false;
@@ -339,7 +380,7 @@ double Transient::step_adaptive(double t_end) {
           (ctx.method == Method::kTrapezoidal && history_count_ >= 2) ? 1.0 / 3.0 : 0.5;
       shrink = std::clamp(0.9 * std::pow(err, -p_inv), 0.1, 0.5);
     }
-    dt = std::max(opt_.dt_min, snap_to_ladder(dt * shrink));
+    dt = std::max(opt_.dt_min, ladder_.snap(dt * shrink));
     clamped = false;
   }
 

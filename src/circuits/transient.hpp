@@ -46,6 +46,34 @@
 
 namespace pico::circuits {
 
+// The adaptive controller's geometric dt ladder: rungs dt_min * ratio^k up
+// to the first above dt_max. snap() returns the formula's rung,
+//   dt_min * ratio^floor(log(dt / dt_min) / log(ratio) + 1e-9),
+// dt_min at or below dt_min, and max(dt, dt_min) when ratio <= 1, bit for
+// bit, but reaches it by counting tabled rung edges instead of taking a
+// log (see snap in transient.cpp).
+class DtLadder {
+ public:
+  DtLadder() = default;
+  DtLadder(double dt_min, double ratio, double dt_max);
+  [[nodiscard]] double snap(double dt) const;
+
+ private:
+  double dt_min_ = 0.0;
+  double ratio_ = 1.0;
+  double log_ratio_ = 0.0;
+  // rungs_[k] = dt_min * std::pow(ratio, k), the formula's own expression.
+  std::vector<double> rungs_;
+  // edges_[k] = dt_min * exp(log(ratio) * (k - 1e-9)): the smallest dt the
+  // formula sends to rung k, up to rounding. One more than rungs_, fewer
+  // where the span grows so wide that the rounding bound no longer holds.
+  std::vector<double> edges_;
+  // first_edge_[b] = the number of edges in binades (exponent fields) below
+  // binade0_ + b, for every binade up to the last edge's.
+  int binade0_ = 0;
+  std::vector<std::size_t> first_edge_;
+};
+
 class Transient {
  public:
   struct Options {
@@ -190,7 +218,6 @@ class Transient {
   // `t_new` is the attempted end-of-step time (candidate solution in x_,
   // last accepted in x_accept_).
   [[nodiscard]] double lte_error_ratio(double t_new) const;
-  [[nodiscard]] double snap_to_ladder(double dt) const;
   [[nodiscard]] double effective_dt_max() const;
   void reset_predictor();  // discontinuity: drop history, restart at opt_.dt
 
@@ -244,10 +271,7 @@ class Transient {
   std::uint64_t rejections_ = 0;
   std::uint64_t bp_hits_ = 0;
   std::uint64_t lu_evictions_ = 0;
-  // The dt ladder's rungs dt_min * ratio^k up to dt_max, computed once with
-  // the expression snap_to_ladder would evaluate, and log(ratio).
-  std::vector<double> ladder_;
-  double log_ladder_ratio_ = 0.0;
+  DtLadder ladder_;  // built once, in adaptive mode
 
   // LRU of factorizations, each with the matrix it factored and the tag of
   // its last use. Entries hold pairwise distinct matrices.

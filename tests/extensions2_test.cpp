@@ -93,7 +93,9 @@ TEST(Gearbox, FixedDoublerDiesWhereGearboxSurvives) {
     EXPECT_GT(pt.gearbox_eff, 0.0) << "gearbox dead at " << pt.vin.value() << " V";
     if (pt.fixed_eff == 0.0) fixed_dead_somewhere = true;
     // Where both run, the gearbox never loses (it can pick the fixed gear).
-    if (pt.fixed_eff > 0.0) EXPECT_GE(pt.gearbox_eff, pt.fixed_eff - 1e-9);
+    if (pt.fixed_eff > 0.0) {
+      EXPECT_GE(pt.gearbox_eff, pt.fixed_eff - 1e-9);
+    }
   }
   EXPECT_TRUE(fixed_dead_somewhere);  // the doubler can't make 2.1 V at 1.0 V in
 }

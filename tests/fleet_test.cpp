@@ -32,6 +32,10 @@
 // can assert that a steady-state loop performs zero heap allocations.
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+// Every delete frees through one out-of-line helper: inlined, free() meets
+// pointers that GCC only knows came from operator new, and
+// -Wmismatched-new-delete flags the matched malloc/free pair.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -40,10 +44,10 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace pico::fleet {
 namespace {
@@ -101,9 +105,9 @@ TEST(HarvestIntegralTest, ChargeMatchesWindowSums) {
   // clamp used to credit zero harvest for the tail of a long run and
   // corrupt the energy balance); an empty interval is still just zero.
   EXPECT_EQ(h.horizon_s(), 30.0);
-  EXPECT_THROW(h.charge_between(-5.0, 0.0), DesignError);
-  EXPECT_THROW(h.charge_between(30.0, 40.0), DesignError);
-  EXPECT_THROW(h.charge_between(20.0, 30.0 + 1e-6), DesignError);
+  EXPECT_THROW((void)h.charge_between(-5.0, 0.0), DesignError);
+  EXPECT_THROW((void)h.charge_between(30.0, 40.0), DesignError);
+  EXPECT_THROW((void)h.charge_between(20.0, 30.0 + 1e-6), DesignError);
   EXPECT_DOUBLE_EQ(h.charge_between(8.0, 3.0), 0.0);
 }
 

@@ -93,14 +93,14 @@ TEST_P(ScTopologyProperty, OptimalAllocationNeverWorseThanUniform) {
   const Capacitance total{10e-9};
   const auto opt = an.allocate_caps(total);
   const std::vector<Capacitance> uniform(
-      an.charge().cap.size(), Capacitance{total.value() / an.charge().cap.size()});
+      an.charge().cap.size(), Capacitance{total.value() / static_cast<double>(an.charge().cap.size())});
   EXPECT_LE(an.r_ssl(opt, 1_MHz, Capacitance{0.0}).value(),
             an.r_ssl(uniform, 1_MHz, Capacitance{0.0}).value() * 1.0001);
 
   const Conductance g{1e-2};
   const auto opt_r = an.allocate_switches(g);
   const std::vector<Resistance> uni_r(an.charge().sw.size(),
-                                      Resistance{an.charge().sw.size() / g.value()});
+                                      Resistance{static_cast<double>(an.charge().sw.size()) / g.value()});
   EXPECT_LE(an.r_fsl(opt_r).value(), an.r_fsl(uni_r).value() * 1.0001);
 }
 

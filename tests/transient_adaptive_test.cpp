@@ -10,6 +10,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "circuits/components.hpp"
 #include "circuits/transient.hpp"
 #include "harvest/harvester.hpp"
+#include "harvest/profiles.hpp"
 #include "power/rectifier_circuits.hpp"
 
 namespace pico::circuits {
@@ -446,6 +449,98 @@ TEST(TransientAdaptive, SyncRectifierCacheBitIdenticalToFullSolve) {
   EXPECT_GE(cached.factorizations, 1u);
   EXPECT_LE(cached.factorizations, cached.topologies.size());
   EXPECT_GT(full.factorizations, 1000u * cached.factorizations);
+}
+
+TEST(TransientAdaptive, SyncRectifierCityRunPinned) {
+  // The node's circuit-fidelity harvest netlist under PicoCubeNode's
+  // kCircuitAdaptive options over the first 10 s of the city cycle
+  // (pulling away, then cruising at 50 km/h), run in the node's 1 s
+  // windows. The FNV-1a hash of every accepted (t, x) bit pattern, the
+  // step count and the factorization count were recorded with the dense
+  // substitution loops and the log-based ladder snap. Unlike the
+  // cache-vs-full comparison above, whose two paths share one LuSolver,
+  // this catches any drift in the solve or in the step sequence.
+  harvest::ElectromagneticShaker shaker(harvest::make_city_cycle());
+  auto rc = power::build_sync_rectifier_circuit(shaker, Voltage{1.25}, Resistance{2.0});
+  Transient::Options opt;
+  opt.adaptive = true;
+  opt.dt = 2e-5;
+  opt.dt_min = 1e-7;
+  opt.dt_max = 1e-3;
+  opt.lte_tol = 5e-4;
+  Transient tr(*rc.circuit, opt);
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](double v) {
+    const auto word = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  std::uint64_t accepted = 0;
+  for (int window = 1; window <= 10; ++window) {
+    tr.run_until(Duration{static_cast<double>(window)}, [&](double t, const Vector& x) {
+      mix(t);
+      for (std::size_t i = 0; i < x.size(); ++i) mix(x[i]);
+      ++accepted;
+    });
+  }
+  EXPECT_EQ(accepted, 95097u);
+  EXPECT_EQ(tr.lu_factorizations(), 6u);
+  EXPECT_EQ(hash, 0xaa0e6715403d189full);
+}
+
+// The rule the dt ladder snaps by: down to dt_min * ratio^k with
+// k = floor(log(dt / dt_min) / log(ratio) + 1e-9), never below dt_min.
+double ladder_formula(double dt, double dt_min, double ratio) {
+  if (dt <= dt_min) return dt_min;
+  const double k = std::floor(std::log(dt / dt_min) / std::log(ratio) + 1e-9);
+  return dt_min * std::pow(ratio, k);
+}
+
+TEST(TransientAdaptive, LadderSnapMatchesFormula) {
+  // Bit-equal to the formula at every rung, at 1..64 ulps either side of
+  // every rung edge dt_min * exp(log(ratio) * (k - 1e-9)), and on a million
+  // log-uniform step sizes from dt_min / 10 to 10 * dt_max, which run past
+  // the end of the table.
+  constexpr double kDtMin = 1e-7;
+  constexpr double kDtMax = 1e-3;
+  for (const double ratio : {2.0, 1.5, 10.0}) {
+    const DtLadder ladder(kDtMin, ratio, kDtMax);
+    std::size_t checked = 0, mismatches = 0;
+    const auto check = [&](double dt) {
+      ++checked;
+      const double got = ladder.snap(dt);
+      const double want = ladder_formula(dt, kDtMin, ratio);
+      if (std::bit_cast<std::uint64_t>(got) == std::bit_cast<std::uint64_t>(want)) return;
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "ratio " << ratio << " dt " << dt << ": " << got << " != " << want;
+      }
+    };
+    const double log_ratio = std::log(ratio);
+    for (int k = 0;; ++k) {
+      const double rung = kDtMin * std::pow(ratio, static_cast<double>(k));
+      const double edge = kDtMin * std::exp(log_ratio * (static_cast<double>(k) - 1e-9));
+      check(rung);
+      check(edge);
+      double up = edge, down = edge;
+      for (int ulp = 1; ulp <= 64; ++ulp) {
+        up = std::nextafter(up, std::numeric_limits<double>::infinity());
+        down = std::nextafter(down, 0.0);
+        check(up);
+        check(down);
+      }
+      if (rung > 10.0 * kDtMax) break;
+    }
+    std::mt19937_64 rng(2008);
+    std::uniform_real_distribution<double> log_dt(std::log(kDtMin / 10.0), std::log(kDtMax * 10.0));
+    for (int i = 0; i < 1000000; ++i) check(std::exp(log_dt(rng)));
+    EXPECT_EQ(mismatches, 0u) << "ratio " << ratio << " over " << checked << " step sizes";
+  }
+  // A ratio of 1 or less disables snapping.
+  const DtLadder flat(kDtMin, 1.0, kDtMax);
+  EXPECT_EQ(flat.snap(3.3e-6), 3.3e-6);
+  EXPECT_EQ(flat.snap(1e-9), kDtMin);
 }
 
 TEST(TransientAdaptive, CapacitorKeepsDtInCacheTag) {
