@@ -8,7 +8,7 @@
 // library's whole toolbox:
 //   1. energy budget: solar harvest vs node consumption over day/night,
 //   2. storage sizing: ride-through for dark weekends, checked against
-//      both the NiMH cell and a §7.2 printed film battery,
+//      the stock NiMH cell,
 //   3. the §7.3 wake-up radio trade for on-demand queries,
 //   4. a week-long simulation to confirm the design is energy-neutral.
 #include <iostream>
@@ -18,7 +18,6 @@
 #include "core/node.hpp"
 #include "obs/session.hpp"
 #include "radio/wakeup.hpp"
-#include "storage/printed.hpp"
 
 using namespace pico;
 using namespace pico::literals;
@@ -55,18 +54,6 @@ int main(int argc, char** argv) {
             << " (" << fixed(q_needed.in(units::mAh), 2) << " mAh)\n"
             << "the stock 15 mAh NiMH covers it "
             << fixed(54.0 / q_needed.value(), 1) << "x over\n";
-
-  // Could the §7.2 printed battery replace the coin cell?
-  storage::DispenserPrinter printer;
-  const auto plan = printer.design(1.5_V, q_needed);
-  if (plan.feasible) {
-    std::cout << "printed-film alternative: " << fixed(plan.thickness.value() * 1e6, 0)
-              << " um film over " << fixed(plan.battery.footprint.value() * 1e4, 2)
-              << " cm^2, printed in " << si(plan.print_time) << "\n";
-  } else {
-    std::cout << "printed-film alternative infeasible: " << plan.note << "\n"
-              << "(ride-through of this size still wants the coin cell)\n";
-  }
 
   // 3. ---- Wake-up radio trade ------------------------------------------------
   radio::WakeupDutyAnalysis::Inputs wu;

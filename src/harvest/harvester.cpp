@@ -159,68 +159,6 @@ Duration ElectromagneticShaker::waveform_period(double t) const {
 }
 
 // ---------------------------------------------------------------------------
-// ResonantVibrationHarvester
-// ---------------------------------------------------------------------------
-ResonantVibrationHarvester::ResonantVibrationHarvester()
-    : ResonantVibrationHarvester(Params{}) {}
-
-ResonantVibrationHarvester::ResonantVibrationHarvester(Params p) : prm_(p) {
-  PICO_REQUIRE(prm_.proof_mass.value() > 0.0, "proof mass must be positive");
-  PICO_REQUIRE(prm_.resonance.value() > 0.0, "resonance must be positive");
-  PICO_REQUIRE(prm_.zeta_mech > 0.0 && prm_.zeta_elec > 0.0, "damping ratios must be positive");
-}
-
-Length ResonantVibrationHarvester::displacement(Acceleration amplitude, Frequency freq) const {
-  const double wn = 2.0 * M_PI * prm_.resonance.value();
-  const double w = 2.0 * M_PI * freq.value();
-  const double r = w / wn;
-  const double zt = prm_.zeta_mech + prm_.zeta_elec;
-  const double denom = std::sqrt((1.0 - r * r) * (1.0 - r * r) + (2.0 * zt * r) * (2.0 * zt * r));
-  // Z = Y0 r^2 / D with Y0 = A/w^2, so Z = (A / wn^2) / D (Williams–Yates).
-  const double z = amplitude.value() / (wn * wn) / denom;
-  return Length{std::min(z, prm_.max_displacement.value())};
-}
-
-Power ResonantVibrationHarvester::electrical_power(Acceleration amplitude,
-                                                   Frequency freq) const {
-  const double wn = 2.0 * M_PI * prm_.resonance.value();
-  const double w = 2.0 * M_PI * freq.value();
-  const double r = w / wn;
-  const double zt = prm_.zeta_mech + prm_.zeta_elec;
-  const double d2 = (1.0 - r * r) * (1.0 - r * r) + (2.0 * zt * r) * (2.0 * zt * r);
-  // P_e = m * zeta_e * A^2 * r^2 / (omega_n * D^2); at r=1 this reduces to
-  // the classic m*zeta_e*A^2 / (4*omega_n*zeta_T^2).
-  const double p =
-      prm_.proof_mass.value() * prm_.zeta_elec * amplitude.value() * amplitude.value() * r * r /
-      (wn * d2);
-  // Respect the displacement stop: power saturates once the proof mass
-  // hits the travel limit (displacement-limited regime).
-  const double z_free = amplitude.value() / (wn * wn) / std::sqrt(d2);
-  const double zmax = prm_.max_displacement.value();
-  if (z_free > zmax) {
-    const double scale = zmax / z_free;
-    return Power{p * scale * scale};
-  }
-  return Power{p};
-}
-
-Power ResonantVibrationHarvester::electrical_power() const {
-  return electrical_power(prm_.vib_amplitude, prm_.vib_frequency);
-}
-
-double ResonantVibrationHarvester::open_circuit_voltage(double t) const {
-  // Represent the extracted power as a sinusoidal EMF behind source_res:
-  // P_matched = Voc^2 / (8 R)  for a sine =>  Voc_peak = sqrt(8 R P).
-  const double p = electrical_power().value();
-  const double vpk = std::sqrt(8.0 * prm_.source_res.value() * p);
-  return vpk * std::sin(2.0 * M_PI * prm_.vib_frequency.value() * t);
-}
-
-Duration ResonantVibrationHarvester::waveform_period(double) const {
-  return Duration{1.0 / prm_.vib_frequency.value()};
-}
-
-// ---------------------------------------------------------------------------
 // SolarCell
 // ---------------------------------------------------------------------------
 namespace {

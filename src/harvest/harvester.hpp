@@ -107,48 +107,6 @@ class ElectromagneticShaker : public Harvester {
 };
 
 // ---------------------------------------------------------------------------
-// Resonant vibration harvester (Williams–Yates / Roundy model, refs [4,5]).
-//
-// Second-order mass-spring-damper excited by base acceleration; electrical
-// power extracted through the electrical damping ratio. At resonance:
-//   P_e = m * zeta_e * A^2 / (4 * omega_n * zeta_T^2).
-// ---------------------------------------------------------------------------
-class ResonantVibrationHarvester : public Harvester {
- public:
-  struct Params {
-    Mass proof_mass{1e-3};            // 1 g proof mass
-    Frequency resonance{120.0};       // tuned to the ambient vibration
-    double zeta_mech = 0.015;         // mechanical damping ratio
-    double zeta_elec = 0.015;         // electrical (transduction) damping
-    Length max_displacement{2e-3};    // travel stop
-    Resistance source_res{2000.0};
-    // Ambient vibration: acceleration amplitude at a single tone.
-    Acceleration vib_amplitude{2.5};  // paper's refs use 2.5 m/s^2 class
-    Frequency vib_frequency{120.0};
-  };
-
-  ResonantVibrationHarvester();
-  explicit ResonantVibrationHarvester(Params p);
-
-  [[nodiscard]] std::string name() const override { return "vibration"; }
-  [[nodiscard]] double open_circuit_voltage(double t) const override;
-  [[nodiscard]] Resistance source_resistance() const override { return prm_.source_res; }
-  [[nodiscard]] Duration waveform_period(double t) const override;
-
-  // Average electrical power extracted at a given excitation.
-  [[nodiscard]] Power electrical_power(Acceleration amplitude, Frequency freq) const;
-  // At the configured ambient vibration.
-  [[nodiscard]] Power electrical_power() const;
-  // Steady-state relative displacement amplitude (for travel-limit checks).
-  [[nodiscard]] Length displacement(Acceleration amplitude, Frequency freq) const;
-
-  [[nodiscard]] const Params& params() const { return prm_; }
-
- private:
-  Params prm_;
-};
-
-// ---------------------------------------------------------------------------
 // Solar cell (single-diode model) for the "cladding the outside of the
 // node with solar cells" variant from the introduction.
 // ---------------------------------------------------------------------------

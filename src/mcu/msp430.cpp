@@ -61,7 +61,6 @@ void Msp430::set_supply(Voltage v) {
   } else if (was_powered && !powered()) {
     enter_state(PowerState::kOff);
     spi_busy_ = false;
-    timer_armed_ = false;
   } else {
     notify();
   }
@@ -95,32 +94,10 @@ void Msp430::run_for(Duration d, std::function<void()> done) {
   });
 }
 
-void Msp430::run_cycles(std::uint64_t cycles, std::function<void()> done) {
-  run_for(Duration{static_cast<double>(cycles) / prm_.mclk.value()}, std::move(done));
-}
-
 void Msp430::sleep(PowerState s) {
   PICO_REQUIRE(s != PowerState::kActive, "sleep target must be a low-power state");
   if (!powered()) return;
   enter_state(s);
-}
-
-void Msp430::start_timer(Duration d) {
-  PICO_REQUIRE(d.value() > 0.0, "timer period must be positive");
-  if (timer_armed_) sim_.cancel(timer_event_);
-  timer_armed_ = true;
-  timer_event_ = sim_.schedule_in(d, [this] {
-    if (!timer_armed_ || !powered()) return;
-    timer_armed_ = false;
-    request_interrupt(Irq::kTimerA);
-  });
-}
-
-void Msp430::stop_timer() {
-  if (timer_armed_) {
-    sim_.cancel(timer_event_);
-    timer_armed_ = false;
-  }
 }
 
 Duration Msp430::spi_duration(std::size_t bytes) const {
@@ -141,29 +118,8 @@ void Msp430::spi_transfer(std::size_t bytes, std::function<void()> done) {
   });
 }
 
-void Msp430::connect_gpio(int pin, GpioListener cb) {
-  gpio_listeners_[pin] = std::move(cb);
-}
-
-void Msp430::set_gpio(int pin, bool level) {
-  PICO_REQUIRE(powered(), "GPIO requires a powered MCU");
-  auto& st = gpio_state_[pin];
-  if (st == level) return;
-  st = level;
-  const auto it = gpio_listeners_.find(pin);
-  if (it != gpio_listeners_.end() && it->second) it->second(level);
-}
-
-bool Msp430::gpio(int pin) const {
-  const auto it = gpio_state_.find(pin);
-  return it != gpio_state_.end() && it->second;
-}
-
 void Msp430::request_interrupt(Irq irq) {
   if (!powered()) return;
-  // LPM4 has no clock: the dead timer cannot fire (callers should not arm
-  // it there), but external events still wake the part.
-  if (state_ == PowerState::kLpm4 && irq == Irq::kTimerA) return;
   const bool was_sleeping = state_ != PowerState::kActive;
   const Duration latency = was_sleeping ? prm_.wake_latency : Duration{0.0};
   sim_.schedule_in(latency, [this, irq] {

@@ -7,20 +7,17 @@
 //   * power states with datasheet-class currents (active / LPM0 / LPM3 /
 //     LPM4) and supply-voltage scaling,
 //   * wake latency from deep sleep,
-//   * a busy-execution primitive (`run_for`/`run_cycles`) that holds the
-//     CPU in active mode on the event simulator,
+//   * a busy-execution primitive (`run_for`) that holds the CPU in active
+//     mode on the event simulator,
 //   * SPI master transfer timing (the sensor interface),
-//   * GPIO outputs (they drive the switch board and the radio data pin),
 //   * an interrupt line that wakes the CPU and dispatches to firmware.
 //
 // Firmware is a callback object — the paper's "entirely interrupt driven"
 // C code maps onto `InterruptHandler`.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -37,11 +34,9 @@ enum class PowerState {
 
 [[nodiscard]] std::string to_string(PowerState s);
 
-// Interrupt request lines (a subset of the real vector table).
+// Interrupt request lines (the one vector the node's firmware serves).
 enum class Irq : int {
   kSensorEvent = 0,  // TPMS digital die / accelerometer motion detect
-  kTimerA = 1,
-  kGpio = 2,
 };
 
 class Msp430 {
@@ -80,15 +75,8 @@ class Msp430 {
   // --- Execution ---------------------------------------------------------
   // Enter active mode for `d`, then invoke `done` (still active).
   void run_for(Duration d, std::function<void()> done);
-  // Same, expressed in CPU cycles at the configured MCLK.
-  void run_cycles(std::uint64_t cycles, std::function<void()> done);
   // Drop into a low-power mode (typically at the end of an ISR).
   void sleep(PowerState s);
-
-  // --- Timer A (runs through LPM3) ----------------------------------------
-  // One-shot timer raising kTimerA after `d`.
-  void start_timer(Duration d);
-  void stop_timer();
 
   // --- SPI master ----------------------------------------------------------
   // Shift `bytes` bytes at spi_clock; `done` runs at completion. CPU is
@@ -97,17 +85,11 @@ class Msp430 {
   [[nodiscard]] Duration spi_duration(std::size_t bytes) const;
   [[nodiscard]] bool spi_busy() const { return spi_busy_; }
 
-  // --- GPIO ----------------------------------------------------------------
-  using GpioListener = std::function<void(bool)>;
-  void connect_gpio(int pin, GpioListener cb);
-  void set_gpio(int pin, bool level);
-  [[nodiscard]] bool gpio(int pin) const;
-
   // --- Interrupts ----------------------------------------------------------
   using InterruptHandler = std::function<void(Irq)>;
   void set_interrupt_handler(InterruptHandler h);
-  // Assert an IRQ; wakes the CPU (with latency) if sleeping. LPM4 only
-  // responds to external (sensor/GPIO) interrupts, not the dead timer.
+  // Assert an IRQ; wakes the CPU (with latency) if sleeping, LPM4
+  // included: the sensor line is an external interrupt.
   void request_interrupt(Irq irq);
 
   [[nodiscard]] const Params& params() const { return prm_; }
@@ -125,10 +107,6 @@ class Msp430 {
   bool spi_busy_ = false;
   CurrentListener listener_;
   InterruptHandler handler_;
-  std::unordered_map<int, GpioListener> gpio_listeners_;
-  std::unordered_map<int, bool> gpio_state_;
-  sim::EventId timer_event_ = 0;
-  bool timer_armed_ = false;
   double active_seconds_ = 0.0;
   double active_since_ = 0.0;
 };

@@ -82,16 +82,6 @@ void FlightRecorder::record(const FlightEvent& ev) {
   if (hi - lo <= storm_window_s_) trigger_dump("fault-storm");
 }
 
-void FlightRecorder::set_storm_threshold(std::size_t count, double window_s) {
-  PICO_REQUIRE(count >= 2, "storm threshold needs at least two events");
-  PICO_REQUIRE(window_s > 0.0, "storm window must be positive");
-  storm_count_ = count;
-  storm_window_s_ = window_s;
-  storm_times_.assign(storm_count_, -1.0);
-  storm_head_ = 0;
-  storm_seen_ = 0;
-}
-
 void FlightRecorder::set_dump_hook(std::function<void(const std::string&)> hook) {
   dump_hook_ = std::move(hook);
 }

@@ -103,9 +103,11 @@ class FlightRecorder {
   // the fault-storm detector.
   void record(const FlightEvent& ev);
 
-  // Fault storm: >= `count` kFaultActive events through record() within a
-  // sliding `window_s` of sim time trips an automatic dump.
-  void set_storm_threshold(std::size_t count, double window_s);
+  // Fault storm: >= kStormCount kFaultActive events through record()
+  // within a sliding kStormWindowS of sim time trips an automatic dump. A
+  // restored checkpoint carries its own threshold.
+  static constexpr std::size_t kStormCount = 16;
+  static constexpr double kStormWindowS = 1.0;
 
   // Dump hook (armed by TelemetrySession): fired at most once, with a
   // reason tag ("envelope", "fault-storm", ...).
@@ -159,8 +161,8 @@ class FlightRecorder {
   bool dumped_ = false;
   std::string dump_reason_;
   // Sliding window of recent kFaultActive times (fixed footprint).
-  std::size_t storm_count_ = 16;
-  double storm_window_s_ = 1.0;
+  std::size_t storm_count_ = kStormCount;
+  double storm_window_s_ = kStormWindowS;
   std::vector<double> storm_times_;  // ring of the last storm_count_ times
   std::size_t storm_head_ = 0;
   std::uint64_t storm_seen_ = 0;

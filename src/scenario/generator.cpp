@@ -151,12 +151,4 @@ GeneratedScenario generate(const GeneratorParams& p, std::uint64_t index) {
   return out;
 }
 
-std::vector<GeneratedScenario> generate_corpus(const GeneratorParams& p,
-                                               std::size_t count) {
-  std::vector<GeneratedScenario> corpus;
-  corpus.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) corpus.push_back(generate(p, i));
-  return corpus;
-}
-
 }  // namespace pico::scenario

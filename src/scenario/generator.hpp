@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "fleet/engine.hpp"
 
@@ -70,9 +69,5 @@ struct GeneratedScenario {
 // order-stable: adding scenarios never changes earlier ones.
 [[nodiscard]] GeneratedScenario generate(const GeneratorParams& p,
                                          std::uint64_t index);
-
-// The first `count` scenarios of the corpus.
-[[nodiscard]] std::vector<GeneratedScenario> generate_corpus(
-    const GeneratorParams& p, std::size_t count);
 
 }  // namespace pico::scenario

@@ -1,120 +1,13 @@
-// Tests for the second extension wave: Manchester coding, the ratio
-// gearbox, lifetime/storage sizing, and the bench test jig.
+// Tests for the second extension wave: lifetime and storage sizing.
 #include <gtest/gtest.h>
 
-#include "board/jig.hpp"
-#include "board/stack.hpp"
-#include "common/error.hpp"
-#include "common/rng.hpp"
 #include "core/lifetime.hpp"
-#include "radio/manchester.hpp"
-#include "scopt/gearbox.hpp"
 #include "storage/nimh.hpp"
 
 namespace pico {
 namespace {
 
 using namespace pico::literals;
-
-// --- Manchester ---------------------------------------------------------------
-
-TEST(Manchester, RoundTrip) {
-  const std::vector<std::uint8_t> data{0x00, 0xFF, 0xA5, 0x3C, 0x01};
-  const auto chips = radio::manchester_encode(data);
-  EXPECT_EQ(chips.size(), data.size() * 2);
-  const auto back = radio::manchester_decode(chips);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, data);
-}
-
-TEST(Manchester, RandomRoundTrip) {
-  Rng rng(404);
-  for (int trial = 0; trial < 30; ++trial) {
-    std::vector<std::uint8_t> data(rng.below(40) + 1);
-    for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
-    const auto back = radio::manchester_decode(radio::manchester_encode(data));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, data);
-  }
-}
-
-TEST(Manchester, DutyIsExactlyHalf) {
-  // The guarantee that makes the 1.35 mW @ 50 % figure payload-independent.
-  const std::vector<std::uint8_t> zeros(16, 0x00);
-  const std::vector<std::uint8_t> ones(16, 0xFF);
-  EXPECT_DOUBLE_EQ(radio::ook_duty(radio::manchester_encode(zeros)), 0.5);
-  EXPECT_DOUBLE_EQ(radio::ook_duty(radio::manchester_encode(ones)), 0.5);
-  // The raw streams are pathological for the slicer.
-  EXPECT_DOUBLE_EQ(radio::ook_duty(zeros), 0.0);
-  EXPECT_DOUBLE_EQ(radio::ook_duty(ones), 1.0);
-}
-
-TEST(Manchester, BoundsChipRuns) {
-  const std::vector<std::uint8_t> worst(32, 0x00);  // 256 identical raw bits
-  EXPECT_EQ(radio::longest_run(worst), 256u);
-  EXPECT_LE(radio::longest_run(radio::manchester_encode(worst)), 2u);
-}
-
-TEST(Manchester, InvalidPairsDetected) {
-  const std::vector<std::uint8_t> data{0x5A};
-  auto chips = radio::manchester_encode(data);
-  chips[0] = 0xFF;  // force (1,1) pairs
-  EXPECT_FALSE(radio::manchester_decode(chips).has_value());
-  // Soft decode still returns something CRC can judge.
-  EXPECT_EQ(radio::manchester_decode_soft(chips).size(), 1u);
-  // Odd-length chip streams are malformed.
-  chips.push_back(0x00);
-  EXPECT_FALSE(radio::manchester_decode(chips).has_value());
-}
-
-TEST(Manchester, PayloadRateHalvesChipRate) {
-  EXPECT_DOUBLE_EQ(radio::manchester_payload_rate(330_kHz).value(), 165e3);
-}
-
-// --- Ratio gearbox ---------------------------------------------------------------
-
-TEST(Gearbox, ShiftsDownAsTheCellEmpties) {
-  const auto gb = scopt::make_mcu_rail_gearbox();
-  // Plateau: the 1:2 gear; near-empty: the 1:3 gear.
-  const auto high = gb.select(1.3_V, 2.1_V, 200_uA);
-  const auto low = gb.select(1.0_V, 2.1_V, 200_uA);
-  ASSERT_GE(high.gear, 0);
-  ASSERT_GE(low.gear, 0);
-  EXPECT_NE(high.gear, low.gear);
-  EXPECT_NEAR(gb.gears()[static_cast<std::size_t>(high.gear)].converter.ratio(), 2.0, 1e-6);
-  EXPECT_NEAR(gb.gears()[static_cast<std::size_t>(low.gear)].converter.ratio(), 3.0, 1e-6);
-}
-
-TEST(Gearbox, FixedDoublerDiesWhereGearboxSurvives) {
-  const auto gb = scopt::make_mcu_rail_gearbox();
-  const auto sweep = gb.sweep(1.0_V, 1.4_V, 9, 2.1_V, 200_uA, 1.25_V);
-  bool fixed_dead_somewhere = false;
-  for (const auto& pt : sweep) {
-    EXPECT_GT(pt.gearbox_eff, 0.0) << "gearbox dead at " << pt.vin.value() << " V";
-    if (pt.fixed_eff == 0.0) fixed_dead_somewhere = true;
-    // Where both run, the gearbox never loses (it can pick the fixed gear).
-    if (pt.fixed_eff > 0.0) {
-      EXPECT_GE(pt.gearbox_eff, pt.fixed_eff - 1e-9);
-    }
-  }
-  EXPECT_TRUE(fixed_dead_somewhere);  // the doubler can't make 2.1 V at 1.0 V in
-}
-
-TEST(Gearbox, EfficiencyGainAtLowVin) {
-  const auto gb = scopt::make_mcu_rail_gearbox();
-  const auto at_low = gb.select(1.02_V, 2.1_V, 200_uA);
-  ASSERT_GE(at_low.gear, 0);
-  // 2.1 V from 3 * 1.02 V: conduction ceiling is 2.1/3.06 ~ 69 %.
-  EXPECT_GT(at_low.efficiency, 0.5);
-  EXPECT_LT(at_low.efficiency, 0.72);
-}
-
-TEST(Gearbox, RejectsEmpty) {
-  EXPECT_THROW(scopt::RatioGearbox({}, scopt::Technology{}, Area{1e-6}, Area{1e-7}),
-               DesignError);
-}
-
-// --- Lifetime / storage sizing -----------------------------------------------------
 
 TEST(Lifetime, RideThroughOfTheStockCell) {
   storage::NiMhBattery::Params p;
@@ -148,48 +41,10 @@ TEST(Lifetime, DecadeClassWithHarvesting) {
 }
 
 TEST(Lifetime, CycleLimitedWhenBufferIsTiny) {
-  // A 0.5 C printed cell cycles ~400x/year at the same load.
+  // A 0.5 C film cell cycles ~400x/year at the same load.
   const auto est = core::LifetimeAnalysis::nimh_life(Power{6.5e-6}, Charge{0.5}, 1.5_V);
   EXPECT_LT(est.years_cycle_limited, 8.0);
   EXPECT_LT(est.years(), est.years_calendar_limited);
-}
-
-// --- Test jig ------------------------------------------------------------------------
-
-TEST(TestJig, ProbesTheFullBus) {
-  const auto stack = board::make_picocube_stack();
-  board::TestJig jig{board::ElastomericConnector{}};
-  ASSERT_TRUE(jig.clamp_ok());
-  const auto& controller = stack.levels()[1].pcb;
-  const auto bus = board::picocube_bus_signals();
-  ASSERT_EQ(bus.size(), 18u);
-  const auto probes = jig.probe_map(controller, bus);
-  for (const auto& p : probes) {
-    EXPECT_TRUE(p.reachable) << p.signal;
-    EXPECT_LT(p.resistance.value(), 0.2) << p.signal;
-  }
-  EXPECT_TRUE(jig.board_passes(controller, bus));
-}
-
-TEST(TestJig, FlagsMissingSignal) {
-  board::Pcb bare("bare");
-  bare.assign_signal(0, "VBATT");
-  board::TestJig jig{board::ElastomericConnector{}};
-  const auto probes = jig.probe_map(bare, {"VBATT", "SPI_CLK"});
-  EXPECT_TRUE(probes[0].reachable);
-  EXPECT_FALSE(probes[1].reachable);
-  EXPECT_FALSE(jig.board_passes(bare, {"VBATT", "SPI_CLK"}));
-}
-
-TEST(TestJig, BadClampGapFailsEveryProbe) {
-  board::TestJig::Params p;
-  p.clamp_gap = Length{1.69e-3};  // under-compressed
-  board::TestJig jig{board::ElastomericConnector{}, p};
-  EXPECT_FALSE(jig.clamp_ok());
-  board::Pcb b("b");
-  b.assign_signal(0, "VBATT");
-  const auto probes = jig.probe_map(b, {"VBATT"});
-  EXPECT_FALSE(probes[0].reachable);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// Tests for the §7 "ongoing work" extensions: wake-up radio, printed
-// thin-film battery, and the solar node variant.
+// Tests for the §7 "ongoing work" extensions: wake-up radio and the solar
+// node variant.
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include "core/node.hpp"
 #include "radio/wakeup.hpp"
-#include "storage/printed.hpp"
 
 namespace pico {
 namespace {
@@ -79,94 +77,6 @@ TEST(WakeupDuty, RequiredListenPowerIsMicrowattClass) {
   const auto budget = an.required_listen_power(6_s, 1.0 / 60.0);
   EXPECT_GT(budget.value(), 0.2e-6);
   EXPECT_LT(budget.value(), 3e-6);
-}
-
-// --- Printed film battery (§7.2) -----------------------------------------------
-
-TEST(PrintedBattery, CapacityScalesWithAreaAndThickness) {
-  storage::PrintedFilmBattery::Params p;
-  p.footprint = Area{0.5e-4};
-  p.film_thickness = Length{60e-6};
-  storage::PrintedFilmBattery b(p);
-  // 0.5 cm^2 * 60 um * 0.45 uAh/(cm^2 um) = 13.5 uAh.
-  EXPECT_NEAR(b.capacity().in(units::uAh), 13.5, 0.1);
-
-  p.film_thickness = Length{100e-6};
-  storage::PrintedFilmBattery thick(p);
-  EXPECT_NEAR(thick.capacity().value() / b.capacity().value(), 100.0 / 60.0, 1e-9);
-}
-
-TEST(PrintedBattery, SeriesCellsRaiseVoltageCutCapacity) {
-  storage::PrintedFilmBattery::Params p;
-  p.cells_in_series = 2;
-  storage::PrintedFilmBattery b2(p);
-  storage::PrintedFilmBattery b1{storage::PrintedFilmBattery::Params{}};
-  EXPECT_NEAR(b2.open_circuit_voltage().value() / b1.open_circuit_voltage().value(), 2.0,
-              1e-9);
-  EXPECT_NEAR(b1.capacity().value() / b2.capacity().value(), 2.0, 1e-9);
-}
-
-TEST(PrintedBattery, DischargeAndSag) {
-  storage::PrintedFilmBattery b;
-  const double ocv = b.open_circuit_voltage().value();
-  const double sag = ocv - b.terminal_voltage(1_mA).value();
-  EXPECT_NEAR(sag, 1e-3 * b.internal_resistance().value(), 1e-12);
-  const auto r = b.transfer(Current{-10e-6}, 3600_s);  // 10 uAh out
-  EXPECT_FALSE(r.hit_empty);
-  EXPECT_LT(b.soc(), 1.0);
-}
-
-TEST(PrintedBattery, RunsDry) {
-  storage::PrintedFilmBattery b;
-  const auto r = b.transfer(Current{-10e-3}, 3600_s);
-  EXPECT_TRUE(r.hit_empty);
-  EXPECT_TRUE(b.empty());
-}
-
-TEST(PrintedBattery, EnergyDensityBelowNiMh) {
-  // Thin films trade density for integration: well under 220 J/g.
-  storage::PrintedFilmBattery b;
-  EXPECT_LT(b.energy_density().value(), 100e3);
-  EXPECT_GT(b.energy_density().value(), 1e3);
-}
-
-TEST(PrintedBattery, RejectsUnprintableThickness) {
-  storage::PrintedFilmBattery::Params p;
-  p.film_thickness = Length{5e-6};
-  EXPECT_THROW(storage::PrintedFilmBattery{p}, DesignError);
-}
-
-TEST(DispenserPrinter, DesignsFeasiblePlan) {
-  storage::DispenserPrinter printer;
-  // 3 V, 5 uAh: two cells in series.
-  const auto plan = printer.design(3_V, Charge{5 * 3.6e-3});
-  ASSERT_TRUE(plan.feasible) << plan.note;
-  EXPECT_EQ(plan.cells_in_series, 2);
-  EXPECT_GT(plan.passes, 0);
-  EXPECT_GT(plan.print_time.value(), 0.0);
-  // The designed battery meets the spec.
-  storage::PrintedFilmBattery b(plan.battery);
-  EXPECT_GE(b.open_circuit_voltage().value(), 2.4);  // ~3 V nominal class
-  EXPECT_GE(b.capacity().in(units::uAh), 4.9);
-}
-
-TEST(DispenserPrinter, RejectsImpossibleCapacity) {
-  storage::DispenserPrinter printer;
-  const auto plan = printer.design(1.5_V, Charge{10000 * 3.6e-3});  // 10 mAh printed? no.
-  EXPECT_FALSE(plan.feasible);
-}
-
-TEST(DispenserPrinter, VoltageRangeFitsTheConsumer) {
-  // "the ability to design storage to fit the consumer, for example, a
-  // specific voltage range."
-  storage::DispenserPrinter printer;
-  for (double v : {1.5, 3.0, 4.5, 6.0}) {
-    const auto plan = printer.design(Voltage{v}, Charge{2 * 3.6e-3});
-    ASSERT_TRUE(plan.feasible);
-    storage::PrintedFilmBattery b(plan.battery);
-    EXPECT_GE(b.open_circuit_voltage().value(), v * 0.8);
-    EXPECT_LE(b.open_circuit_voltage().value(), v * 1.25);
-  }
 }
 
 // --- Solar node variant ----------------------------------------------------------

@@ -138,52 +138,6 @@ TEST(Shaker, PeriodTracksRotation) {
   EXPECT_NEAR(shaker.waveform_period(10.0).value(), expected, 1e-12);
 }
 
-TEST(Vibration, ResonantPowerMatchesClosedForm) {
-  ResonantVibrationHarvester h;
-  const auto& p = h.params();
-  const double wn = 2.0 * M_PI * p.resonance.value();
-  const double zt = p.zeta_mech + p.zeta_elec;
-  const double a = p.vib_amplitude.value();
-  const double expected = p.proof_mass.value() * p.zeta_elec * a * a / (4.0 * wn * zt * zt);
-  // Default is excited exactly at resonance (and below the travel stop?).
-  const double z = h.displacement(p.vib_amplitude, p.vib_frequency).value();
-  if (z < p.max_displacement.value()) {
-    EXPECT_NEAR(h.electrical_power().value(), expected, expected * 1e-9);
-  } else {
-    EXPECT_LE(h.electrical_power().value(), expected);
-  }
-}
-
-TEST(Vibration, PowerPeaksAtResonance) {
-  ResonantVibrationHarvester h;
-  const double at_res = h.electrical_power(Acceleration{2.5}, Frequency{120.0}).value();
-  const double below = h.electrical_power(Acceleration{2.5}, Frequency{60.0}).value();
-  const double above = h.electrical_power(Acceleration{2.5}, Frequency{240.0}).value();
-  EXPECT_GT(at_res, below);
-  EXPECT_GT(at_res, above);
-}
-
-TEST(Vibration, DisplacementLimitSaturatesPower) {
-  ResonantVibrationHarvester::Params p;
-  p.max_displacement = Length{1e-5};  // very tight stop
-  ResonantVibrationHarvester tight(p);
-  ResonantVibrationHarvester::Params p2;
-  p2.max_displacement = Length{1.0};
-  ResonantVibrationHarvester loose(p2);
-  const auto a = Acceleration{25.0};
-  EXPECT_LT(tight.electrical_power(a, Frequency{120.0}).value(),
-            loose.electrical_power(a, Frequency{120.0}).value());
-}
-
-TEST(Vibration, MicrowattScaleAtTypicalVibration) {
-  // 1 g proof mass at 2.5 m/s^2, 120 Hz: tens to hundreds of uW — the
-  // range the paper's refs [4,5] report for this class of scavenger.
-  ResonantVibrationHarvester h;
-  const double p = h.electrical_power().value();
-  EXPECT_GT(p, 1e-6);
-  EXPECT_LT(p, 1e-3);
-}
-
 TEST(Solar, OpenCircuitVoltageRises) {
   SolarCell cell{IrradianceProfile{}};
   const double v_dim = cell.open_circuit_voltage(0.0);  // t=0: dawn

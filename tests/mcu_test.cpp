@@ -66,16 +66,6 @@ TEST_F(McuFixture, RunForHoldsActiveThenCallback) {
   EXPECT_TRUE(done);
 }
 
-TEST_F(McuFixture, RunCyclesUsesClock) {
-  power_on();
-  bool done = false;
-  cpu.run_cycles(800, [&] { done = true; });  // 800 cycles @ 800 kHz = 1 ms
-  sim.run_until(Duration{0.9e-3});
-  EXPECT_FALSE(done);
-  sim.run_until(Duration{1.1e-3});
-  EXPECT_TRUE(done);
-}
-
 TEST_F(McuFixture, InterruptWakesFromSleepWithLatency) {
   power_on();
   cpu.sleep(PowerState::kLpm3);
@@ -93,41 +83,16 @@ TEST_F(McuFixture, InterruptWakesFromSleepWithLatency) {
   EXPECT_EQ(cpu.state(), PowerState::kActive);
 }
 
-TEST_F(McuFixture, TimerFiresThroughLpm3) {
-  power_on();
-  bool fired = false;
-  cpu.set_interrupt_handler([&](Irq irq) { fired = irq == Irq::kTimerA; });
-  cpu.start_timer(6_s);
-  cpu.sleep(PowerState::kLpm3);
-  sim.run_until(5.9_s);
-  EXPECT_FALSE(fired);
-  sim.run_until(6.1_s);
-  EXPECT_TRUE(fired);
-}
-
-TEST_F(McuFixture, TimerDeadInLpm4) {
+TEST_F(McuFixture, SensorEventWakesFromLpm4) {
   power_on();
   bool fired = false;
   cpu.set_interrupt_handler([&](Irq) { fired = true; });
   cpu.sleep(PowerState::kLpm4);
-  // Firing the timer IRQ in LPM4 must be ignored (no clock).
-  cpu.request_interrupt(Irq::kTimerA);
-  sim.run_until(1_s);
-  EXPECT_FALSE(fired);
-  // But an external event still wakes the part.
+  // LPM4 stops every clock, but the sensor line is an external interrupt.
   cpu.request_interrupt(Irq::kSensorEvent);
-  sim.run_until(2_s);
+  sim.run_until(1_s);
   EXPECT_TRUE(fired);
-}
-
-TEST_F(McuFixture, StopTimerCancels) {
-  power_on();
-  bool fired = false;
-  cpu.set_interrupt_handler([&](Irq) { fired = true; });
-  cpu.start_timer(1_s);
-  cpu.stop_timer();
-  sim.run_until(2_s);
-  EXPECT_FALSE(fired);
+  EXPECT_EQ(cpu.state(), PowerState::kActive);
 }
 
 TEST_F(McuFixture, SpiTransferTimingAndCurrent) {
@@ -149,23 +114,6 @@ TEST_F(McuFixture, SpiBusyRejectsOverlap) {
   power_on();
   cpu.spi_transfer(8, {});
   EXPECT_THROW(cpu.spi_transfer(8, {}), pico::DesignError);
-}
-
-TEST_F(McuFixture, GpioListeners) {
-  power_on();
-  bool level = false;
-  int edges = 0;
-  cpu.connect_gpio(3, [&](bool l) {
-    level = l;
-    ++edges;
-  });
-  cpu.set_gpio(3, true);
-  EXPECT_TRUE(level);
-  cpu.set_gpio(3, true);  // no edge
-  EXPECT_EQ(edges, 1);
-  cpu.set_gpio(3, false);
-  EXPECT_FALSE(level);
-  EXPECT_TRUE(cpu.gpio(3) == false);
 }
 
 TEST_F(McuFixture, BrownOutKillsExecution) {

@@ -735,25 +735,27 @@ TEST(Flight, MergedOrdersByTimeRingSeqAndFingerprintIsContentPure) {
 }
 
 TEST(Flight, FaultStormTripsDumpHookExactlyOnce) {
+  // The default threshold: 16 opens within one sim-second.
+  static_assert(FlightRecorder::kStormCount == 16);
+  static_assert(FlightRecorder::kStormWindowS == 1.0);
   FlightRecorder r;
-  r.set_storm_threshold(4, 1.0);
   int dumps = 0;
   r.set_dump_hook([&](const std::string& reason) {
     ++dumps;
     EXPECT_EQ(reason, "fault-storm");
   });
-  // Three opens within the window: below threshold.
-  for (double t : {10.0, 10.2, 10.4}) {
-    r.record({t, FlightEventKind::kFaultActive, 0, 0, 0.5});
-  }
+  const auto open = [&](double t) { r.record({t, FlightEventKind::kFaultActive, 0, 0, 0.5}); };
+  // Fifteen opens within the window: below threshold.
+  for (int i = 0; i < 15; ++i) open(10.0 + 0.05 * i);
   EXPECT_FALSE(r.dumped());
   // An open far outside the window keeps the spread too wide...
-  r.record({20.0, FlightEventKind::kFaultActive, 0, 0, 0.5});
+  open(20.0);
   EXPECT_FALSE(r.dumped());
-  // ...but four opens inside one sim-second trip it.
-  for (double t : {30.0, 30.1, 30.2, 30.3}) {
-    r.record({t, FlightEventKind::kFaultActive, 0, 0, 0.5});
-  }
+  // ...and so does that open while it is among the last sixteen...
+  for (int i = 0; i < 15; ++i) open(30.0 + 0.05 * i);
+  EXPECT_FALSE(r.dumped());
+  // ...but sixteen opens inside one sim-second trip it.
+  open(30.75);
   EXPECT_TRUE(r.dumped());
   EXPECT_EQ(r.dump_reason(), "fault-storm");
   r.trigger_dump("later");  // second trigger: no re-fire, reason sticks

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -203,10 +204,22 @@ TEST(RectifyCull, ParkedWindowEvaluatesNothing) {
   EXPECT_EQ(bits(r.loss.value()), bits(SynchronousRectifier{}.control_power().value()));
 }
 
+// A harvester that keeps the base class's emf_bound (+infinity, "no
+// bound"): a 2 V, 120 Hz sine behind 2 kOhm.
+class UnboundedSine : public harvest::Harvester {
+ public:
+  [[nodiscard]] std::string name() const override { return "unbounded-sine"; }
+  [[nodiscard]] double open_circuit_voltage(double t) const override {
+    return 2.0 * std::sin(2.0 * M_PI * 120.0 * t);
+  }
+  [[nodiscard]] Resistance source_resistance() const override { return Resistance{2000.0}; }
+  [[nodiscard]] Duration waveform_period(double) const override { return Duration{1.0 / 120.0}; }
+};
+
 TEST(RectifyCull, HarvesterWithoutBoundEvaluatesEverySample) {
-  const harvest::ResonantVibrationHarvester vib;
-  EXPECT_TRUE(std::isinf(vib.emf_bound(0.0, 1.0)));
-  const auto r = IdealRectifier{}.rectify(vib, Voltage{0.5}, 0.0, 0.1, 512);
+  const UnboundedSine sine;
+  EXPECT_TRUE(std::isinf(sine.emf_bound(0.0, 1.0)));
+  const auto r = IdealRectifier{}.rectify(sine, Voltage{0.5}, 0.0, 0.1, 512);
   EXPECT_EQ(r.samples_evaluated, 512);
 }
 

@@ -39,6 +39,9 @@ Usage:
 
 --update rewrites the named entry from the current run instead of checking
 (keys already under ``exact`` stay there; every other key is banded).
+A plain check only reads the baseline: a key the run emits but the entry
+lacks is reported as NEW, not an error, and is not written. Only --update
+and --record-missing (for an absent entry) write the file.
 --validate-series is a standalone mode: it checks a telemetry-series JSONL
 file (one object per sample row) for schema sanity — numeric strictly
 increasing ``t_s``, one consistent key set across rows, every value numeric
@@ -261,16 +264,15 @@ def main():
             failures += 1
 
     # Keys present in the run but absent from the baseline are new metrics
-    # (a bench gained a counter): record them into the baseline and warn,
-    # rather than failing — only divergence and disappearance are errors.
+    # (a bench gained a counter): report them rather than failing — only
+    # divergence and disappearance are errors. A check never writes the
+    # baseline; recording a new key is --update's job.
     new_keys = sorted(set(current) - set(entry["values"]) - set(exact))
     if new_keys:
         for key in new_keys:
-            print(f"NEW       {key}: {current[key]:g} (recorded to baseline)")
-            entry["values"][key] = current[key]
-        write_baseline(args.baseline, baseline)
-        print(f"warning: {len(new_keys)} new metric(s) recorded into "
-              f"'{args.name}' in {args.baseline}")
+            print(f"NEW       {key}: {current[key]:g} (not in baseline)")
+        print(f"warning: {len(new_keys)} new metric(s) not in '{args.name}'; "
+              f"run with --update to record them into {args.baseline}")
 
     if failures:
         print(f"\n{failures} value(s) outside tolerance or not exact for '{args.name}'")
