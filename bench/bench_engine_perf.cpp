@@ -160,7 +160,7 @@ void run_node_with_harvester(benchmark::State& state,
     cfg.drive = harvest::make_city_cycle();
     cfg.attach_harvester = true;
     cfg.harvest_fidelity = fidelity;
-    // The circuit fidelities model the IC train's synchronous rectifier —
+    // The circuit fidelity models the IC train's synchronous rectifier —
     // a linear comparator-switch netlist the dt-ladder LU cache serves.
     if (fidelity != core::NodeConfig::HarvestFidelity::kBehavioral) {
       cfg.power = core::NodeConfig::PowerVersion::kIc;
@@ -178,17 +178,9 @@ void BM_NodeWithHarvester(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeWithHarvester)->Arg(120);
 
-// Rectifier netlist solved by the transient engine at a fixed 1 µs step —
-// the fidelity the adaptive controller is measured against. Short span:
-// this is the ~10^6-steps-per-simulated-second strawman.
-void BM_NodeWithHarvesterCircuit(benchmark::State& state) {
-  run_node_with_harvester(state, core::NodeConfig::HarvestFidelity::kCircuitFixed);
-}
-BENCHMARK(BM_NodeWithHarvesterCircuit)->Arg(20);
-
-// Same netlist under the adaptive LTE controller: dt stretches through the
-// quiescent stretches between shaker pulses and shrinks at conduction
-// edges. Compare items/s against BM_NodeWithHarvesterCircuit.
+// The rectifier netlist under the adaptive LTE controller: dt stretches
+// through the quiescent stretches between shaker pulses and shrinks at
+// conduction edges (bench_adaptive_accuracy checks it against fixed dt).
 void BM_NodeWithHarvesterAdaptive(benchmark::State& state) {
   run_node_with_harvester(state, core::NodeConfig::HarvestFidelity::kCircuitAdaptive);
 }

@@ -55,8 +55,14 @@ int main(int argc, char** argv) {
 
   // --- Lane 1: jam storm on the ARQ uplink ----------------------------------
   const fleet::FleetSpec spec = arq_spec();
+  fleet::FleetObsHooks hooks;
+  if (obs::TelemetrySession* s = io.telemetry()) {
+    hooks.series = s->series();
+    hooks.flight = s->flight();
+    hooks.tracer = &s->tracer();
+  }
   const auto t_arq = std::chrono::steady_clock::now();
-  const fleet::FleetMetrics arq = fleet::ShardedFleetEngine::run(spec, io.telemetry());
+  const fleet::FleetMetrics arq = fleet::FleetSession(spec, hooks).finish();
   const double arq_wall_s = wall_seconds_since(t_arq);
   const double arq_rate =
       static_cast<double>(spec.nodes) * spec.sim_time_s / arq_wall_s;
@@ -65,7 +71,7 @@ int main(int argc, char** argv) {
   regrouped.shards = 7;
   regrouped.threads = 2;
   const bool arq_identical =
-      fleet::ShardedFleetEngine::run(regrouped).fingerprint() == arq.fingerprint();
+      fleet::FleetSession(regrouped).finish().fingerprint() == arq.fingerprint();
 
   const double retries_per_wake =
       static_cast<double>(arq.arq_retries) / static_cast<double>(arq.wake_cycles);
@@ -90,7 +96,7 @@ int main(int argc, char** argv) {
   // every ledger crosses the budget mid-run.
   tight.battery_budget_override_j = 2.5e-4;
   const auto t_tight = std::chrono::steady_clock::now();
-  const fleet::FleetMetrics dead = fleet::ShardedFleetEngine::run(tight);
+  const fleet::FleetMetrics dead = fleet::FleetSession(tight).finish();
   const double tight_wall_s = wall_seconds_since(t_tight);
   const double tight_rate =
       static_cast<double>(tight.nodes) * tight.sim_time_s / tight_wall_s;
@@ -99,7 +105,7 @@ int main(int argc, char** argv) {
   tight_regrouped.shards = 13;
   tight_regrouped.threads = 4;
   const bool tight_identical =
-      fleet::ShardedFleetEngine::run(tight_regrouped).fingerprint() ==
+      fleet::FleetSession(tight_regrouped).finish().fingerprint() ==
       dead.fingerprint();
 
   const double alive_frac =

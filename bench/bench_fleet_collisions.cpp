@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     c.nodes = n;
     c.sim_time = Duration{1800.0};
     auto sweep_span = io.span("fleet_collisions.sweep.n" + std::to_string(n));
-    const auto r = fleet::ShardedFleetEngine::run(fleet::spec_from_fleet_config(c));
+    const auto r = fleet::FleetSession(fleet::spec_from_fleet_config(c)).finish();
     scale.add_row({std::to_string(n), pct(r.collision_rate, 2), pct(r.aloha_prediction, 2)});
     never_falls = never_falls && r.collision_rate >= prev_rate;
     prev_rate = r.collision_rate;
@@ -74,8 +74,13 @@ int main(int argc, char** argv) {
   const auto shared = core::FleetAnalysis::run(xc);
   // The telemetry-instrumented run: series/flight/sim-time spans land on
   // the cross-validation fleet (the one whose numbers the checks gate).
-  const auto sharded =
-      fleet::ShardedFleetEngine::run(fleet::spec_from_fleet_config(xc), io.telemetry());
+  fleet::FleetObsHooks hooks;
+  if (obs::TelemetrySession* s = io.telemetry()) {
+    hooks.series = s->series();
+    hooks.flight = s->flight();
+    hooks.tracer = &s->tracer();
+  }
+  const auto sharded = fleet::FleetSession(fleet::spec_from_fleet_config(xc), hooks).finish();
 
   if (obs::TelemetrySession* s = io.telemetry()) {
     s->manifest().set_seed(xc.seed);

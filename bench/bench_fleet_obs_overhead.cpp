@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   for (std::size_t p = 0; p < pairs + 1; ++p) {
     const auto t0 = std::chrono::steady_clock::now();
     const double c0 = cpu_seconds();
-    const fleet::FleetMetrics a = fleet::ShardedFleetEngine::run(spec);
+    const fleet::FleetMetrics a = fleet::FleetSession(spec).finish();
     const double ca = cpu_seconds() - c0;
     const double ta = wall_seconds_since(t0);
 
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     if (arm_flight) hooks.flight = &flight;
     const auto t1 = std::chrono::steady_clock::now();
     const double c1 = cpu_seconds();
-    const fleet::FleetMetrics b = fleet::ShardedFleetEngine::run(spec, hooks);
+    const fleet::FleetMetrics b = fleet::FleetSession(spec, hooks).finish();
     const double cb = cpu_seconds() - c1;
     const double tb = wall_seconds_since(t1);
 

@@ -95,8 +95,14 @@ int main(int argc, char** argv) {
     s->manifest().set("sim_time_s", spec.sim_time_s);
     s->manifest().set("storm", storm);
   }
+  fleet::FleetObsHooks hooks;
+  if (obs::TelemetrySession* s = io.telemetry()) {
+    hooks.series = s->series();
+    hooks.flight = s->flight();
+    hooks.tracer = &s->tracer();
+  }
   const auto t_big = std::chrono::steady_clock::now();
-  const fleet::FleetMetrics big = fleet::ShardedFleetEngine::run(spec, io.telemetry());
+  const fleet::FleetMetrics big = fleet::FleetSession(spec, hooks).finish();
   const double big_wall_s = wall_seconds_since(t_big);
   const double big_rate = static_cast<double>(spec.nodes) * spec.sim_time_s / big_wall_s;
   const double speedup = big_rate / ref_rate;
@@ -106,7 +112,7 @@ int main(int argc, char** argv) {
   fleet::FleetSpec regrouped = spec;
   regrouped.shards = 61;
   regrouped.threads = 2;
-  const fleet::FleetMetrics again = fleet::ShardedFleetEngine::run(regrouped);
+  const fleet::FleetMetrics again = fleet::FleetSession(regrouped).finish();
   const bool identical = again.fingerprint() == big.fingerprint();
 
   Table t("100k nodes, 60 s of roadway");
@@ -166,7 +172,7 @@ int main(int argc, char** argv) {
   constexpr double kScanRate1Core = 108.0e6;
   constexpr std::uint64_t kPinnedFingerprint = 0x5881802ff5618d01ULL;
   const auto t_act = std::chrono::steady_clock::now();
-  const fleet::FleetMetrics act = fleet::ShardedFleetEngine::run(mspec);
+  const fleet::FleetMetrics act = fleet::FleetSession(mspec).finish();
   const double act_wall_s = wall_seconds_since(t_act);
   const double act_rate =
       static_cast<double>(mspec.nodes) * mspec.sim_time_s / act_wall_s;
@@ -209,7 +215,7 @@ int main(int argc, char** argv) {
       fleet::FleetSpec ps = mspec;
       ps.threads = p;
       const auto t0 = std::chrono::steady_clock::now();
-      run = fleet::ShardedFleetEngine::run(ps);
+      run = fleet::FleetSession(ps).finish();
       wall_s = wall_seconds_since(t0);
       sweep_identical = sweep_identical && run.fingerprint() == act.fingerprint();
     }

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     hooks.tracer = &s->tracer();
   }
   if (hooks.flight == nullptr) hooks.flight = &local_flight;
-  const fleet::FleetMetrics run = fleet::ShardedFleetEngine::run(spec, hooks);
+  const fleet::FleetMetrics run = fleet::FleetSession(spec, hooks).finish();
 
   // Regrouped re-run: prime shard count, fewer threads, its own recorder.
   // Both fingerprints — counters and flight events — must not move. The
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
         hooks.series->initial_dt_s(), hooks.series->max_rows());
     regroup_hooks.series = regroup_series.get();
   }
-  const fleet::FleetMetrics again = fleet::ShardedFleetEngine::run(regrouped, regroup_hooks);
+  const fleet::FleetMetrics again = fleet::FleetSession(regrouped, regroup_hooks).finish();
   const bool metrics_identical = again.fingerprint() == run.fingerprint();
   const bool flight_identical =
       regroup_flight.fingerprint() == hooks.flight->fingerprint();

@@ -31,9 +31,10 @@ struct Sample {
 };
 
 // Optional harvest path for the sampled builds (off by default so the
-// baseline statistics stay untouched): --harvest=behavioral|circuit|adaptive
-// attaches the shaker+rectifier chain at the chosen fidelity.
-enum class HarvestMode { kNone, kBehavioral, kCircuitFixed, kCircuitAdaptive };
+// baseline statistics stay untouched): --harvest=behavioral|adaptive
+// attaches the shaker+rectifier chain at the chosen fidelity (adaptive: the
+// MNA rectifier netlist under adaptive transient stepping).
+enum class HarvestMode { kNone, kBehavioral, kCircuitAdaptive };
 
 Sample run_variant(Rng& rng, HarvestMode harvest, const fault::FaultPlan& faults,
                    obs::TelemetrySession* telemetry) {
@@ -42,9 +43,7 @@ Sample run_variant(Rng& rng, HarvestMode harvest, const fault::FaultPlan& faults
   cfg.faults = faults;
   if (harvest != HarvestMode::kNone) {
     cfg.attach_harvester = true;
-    if (harvest == HarvestMode::kCircuitFixed) {
-      cfg.harvest_fidelity = core::NodeConfig::HarvestFidelity::kCircuitFixed;
-    } else if (harvest == HarvestMode::kCircuitAdaptive) {
+    if (harvest == HarvestMode::kCircuitAdaptive) {
       cfg.harvest_fidelity = core::NodeConfig::HarvestFidelity::kCircuitAdaptive;
     }
   }
@@ -93,8 +92,6 @@ int main(int argc, char** argv) {
       threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
     } else if (arg == "--harvest=behavioral") {
       harvest = HarvestMode::kBehavioral;
-    } else if (arg == "--harvest=circuit") {
-      harvest = HarvestMode::kCircuitFixed;
     } else if (arg == "--harvest=adaptive") {
       harvest = HarvestMode::kCircuitAdaptive;
     } else if (arg.rfind("--faults=", 0) == 0) {
@@ -121,14 +118,15 @@ int main(int argc, char** argv) {
   }
   std::vector<Sample> trial(n);
   {
-    auto run_span = io.span("montecarlo.run_trials");
-    runner.run_trials(n, [&](std::size_t i) {
+    auto run_span = io.span("montecarlo.trials");
+    auto run_trial = [&](std::size_t i) {
       // Per-trial stream: trial i's randomness is a pure function of
       // (kBaseSeed, i), independent of scheduling and worker count.
       auto trial_span = io.span("trial." + std::to_string(i));
       Rng rng = Rng::stream(kBaseSeed, i);
       trial[i] = run_variant(rng, harvest, faults, io.telemetry());
-    });
+    };
+    runner.run_indexed(n, run_trial);
   }
   if (io.telemetry()) runner.publish_metrics(io.telemetry()->metrics());
 

@@ -12,13 +12,6 @@ Rect Rect::centered(Point center, Length width, Length height) {
   return Rect(center.x - hw, center.y - hh, center.x + hw, center.y + hh);
 }
 
-Rect Rect::corner(Point lower_left, Length width, Length height) {
-  PICO_REQUIRE(width.value() > 0.0 && height.value() > 0.0,
-               "rectangle dimensions must be positive");
-  return Rect(lower_left.x, lower_left.y, lower_left.x + width.value(),
-              lower_left.y + height.value());
-}
-
 Area Rect::area() const { return Area{(x1_ - x0_) * (y1_ - y0_)}; }
 
 namespace {
@@ -26,11 +19,6 @@ namespace {
 // part that exactly spans the placement boundary is legal.
 constexpr double kGeomEps = 1e-12;
 }  // namespace
-
-bool Rect::contains(Point p) const {
-  return p.x >= x0_ - kGeomEps && p.x <= x1_ + kGeomEps && p.y >= y0_ - kGeomEps &&
-         p.y <= y1_ + kGeomEps;
-}
 
 bool Rect::contains(const Rect& other) const {
   return other.x0_ >= x0_ - kGeomEps && other.x1_ <= x1_ + kGeomEps &&

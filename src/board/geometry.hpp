@@ -19,8 +19,6 @@ class Rect {
   Rect() = default;
   // Center + size.
   static Rect centered(Point center, Length width, Length height);
-  // Corner + size.
-  static Rect corner(Point lower_left, Length width, Length height);
 
   [[nodiscard]] double x_min() const { return x0_; }
   [[nodiscard]] double x_max() const { return x1_; }
@@ -31,7 +29,6 @@ class Rect {
   [[nodiscard]] Area area() const;
   [[nodiscard]] Point center() const { return {0.5 * (x0_ + x1_), 0.5 * (y0_ + y1_)}; }
 
-  [[nodiscard]] bool contains(Point p) const;
   [[nodiscard]] bool contains(const Rect& other) const;
   [[nodiscard]] bool overlaps(const Rect& other) const;
   // Shrink on all sides by `margin` (may invert; check validity).

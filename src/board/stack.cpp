@@ -7,9 +7,6 @@
 
 namespace pico::board {
 
-BoardStack::BoardStack(ElastomericConnector connector)
-    : BoardStack(std::move(connector), Params{}) {}
-
 BoardStack::BoardStack(ElastomericConnector connector, Params p)
     : conn_(std::move(connector)), prm_(p) {
   PICO_REQUIRE(prm_.budget.value() > 0.0, "volume budget must be positive");

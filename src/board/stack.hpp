@@ -58,7 +58,6 @@ class BoardStack {
   };
 
   BoardStack(ElastomericConnector connector, Params p);
-  explicit BoardStack(ElastomericConnector connector);
 
   // Boards are added bottom-up.
   void add_level(StackLevel level);

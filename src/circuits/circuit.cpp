@@ -8,8 +8,7 @@ Node Circuit::node(const std::string& name) {
   if (name == "0" || name == "gnd" || name == "GND") return kGround;
   const auto it = node_index_.find(name);
   if (it != node_index_.end()) return it->second;
-  node_names_.push_back(name);
-  const Node n = static_cast<Node>(node_names_.size());
+  const Node n = static_cast<Node>(node_index_.size() + 1);
   node_index_.emplace(name, n);
   return n;
 }
@@ -47,14 +46,6 @@ bool Circuit::linear_time_invariant() const {
     if (c->nonlinear() || !c->linear_time_invariant()) return false;
   }
   return true;
-}
-
-const std::string& Circuit::node_name(Node n) const {
-  static const std::string kGroundName = "GND";
-  if (n == kGround) return kGroundName;
-  PICO_REQUIRE(n >= 1 && static_cast<std::size_t>(n) <= node_names_.size(),
-               "invalid node handle");
-  return node_names_[static_cast<std::size_t>(n - 1)];
 }
 
 }  // namespace pico::circuits

@@ -177,7 +177,7 @@ class Circuit {
 
   // Get or create a named node. "0", "gnd" and "GND" map to ground.
   Node node(const std::string& name);
-  [[nodiscard]] std::size_t num_nodes() const { return node_names_.size(); }  // excl. ground
+  [[nodiscard]] std::size_t num_nodes() const { return node_index_.size(); }  // excl. ground
 
   // Construct a component in place; returns a non-owning pointer.
   template <typename T, typename... Args>
@@ -216,11 +216,8 @@ class Circuit {
     return sol[num_nodes() + b];
   }
 
-  [[nodiscard]] const std::string& node_name(Node n) const;
-
  private:
   std::unordered_map<std::string, Node> node_index_;
-  std::vector<std::string> node_names_;  // index i -> node i+1
   std::vector<std::unique_ptr<Component>> components_;
   std::size_t num_branches_ = 0;
   std::uint64_t matrix_epoch_ = 0;

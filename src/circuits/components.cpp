@@ -9,8 +9,6 @@ namespace pico::circuits {
 namespace {
 constexpr double kBoltzmann = 1.380649e-23;
 constexpr double kElectronCharge = 1.602176634e-19;
-// DC analysis treats inductors as near-shorts.
-constexpr double kInductorDcConductance = 1e6;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -21,18 +19,6 @@ Resistor::Resistor(Node p, Node n, Resistance r) : p_(p), n_(n), r_(r.value()) {
 }
 
 void Resistor::stamp(Stamper& s, const StampContext&) const { s.conductance(p_, n_, 1.0 / r_); }
-
-void Resistor::set_resistance(Resistance r) {
-  PICO_REQUIRE(r.value() > 0.0, "resistance must be positive");
-  if (r.value() != r_) {
-    r_ = r.value();
-    bump_matrix_version();
-  }
-}
-
-double Resistor::current(const Vector& sol) const {
-  return (Circuit::voltage_of(sol, p_) - Circuit::voltage_of(sol, n_)) / r_;
-}
 
 // ---------------------------------------------------------------------------
 // Capacitor
@@ -81,54 +67,6 @@ void Capacitor::commit(const Vector& sol, const StampContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Inductor
-// ---------------------------------------------------------------------------
-Inductor::Inductor(Node p, Node n, Inductance l, Current initial)
-    : p_(p), n_(n), l_(l.value()), i_prev_(initial.value()) {
-  PICO_REQUIRE(l.value() > 0.0, "inductance must be positive");
-}
-
-double Inductor::companion_geq(const StampContext& ctx) const {
-  if (ctx.dt != geq_dt_ || ctx.method != geq_method_) {
-    geq_dt_ = ctx.dt;
-    geq_method_ = ctx.method;
-    geq_ = ctx.method == Method::kBackwardEuler ? ctx.dt / l_ : ctx.dt / (2.0 * l_);
-  }
-  return geq_;
-}
-
-void Inductor::stamp(Stamper& s, const StampContext& ctx) const {
-  if (ctx.dc) {
-    s.conductance(p_, n_, kInductorDcConductance);
-    return;
-  }
-  PICO_ASSERT(ctx.dt > 0.0);
-  const double geq = companion_geq(ctx);
-  if (ctx.method == Method::kBackwardEuler) {
-    s.conductance(p_, n_, geq);
-    s.current(p_, n_, i_prev_);
-  } else {
-    s.conductance(p_, n_, geq);
-    s.current(p_, n_, i_prev_ + geq * v_prev_);
-  }
-}
-
-void Inductor::commit(const Vector& sol, const StampContext& ctx) {
-  const double v_new = Circuit::voltage_of(sol, p_) - Circuit::voltage_of(sol, n_);
-  if (ctx.dc || ctx.dt <= 0.0) {
-    v_prev_ = 0.0;
-    return;
-  }
-  const double geq = companion_geq(ctx);
-  if (ctx.method == Method::kBackwardEuler) {
-    i_prev_ += geq * v_new;
-  } else {
-    i_prev_ += geq * (v_new + v_prev_);
-  }
-  v_prev_ = v_new;
-}
-
-// ---------------------------------------------------------------------------
 // VoltageSource
 // ---------------------------------------------------------------------------
 VoltageSource::VoltageSource(Node p, Node n, Voltage dc)
@@ -143,31 +81,8 @@ void VoltageSource::stamp(Stamper& s, const StampContext& ctx) const {
   s.voltage_source(branch_, p_, n_, waveform_(ctx.time));
 }
 
-double VoltageSource::value_at(double t) const { return waveform_(t); }
-
 void VoltageSource::set_dc(Voltage v) {
   waveform_ = [val = v.value()](double) { return val; };
-}
-
-// ---------------------------------------------------------------------------
-// CurrentSource
-// ---------------------------------------------------------------------------
-CurrentSource::CurrentSource(Node p, Node n, Current dc)
-    : p_(p), n_(n), waveform_([i = dc.value()](double) { return i; }) {}
-
-CurrentSource::CurrentSource(Node p, Node n, Waveform waveform)
-    : p_(p), n_(n), waveform_(std::move(waveform)) {
-  PICO_REQUIRE(static_cast<bool>(waveform_), "waveform must be callable");
-}
-
-void CurrentSource::stamp(Stamper& s, const StampContext& ctx) const {
-  s.current(p_, n_, waveform_(ctx.time));
-}
-
-double CurrentSource::value_at(double t) const { return waveform_(t); }
-
-void CurrentSource::set_dc(Current i) {
-  waveform_ = [val = i.value()](double) { return val; };
 }
 
 // ---------------------------------------------------------------------------
@@ -226,11 +141,6 @@ void Switch::stamp(Stamper& s, const StampContext&) const {
 void Switch::pre_step(const Vector& last, double time) {
   // Route through set_on so a state flip bumps the matrix version.
   if (controller_) set_on(controller_(last, time));
-}
-
-double Switch::current(const Vector& sol) const {
-  const double v = Circuit::voltage_of(sol, p_) - Circuit::voltage_of(sol, n_);
-  return v / (on_ ? r_on_ : r_off_);
 }
 
 // ---------------------------------------------------------------------------

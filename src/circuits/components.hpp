@@ -1,11 +1,9 @@
-// components.hpp — MNA element library: passives, sources, diode, and
-// controllable switches. These are the building blocks the power-train
-// models (rectifiers, charge pumps, SC converters) are assembled from.
+// components.hpp — MNA element library: resistor, capacitor, voltage
+// source, diode, and controllable switches. These are the building blocks
+// the rectifier netlists and the validation circuits are assembled from.
 //
-// Sign conventions:
-//  * Two-terminal elements define positive current as flowing from node
-//    `p` through the element to node `n`.
-//  * `CurrentSource(p, n, i)` drives `i` from p through itself into n.
+// Sign convention: two-terminal elements define positive current as
+// flowing from node `p` through the element to node `n`.
 #pragma once
 
 #include <functional>
@@ -23,9 +21,6 @@ class Resistor : public Component {
   [[nodiscard]] bool matrix_uses_dt() const override { return false; }
   [[nodiscard]] bool stamps_rhs() const override { return false; }
   [[nodiscard]] Resistance resistance() const { return Resistance{r_}; }
-  void set_resistance(Resistance r);
-  // Current p->n given a solution.
-  [[nodiscard]] double current(const Vector& sol) const;
 
  private:
   Node p_, n_;
@@ -58,28 +53,6 @@ class Capacitor : public Component {
   mutable Method geq_method_ = Method::kBackwardEuler;
 };
 
-class Inductor : public Component {
- public:
-  Inductor(Node p, Node n, Inductance l, Current initial = Current{0.0});
-
-  void stamp(Stamper& s, const StampContext& ctx) const override;
-  void commit(const Vector& sol, const StampContext& ctx) override;
-  [[nodiscard]] bool linear_time_invariant() const override { return true; }
-  [[nodiscard]] bool has_commit() const override { return true; }
-  [[nodiscard]] double current() const { return i_prev_; }
-
- private:
-  double companion_geq(const StampContext& ctx) const;
-
-  Node p_, n_;
-  double l_;
-  double i_prev_;
-  double v_prev_ = 0.0;
-  mutable double geq_ = 0.0;
-  mutable double geq_dt_ = -1.0;
-  mutable Method geq_method_ = Method::kBackwardEuler;
-};
-
 // Independent voltage source; value may be a constant or a function of time.
 class VoltageSource : public Component {
  public:
@@ -95,32 +68,12 @@ class VoltageSource : public Component {
   [[nodiscard]] std::size_t branches() const override { return 1; }
   void assign_branch(std::size_t first) override { branch_ = first; }
   [[nodiscard]] std::size_t branch_index() const { return branch_; }
-  [[nodiscard]] double value_at(double t) const;
   void set_dc(Voltage v);
 
  private:
   Node p_, n_;
   Waveform waveform_;
   std::size_t branch_ = 0;
-};
-
-class CurrentSource : public Component {
- public:
-  using Waveform = std::function<double(double /*t*/)>;
-
-  CurrentSource(Node p, Node n, Current dc);
-  CurrentSource(Node p, Node n, Waveform waveform);
-
-  void stamp(Stamper& s, const StampContext& ctx) const override;
-  // Stamps the rhs only.
-  [[nodiscard]] bool linear_time_invariant() const override { return true; }
-  [[nodiscard]] bool matrix_uses_dt() const override { return false; }
-  [[nodiscard]] double value_at(double t) const;
-  void set_dc(Current i);
-
- private:
-  Node p_, n_;
-  Waveform waveform_;
 };
 
 // Shockley diode with Newton linearization and exponent limiting. A small
@@ -174,7 +127,6 @@ class Switch : public Component {
   using Controller = std::function<bool(const Vector&, double)>;
   void set_controller(Controller c) { controller_ = std::move(c); }
   void pre_step(const Vector& last, double time) override;
-  [[nodiscard]] double current(const Vector& sol) const;
 
  private:
   Node p_, n_;

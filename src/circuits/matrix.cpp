@@ -8,12 +8,6 @@
 
 namespace pico::circuits {
 
-double Vector::norm_inf() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::fabs(v));
-  return m;
-}
-
 void Matrix::resize(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
@@ -35,12 +29,6 @@ void Matrix::multiply_into(const Vector& x, Vector& y) const {
     for (std::size_t c = 0; c < cols_; ++c) sum += at(r, c) * x[c];
     y[r] = sum;
   }
-}
-
-Vector Matrix::multiply(const Vector& x) const {
-  Vector y(rows_);
-  multiply_into(x, y);
-  return y;
 }
 
 // Right-looking elimination that compiles each row for solve_into as soon
@@ -142,13 +130,5 @@ void LuSolver::solve_into(const Vector& b, Vector& x) const {
     x[ri] = sum / diag_[ri];
   }
 }
-
-Vector LuSolver::solve(const Vector& b) const {
-  Vector x(n_);
-  solve_into(b, x);
-  return x;
-}
-
-Vector solve_linear(const Matrix& a, const Vector& b) { return LuSolver(a).solve(b); }
 
 }  // namespace pico::circuits

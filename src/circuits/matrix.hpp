@@ -3,9 +3,8 @@
 // Circuit matrices in this library are tiny (tens of unknowns), so a dense
 // LU factorization with partial pivoting is both simplest and fastest.
 //
-// Hot loops (Transient stepping, Monte Carlo sweeps) use the `_into`
-// overloads, which write results into caller-owned buffers and never
-// allocate; the by-value variants remain for one-shot callers.
+// Products and solves write into caller-owned buffers (`_into`), so the
+// transient step loop never allocates.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +23,6 @@ class Vector {
   void assign(std::size_t n, double fill) { data_.assign(n, fill); }
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
-  [[nodiscard]] double norm_inf() const;
   [[nodiscard]] const std::vector<double>& raw() const { return data_; }
 
  private:
@@ -49,8 +47,6 @@ class Matrix {
   // are guaranteed to factorize to equal factors.
   [[nodiscard]] bool same_bits(const Matrix& other) const;
 
-  // y = A x
-  [[nodiscard]] Vector multiply(const Vector& x) const;
   // y = A x into an existing vector; y must not alias x.
   void multiply_into(const Vector& x, Vector& y) const;
 
@@ -80,12 +76,11 @@ class LuSolver {
   // (Re)factorize; invalidates previous factors.
   void factorize(const Matrix& a);
 
+  // Solve A x = b into an existing vector; x must not alias b.
   // Precondition: b is finite and holds no -0 entry (MNA right-hand sides
   // accumulate onto +0, and +0 + -0 is +0). The result is then bit-identical
   // to dense substitution over every factor entry, as long as the solve
   // does not overflow; see solve_into in matrix.cpp.
-  [[nodiscard]] Vector solve(const Vector& b) const;
-  // Solve into an existing vector; x must not alias b.
   void solve_into(const Vector& b, Vector& x) const;
   [[nodiscard]] std::size_t dim() const { return n_; }
 
@@ -103,8 +98,5 @@ class LuSolver {
   std::vector<Entry> lower_, upper_;
   std::vector<std::size_t> lower_start_, upper_start_;
 };
-
-// Convenience: solve A x = b once.
-Vector solve_linear(const Matrix& a, const Vector& b);
 
 }  // namespace pico::circuits

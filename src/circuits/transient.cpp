@@ -88,30 +88,23 @@ Transient::Transient(Circuit& circuit, Options options) : circuit_(circuit), opt
     if (c->stamps_rhs()) rhs_comps_.push_back(c);
   }
   if (fast_path_eligible_) {
-    PICO_REQUIRE(opt_.lu_cache_capacity >= 1, "LU cache needs at least one slot");
     matrix_uses_dt_ = std::any_of(all_comps_.begin(), all_comps_.end(),
                                   [](const Component* c) { return c->matrix_uses_dt(); });
     // Slots are found by pointer; pre-reserving keeps them stable.
-    lu_cache_.reserve(opt_.lu_cache_capacity);
+    lu_cache_.reserve(kLuCacheCapacity);
   }
   if (opt_.adaptive) {
     PICO_REQUIRE(opt_.dt_min > 0.0, "adaptive dt_min must be positive");
     PICO_REQUIRE(effective_dt_max() >= opt_.dt_min, "adaptive dt_max must be >= dt_min");
     PICO_REQUIRE(opt_.lte_tol > 0.0, "adaptive lte_tol must be positive");
-    PICO_REQUIRE(opt_.growth_cap > 1.0, "adaptive growth_cap must exceed 1");
     PICO_REQUIRE(opt_.observe_dt >= 0.0, "observe_dt must be non-negative");
-    ladder_ = DtLadder(opt_.dt_min, opt_.dt_ladder_ratio, effective_dt_max());
+    ladder_ = DtLadder(opt_.dt_min, kDtLadderRatio, effective_dt_max());
     x_hist1_.assign(dim, 0.0);
     x_hist2_.assign(dim, 0.0);
     x_accept_.assign(dim, 0.0);
     obs_buf_.assign(dim, 0.0);
   }
   epoch_seen_ = circuit_.matrix_epoch();
-}
-
-void Transient::set_initial(Node n, Voltage v) {
-  PICO_REQUIRE(n != kGround, "cannot set ground voltage");
-  x_[static_cast<std::size_t>(n - 1)] = v.value();
 }
 
 void Transient::solve_cached(StampContext& ctx) {
@@ -155,7 +148,7 @@ void Transient::solve_cached(StampContext& ctx) {
       }
     } else {
       if constexpr (obs::kEnabled) ++lu_misses_;
-      if (lu_cache_.size() < opt_.lu_cache_capacity) {
+      if (lu_cache_.size() < kLuCacheCapacity) {
         entry = &lu_cache_.emplace_back();
       } else {
         for (auto& e : lu_cache_) {
@@ -248,7 +241,7 @@ void Transient::solve_dc() {
   ctx.time = time_;
   ctx.dt = 0.0;
   ctx.dc = true;
-  ctx.method = opt_.method;
+  ctx.method = Method::kTrapezoidal;
   for (Component* comp : pre_step_comps_) comp->pre_step(x_, time_);
   solve_system(ctx);
   commit_step(ctx);
@@ -261,7 +254,7 @@ void Transient::advance(double dt) {
   ctx.time = t_next;
   ctx.dt = dt;
   ctx.dc = false;
-  ctx.method = first_step_ ? Method::kBackwardEuler : opt_.method;
+  ctx.method = first_step_ ? Method::kBackwardEuler : Method::kTrapezoidal;
   first_step_ = false;
   solve_system(ctx);
   commit_step(ctx);
@@ -351,7 +344,6 @@ double Transient::step_adaptive(double t_end) {
   }
 
   x_accept_ = x_;  // restore point for rejected attempts
-  const bool trap = opt_.method == Method::kTrapezoidal;
   StampContext ctx;
   double err = 0.0;
   for (int attempt = 0;; ++attempt) {
@@ -360,8 +352,7 @@ double Transient::step_adaptive(double t_end) {
     ctx.dc = false;
     // No consistent reactive history right after a discontinuity: fall back
     // to backward Euler for one step (same rule as the fixed-path start).
-    ctx.method = (history_count_ == 0 || !trap) ? Method::kBackwardEuler
-                                                : Method::kTrapezoidal;
+    ctx.method = history_count_ == 0 ? Method::kBackwardEuler : Method::kTrapezoidal;
     ctx.time = clamped ? limit : time_ + dt;
     solve_system(ctx);
     err = newton_converged_ ? lte_error_ratio(ctx.time) : 0.0;
@@ -391,12 +382,12 @@ double Transient::step_adaptive(double t_end) {
   // proportional term on the trend against the previous accepted step.
   const double p_inv =
       (ctx.method == Method::kTrapezoidal && history_count_ >= 2) ? 1.0 / 3.0 : 0.5;
-  double grow = opt_.growth_cap;
+  double grow = kGrowthCap;
   if (err > 1e-10) {
     grow = 0.9 * std::pow(err, -0.7 * p_inv);
     if (last_err_ > 1e-10) grow *= std::pow(last_err_ / err, 0.4 * p_inv);
   }
-  grow = std::clamp(grow, 0.1, opt_.growth_cap);
+  grow = std::clamp(grow, 0.1, kGrowthCap);
   // A step clamped onto a window boundary says nothing about the LTE-stable
   // size; do not let it drag the proposal below the unclamped one.
   const double basis = clamped ? std::max(dt, dt_prop) : dt;

@@ -1,14 +1,14 @@
 // transient.hpp — transient and DC operating-point analysis over a Circuit.
 //
-// Fixed-timestep integration (trapezoidal by default, backward Euler
-// available) with Newton–Raphson iteration when the circuit contains
-// nonlinear elements. Observers are invoked after every accepted step to
+// Fixed-timestep trapezoidal integration (backward Euler for the first
+// step after a start or discontinuity) with Newton–Raphson iteration when
+// the circuit contains nonlinear elements. Observers are invoked after every accepted step to
 // record waveforms into `pico::sim::Trace`s.
 //
 // Linear fast path: when every component is linear and time-invariant in
 // its matrix contribution (see Component::linear_time_invariant), the MNA
 // matrix changes only with (dt, method) and with explicit mutations (a
-// switch toggling, a resistance changing). Such runs keep a small LRU of
+// switch toggling). Such runs keep a small LRU of
 // LU factorizations, and a step whose matrix is cached only re-stamps the
 // right-hand side (source values + companion-model history) and does an
 // O(n²) in-place substitution — no allocation, no O(n³) refactorization.
@@ -76,17 +76,23 @@ class DtLadder {
 
 class Transient {
  public:
+  // Factorization cache slots (LRU). Each distinct matrix a run revisits
+  // needs one: a switched netlist has one per topology it visits, an
+  // adaptive RC run one per dt rung and method.
+  static constexpr std::size_t kLuCacheCapacity = 8;
+  // Max adaptive dt growth per accepted step.
+  static constexpr double kGrowthCap = 4.0;
+  // Accepted adaptive step sizes snap down to dt_min * ratio^k so a
+  // duty-cycled run settles onto 2-3 reusable LU factorizations instead of
+  // thrashing the cache with a continuum of dt values.
+  static constexpr double kDtLadderRatio = 2.0;
+
   struct Options {
-    Method method = Method::kTrapezoidal;
     double dt = 1e-6;        // timestep [s]; adaptive: initial/restart size
     // Cache LU factorizations across steps for linear circuits
     // (bit-identical waveforms either way; off forces the full
     // refactorize-every-step path).
     bool cache_linear_lu = true;
-    // Factorization cache slots (LRU). Each distinct matrix a run revisits
-    // needs one: a switched netlist has one per topology it visits, an
-    // adaptive RC run one per dt rung and method.
-    std::size_t lu_cache_capacity = 8;
 
     // --- Adaptive time-stepping (docs/PERFORMANCE.md §2) ------------------
     // Off by default: every existing caller keeps the fixed-step engine and
@@ -99,11 +105,6 @@ class Transient {
     // lte_tol * (1 + |v|). Branch currents of voltage sources are algebraic
     // outputs and are excluded from the estimate.
     double lte_tol = 1e-4;
-    double growth_cap = 4.0;       // max dt growth per accepted step
-    // Accepted step sizes snap down to dt_min * ratio^k so a duty-cycled
-    // run settles onto 2-3 reusable LU factorizations instead of thrashing
-    // the cache with a continuum of dt values. <= 1 disables snapping.
-    double dt_ladder_ratio = 2.0;
     // Dense output: > 0 makes the adaptive run_until observer fire on the
     // uniform grid t0 + k*observe_dt (solution linearly interpolated between
     // accepted steps) instead of at the irregular accepted times, so
@@ -114,11 +115,8 @@ class Transient {
 
   Transient(Circuit& circuit, Options options);
 
-  // Set an initial node voltage guess (before the first step).
-  void set_initial(Node n, Voltage v);
-
-  // Solve the DC operating point (capacitors open, inductors shorted) and
-  // make it the current state.
+  // Solve the DC operating point (capacitors open) and make it the current
+  // state.
   void solve_dc();
 
   // Advance one timestep of Options::dt (fixed-step; valid in either mode).
@@ -154,8 +152,7 @@ class Transient {
   [[nodiscard]] std::uint64_t lte_rejections() const { return rejections_; }
   // Steps clamped to land exactly on a registered breakpoint.
   [[nodiscard]] std::uint64_t breakpoint_hits() const { return bp_hits_; }
-  // Live entries in the factorization cache (bounded by
-  // Options::lu_cache_capacity).
+  // Live entries in the factorization cache (bounded by kLuCacheCapacity).
   [[nodiscard]] std::size_t lu_cache_entries() const { return lu_cache_.size(); }
   // Evictions of a factorization tagged with the current matrix epoch
   // (capacity pressure).
@@ -190,7 +187,7 @@ class Transient {
   // a cached one (a switch toggled back, or another dt gave the same bytes).
   [[nodiscard]] std::uint64_t lu_cache_content_hits() const { return lu_content_hits_; }
   // Misses that evicted a factorization of an older matrix epoch (a switch
-  // toggled or a resistance changed since it was used).
+  // toggled since it was used).
   [[nodiscard]] std::uint64_t lu_cache_invalidations() const { return lu_invalidations_; }
 
  private:
@@ -251,7 +248,7 @@ class Transient {
 
   bool fast_path_eligible_ = false;
   // Some component's matrix stamp reads dt or method, so cache tags must
-  // match them too (capacitors, inductors).
+  // match them too (capacitors).
   bool matrix_uses_dt_ = true;
   bool used_fast_path_ = false;
   std::uint64_t lu_factorizations_ = 0;

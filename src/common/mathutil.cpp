@@ -29,35 +29,6 @@ double LookupTable::operator()(double x) const {
   return lerp(lo->second, hi->second, t);
 }
 
-double LookupTable::inverse(double y) const {
-  PICO_ASSERT(pts_.size() >= 2);
-  const bool increasing = pts_.back().second >= pts_.front().second;
-  // Scan segments for the one bracketing y (table assumed monotone).
-  for (std::size_t i = 1; i < pts_.size(); ++i) {
-    const double y0 = pts_[i - 1].second;
-    const double y1 = pts_[i].second;
-    const bool inside = increasing ? (y >= y0 && y <= y1) : (y <= y0 && y >= y1);
-    if (inside) {
-      if (y1 == y0) return pts_[i - 1].first;
-      const double t = (y - y0) / (y1 - y0);
-      return lerp(pts_[i - 1].first, pts_[i].first, t);
-    }
-  }
-  // Clamp outside range.
-  const bool below = increasing ? (y < pts_.front().second) : (y > pts_.front().second);
-  return below ? pts_.front().first : pts_.back().first;
-}
-
-double LookupTable::min_x() const {
-  PICO_ASSERT(!pts_.empty());
-  return pts_.front().first;
-}
-
-double LookupTable::max_x() const {
-  PICO_ASSERT(!pts_.empty());
-  return pts_.back().first;
-}
-
 double bisect(const std::function<double(double)>& f, double lo, double hi, double tol,
               int max_iter) {
   double flo = f(lo);
@@ -108,31 +79,9 @@ double golden_minimize(const std::function<double(double)>& f, double lo, double
   return 0.5 * (a + b);
 }
 
-double trapezoid(const std::function<double(double)>& f, double a, double b, int n) {
-  PICO_REQUIRE(n >= 1, "trapezoid requires n >= 1");
-  const double h = (b - a) / n;
-  double sum = 0.5 * (f(a) + f(b));
-  for (int i = 1; i < n; ++i) sum += f(a + i * h);
-  return sum * h;
-}
-
-double trapezoid_samples(const std::vector<double>& t, const std::vector<double>& y) {
-  PICO_REQUIRE(t.size() == y.size(), "trapezoid_samples requires equal-length series");
-  if (t.size() < 2) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 1; i < t.size(); ++i) {
-    sum += 0.5 * (y[i] + y[i - 1]) * (t[i] - t[i - 1]);
-  }
-  return sum;
-}
-
 double rel_diff(double a, double b) {
   const double scale = std::max({std::fabs(a), std::fabs(b), 1e-300});
   return std::fabs(a - b) / scale;
-}
-
-bool approx_equal(double a, double b, double rel_tol, double abs_tol) {
-  return std::fabs(a - b) <= std::max(abs_tol, rel_tol * std::max(std::fabs(a), std::fabs(b)));
 }
 
 }  // namespace pico

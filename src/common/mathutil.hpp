@@ -1,6 +1,6 @@
 // mathutil.hpp — small numerical toolbox shared by the simulation models:
-// interpolation tables, root finding, numerical integration, and scalar
-// helpers. Everything is deterministic and allocation-light.
+// interpolation tables, root finding, and scalar helpers. Everything is
+// deterministic and allocation-light.
 #pragma once
 
 #include <cstddef>
@@ -31,13 +31,8 @@ class LookupTable {
   // Linear interpolation; clamps outside the table range.
   [[nodiscard]] double operator()(double x) const;
 
-  // Inverse lookup for monotone tables: find x such that y(x) == y.
-  [[nodiscard]] double inverse(double y) const;
-
   [[nodiscard]] bool empty() const { return pts_.empty(); }
   [[nodiscard]] std::size_t size() const { return pts_.size(); }
-  [[nodiscard]] double min_x() const;
-  [[nodiscard]] double max_x() const;
 
  private:
   std::vector<std::pair<double, double>> pts_;
@@ -57,24 +52,11 @@ double golden_minimize(const std::function<double(double)>& f, double lo, double
                        double tol = 1e-10, int max_iter = 200);
 
 // ---------------------------------------------------------------------------
-// Integration.
-// ---------------------------------------------------------------------------
-
-// Composite trapezoidal rule over [a, b] with n uniform intervals.
-double trapezoid(const std::function<double(double)>& f, double a, double b, int n);
-
-// Trapezoidal integral of a sampled series (t sorted ascending).
-double trapezoid_samples(const std::vector<double>& t, const std::vector<double>& y);
-
-// ---------------------------------------------------------------------------
 // Scalar utilities.
 // ---------------------------------------------------------------------------
 
 // Relative difference |a - b| / max(|a|, |b|, eps) — used by tests and by
 // EXPERIMENTS reporting.
 double rel_diff(double a, double b);
-
-// True if a and b agree within a relative tolerance.
-bool approx_equal(double a, double b, double rel_tol = 1e-9, double abs_tol = 1e-12);
 
 }  // namespace pico

@@ -75,22 +75,7 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-double Rng::exponential(double lambda) {
-  PICO_REQUIRE(lambda > 0.0, "exponential rate must be positive");
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / lambda;
-}
-
 bool Rng::chance(double p) { return uniform() < p; }
-
-Rng Rng::split() {
-  Rng child;
-  child.reseed(next() ^ 0xa5a5a5a5deadbeefULL);
-  return child;
-}
 
 Rng Rng::stream(std::uint64_t base_seed, std::uint64_t stream_index) {
   // Diffuse the base seed, offset by the (diffused) index, then let

@@ -38,14 +38,8 @@ class Rng {
   double normal();
   // Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
-  // Exponential with given rate lambda (mean 1/lambda).
-  double exponential(double lambda);
   // Bernoulli trial.
   bool chance(double p);
-
-  // Derive an independent child stream (for per-component randomness that
-  // stays stable when other components add or remove draws).
-  Rng split();
 
   // Deterministic per-index stream: stream(base, i) yields the same
   // generator no matter which thread asks or in what order, so Monte Carlo

@@ -36,8 +36,6 @@ double RunningStats::min() const { return n_ ? min_ : 0.0; }
 
 double RunningStats::max() const { return n_ ? max_ : 0.0; }
 
-void RunningStats::reset() { *this = RunningStats{}; }
-
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
   PICO_REQUIRE(hi > lo, "Histogram requires hi > lo");
   PICO_REQUIRE(bins >= 1, "Histogram requires at least one bin");
@@ -58,33 +56,11 @@ void Histogram::add(double x) {
   counts_[std::min(i, counts_.size() - 1)]++;
 }
 
-std::size_t Histogram::bin_count(std::size_t i) const {
-  PICO_REQUIRE(i < counts_.size(), "bin index out of range");
-  return counts_[i];
-}
-
 double Histogram::bin_low(std::size_t i) const {
   return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
 }
 
 double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
-
-double Histogram::quantile(double p) const {
-  PICO_REQUIRE(p >= 0.0 && p <= 1.0, "quantile requires p in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = p * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (cum >= target) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bin_low(i) + frac * (bin_high(i) - bin_low(i));
-    }
-    cum = next;
-  }
-  return hi_;
-}
 
 std::string Histogram::ascii(std::size_t width) const {
   std::size_t peak = 1;

@@ -24,8 +24,6 @@ class RunningStats {
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return mean() * w_; }
 
-  void reset();
-
  private:
   std::size_t n_ = 0;
   double w_ = 0.0;
@@ -41,15 +39,12 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const;
   [[nodiscard]] std::size_t bins() const { return counts_.size(); }
   [[nodiscard]] std::size_t underflow() const { return underflow_; }
   [[nodiscard]] std::size_t overflow() const { return overflow_; }
   [[nodiscard]] std::size_t total() const { return total_; }
   [[nodiscard]] double bin_low(std::size_t i) const;
   [[nodiscard]] double bin_high(std::size_t i) const;
-  // Approximate p-quantile (0..1) from bin boundaries.
-  [[nodiscard]] double quantile(double p) const;
   // Simple ASCII rendering for bench output.
   [[nodiscard]] std::string ascii(std::size_t width = 50) const;
 

@@ -1,7 +1,6 @@
 #include "common/table.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace pico {
 
@@ -61,12 +60,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& r : rows_) line(r);
   rule();
   for (const auto& n : notes_) os << "  note: " << n << '\n';
-}
-
-std::string Table::str() const {
-  std::ostringstream os;
-  print(os);
-  return os.str();
 }
 
 }  // namespace pico

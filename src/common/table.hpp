@@ -26,7 +26,6 @@ class Table {
 
   // Render with box-drawing in plain ASCII.
   void print(std::ostream& os) const;
-  [[nodiscard]] std::string str() const;
 
  private:
   std::string title_;

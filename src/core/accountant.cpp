@@ -33,11 +33,6 @@ Current PowerAccountant::battery_draw() const {
       converter_derate_};
 }
 
-Power PowerAccountant::battery_power() const {
-  const Voltage v = battery_.terminal_voltage(battery_draw());
-  return Power{v.value() * battery_draw().value()};
-}
-
 Voltage PowerAccountant::rail_voltage(RailId r) const {
   return train_.rail_voltage(r, battery_.terminal_voltage(battery_draw()), loads_);
 }

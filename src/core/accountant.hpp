@@ -77,7 +77,6 @@ class PowerAccountant {
 
   // --- Queries ---------------------------------------------------------------
   [[nodiscard]] Current battery_draw() const;
-  [[nodiscard]] Power battery_power() const;
   [[nodiscard]] Voltage rail_voltage(RailId r) const;
   [[nodiscard]] const std::vector<DeviceLedger>& devices() const { return devices_; }
   [[nodiscard]] Energy battery_energy_out() const { return Energy{energy_out_}; }

@@ -14,7 +14,7 @@
 // prediction P(collision) ≈ 1 − e^{−2(N−1)τ/T}.
 //
 // For city-scale fleets (100k+ nodes) one timeline does not fit: it is
-// O(events) serial. fleet::ShardedFleetEngine (src/fleet/engine.hpp)
+// O(events) serial. fleet::FleetSession (src/fleet/engine.hpp)
 // partitions the medium into spatial collision domains driven by a
 // closed-form cycle kernel; fleet::spec_from_fleet_config maps a
 // FleetConfig onto it for apples-to-apples comparisons with this model.

@@ -19,12 +19,6 @@ Charge LifetimeAnalysis::required_capacity(const RideThroughSpec& spec, Voltage 
   return Charge{q};
 }
 
-Duration LifetimeAnalysis::ride_through(const storage::EnergyStore& store,
-                                        Power node_average) {
-  PICO_REQUIRE(node_average.value() > 0.0, "node power must be positive");
-  return Duration{store.stored_energy().value() / node_average.value()};
-}
-
 double LifetimeAnalysis::equivalent_full_cycles_per_year(Power node_average, Charge capacity,
                                                          Voltage nominal) {
   PICO_REQUIRE(capacity.value() > 0.0, "capacity must be positive");

@@ -26,10 +26,6 @@ class LifetimeAnalysis {
   [[nodiscard]] static Charge required_capacity(const RideThroughSpec& spec,
                                                 Voltage nominal);
 
-  // How long a given store carries the node from its current state.
-  [[nodiscard]] static Duration ride_through(const storage::EnergyStore& store,
-                                             Power node_average);
-
   // Cycle-life proxy: full-capacity throughput cycles per year at a duty
   // cycle (NiMH survives ~500-1000 shallow cycles; trickle topping does
   // not count).

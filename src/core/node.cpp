@@ -11,6 +11,11 @@ namespace pico::core {
 namespace {
 using namespace pico::literals;
 
+// Firmware packetization compute between the sensor readout and the radio.
+constexpr Duration kFormatTime{3.5e-3};
+// Solar charger: MPP tracker + boost stage efficiency.
+constexpr double kMppEfficiency = 0.85;
+
 std::unique_ptr<PowerTrain> make_train(const NodeConfig& cfg) {
   if (cfg.power == NodeConfig::PowerVersion::kIc) return std::make_unique<IcPowerTrain>();
   CotsPowerTrain::Params p;
@@ -132,7 +137,7 @@ PicoCubeNode::PicoCubeNode(NodeConfig cfg, sim::Simulator* shared_sim)
   // delivery (and energy-per-delivered-bit) measured, ARQ nodes also get
   // the ACK loop closed.
   if (cfg_.link.own_base_station) {
-    bs_ = std::make_unique<net::BaseStation>(sim_, cfg_.link.base);
+    bs_ = std::make_unique<net::BaseStation>(sim_, net::BaseStation::Params{});
     attach_to_base_station(*bs_);
   }
 }
@@ -185,7 +190,7 @@ void PicoCubeNode::boot() {
   // Bring up the always-on rail and let the firmware configure itself.
   const Voltage v_mcu = accountant_.rail_voltage(RailId::kVddMcu);
   cpu_->set_supply(v_mcu);
-  cpu_->set_interrupt_handler([this](mcu::Irq irq) { on_interrupt(irq); });
+  cpu_->set_interrupt_handler([this] { on_interrupt(); });
   if (tpms_) {
     tpms_->set_supply(v_mcu);
     tpms_->start(*cpu_);
@@ -207,7 +212,7 @@ void PicoCubeNode::boot() {
     hooks.set_harvest_derate = [this](double factor) {
       harvest_derate_ = factor;
       // Re-estimate immediately so the derate takes effect mid-window —
-      // except in circuit fidelities, where re-running would advance the
+      // except at circuit fidelity, where re-running would advance the
       // transient engine past the periodic tick; there the new factor
       // applies from the next window.
       const bool circuit =
@@ -252,15 +257,11 @@ void PicoCubeNode::ensure_harvest_circuit() {
         power::build_bridge_rectifier_circuit(*shaker_, battery_.open_circuit_voltage());
   }
   circuits::Transient::Options opt;
-  if (cfg_.harvest_fidelity == NodeConfig::HarvestFidelity::kCircuitAdaptive) {
-    opt.adaptive = true;
-    opt.dt = 2e-5;      // restart size at discontinuities
-    opt.dt_min = 1e-7;  // comparator-edge resolution floor
-    opt.dt_max = 1e-3;  // quiescent-stretch ceiling (1000 steps/s window)
-    opt.lte_tol = 5e-4;
-  } else {
-    opt.dt = 1e-6;  // the behavioral model's reference resolution
-  }
+  opt.adaptive = true;
+  opt.dt = 2e-5;      // restart size at discontinuities
+  opt.dt_min = 1e-7;  // comparator-edge resolution floor
+  opt.dt_max = 1e-3;  // quiescent-stretch ceiling (1000 steps/s window)
+  opt.lte_tol = 5e-4;
   harvest_tr_ = std::make_unique<circuits::Transient>(*harvest_rc_.circuit, opt);
 }
 
@@ -269,7 +270,7 @@ void PicoCubeNode::update_harvest() {
   if (solar_) {
     // MPP-tracked solar charger: harvested power through the tracker's
     // efficiency, delivered as a charging current at the cell voltage.
-    const double p = solar_->mpp_at_time(t).value() * cfg_.mpp_efficiency * harvest_derate_;
+    const double p = solar_->mpp_at_time(t).value() * kMppEfficiency * harvest_derate_;
     accountant_.set_harvest_current(
         Current{p / battery_.open_circuit_voltage().value()});
     return;
@@ -313,8 +314,7 @@ void PicoCubeNode::update_harvest() {
   accountant_.set_harvest_current(Current{res.avg_current.value() * harvest_derate_});
 }
 
-void PicoCubeNode::on_interrupt(mcu::Irq irq) {
-  if (irq != mcu::Irq::kSensorEvent) return;
+void PicoCubeNode::on_interrupt() {
   if (cycle_busy_) return;  // one outstanding cycle, like the real firmware
   // Defensive firmware: the sensor may have lost its rail since raising
   // the interrupt (brown-out mid-wake).
@@ -336,7 +336,7 @@ void PicoCubeNode::tpms_cycle() {
   // only `this` and stays allocation-free in steady state.
   tpms_->measure(*cpu_, [this](const sensors::TpmsSample& sample) {
     pending_sample_ = sample;
-    cpu_->run_for(cfg_.format_time, [this] {
+    cpu_->run_for(kFormatTime, [this] {
       pkt_.node_id = cfg_.node_id;
       pkt_.seq = seq_++;
       radio::encode_tpms_payload_into(pending_sample_, pkt_.payload);
@@ -351,7 +351,7 @@ void PicoCubeNode::motion_cycle() {
   accel_->enter_measurement();
   accel_->read_sample(*cpu_, [this](const sensors::AccelSample& sample) {
     pending_accel_ = sample;
-    cpu_->run_for(cfg_.format_time, [this] {
+    cpu_->run_for(kFormatTime, [this] {
       pkt_.node_id = cfg_.node_id;
       pkt_.seq = seq_++;
       pkt_.payload = radio::encode_accel_payload(pending_accel_.accel);

@@ -51,7 +51,6 @@ struct NodeConfig {
   // TPMS digital-die event timer (the paper's six seconds).
   Duration sample_interval{6.0};
   Frequency data_rate{200e3};
-  Duration format_time{3.5e-3};  // firmware packetization compute
 
   double battery_initial_soc = 0.8;
 
@@ -67,16 +66,15 @@ struct NodeConfig {
   bool attach_harvester = false;
   HarvesterKind harvester = HarvesterKind::kShaker;
   std::optional<harvest::IrradianceProfile> irradiance;
-  double mpp_efficiency = 0.85;  // MPP tracker + boost stage
   Duration harvest_update{1.0};  // charging-current refresh window
 
   // Fidelity of the shaker→rectifier charging-current estimate per window:
   // the behavioral sampling model (default), or the actual MNA rectifier
   // netlist (comparator-switch bridge for the IC train, junction-diode
-  // bridge for COTS) solved by circuits::Transient — at a fixed 1 µs step,
-  // or under the adaptive LTE controller that stretches dt through the
-  // quiescent stretches between shaker pulses (docs/PERFORMANCE.md).
-  enum class HarvestFidelity { kBehavioral, kCircuitFixed, kCircuitAdaptive };
+  // bridge for COTS) solved by circuits::Transient under the adaptive LTE
+  // controller that stretches dt through the quiescent stretches between
+  // shaker pulses (docs/PERFORMANCE.md).
+  enum class HarvestFidelity { kBehavioral, kCircuitAdaptive };
   HarvestFidelity harvest_fidelity = HarvestFidelity::kBehavioral;
 
   // Fault injection.
@@ -102,10 +100,9 @@ struct NodeConfig {
     Mode mode = Mode::kBeacon;
     net::ArqParams arq;
     radio::WakeupReceiver::Params wakeup;  // ACK detector (ARQ mode)
-    // Stand-alone runs own a base station; fleet shared-medium runs
-    // attach every node to one external station instead.
+    // Stand-alone runs own a base station (default parameters); fleet
+    // shared-medium runs attach every node to one external station instead.
     bool own_base_station = false;
-    net::BaseStation::Params base;
     radio::Channel::Params uplink;    // node -> base station
     radio::Channel::Params downlink;  // base station -> wake-up receiver
   };
@@ -198,7 +195,7 @@ class PicoCubeNode {
   void publish_metrics(obs::MetricsRegistry& m) const;
 
  private:
-  void on_interrupt(mcu::Irq irq);
+  void on_interrupt();
   void tpms_cycle();
   void motion_cycle();
   // Transmits the frame staged in frame_buf_.

@@ -32,8 +32,4 @@ Current& RailLoads::of(RailId r) {
   throw InternalError("invalid rail");
 }
 
-Current RailLoads::of(RailId r) const {
-  return const_cast<RailLoads*>(this)->of(r);
-}
-
 }  // namespace pico::core

@@ -23,7 +23,6 @@ struct RailLoads {
   Current radio_rf{};
 
   [[nodiscard]] Current& of(RailId r);
-  [[nodiscard]] Current of(RailId r) const;
 };
 
 }  // namespace pico::core

@@ -1,7 +1,5 @@
 #include "fault/injector.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -83,13 +81,6 @@ void FaultInjector::apply(FaultKind kind) {
     case FaultKind::kStorageAging:
       break;
   }
-}
-
-std::size_t FaultInjector::active_windows() const {
-  const double t = sim_.now().value();
-  return static_cast<std::size_t>(
-      std::count_if(plan_.events().begin(), plan_.events().end(),
-                    [t](const FaultEvent& ev) { return ev.windowed() && ev.in_effect(t); }));
 }
 
 void FaultInjector::publish_metrics(obs::MetricsRegistry& m,

@@ -65,8 +65,6 @@ class FaultInjector {
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const Counters& counters() const { return counters_; }
-  // Number of windows in effect at the simulator's current time (any kind).
-  [[nodiscard]] std::size_t active_windows() const;
 
   // Publish "<prefix>.*" counters into `m` (fault.events_fired,
   // fault.harvest_derates, ...). Call once after the run; counters

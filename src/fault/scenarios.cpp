@@ -105,12 +105,6 @@ std::vector<Scenario> scenario_library() {
           lossy_channel_arq()};
 }
 
-std::vector<std::string> scenario_names() {
-  std::vector<std::string> names;
-  for (const Scenario& s : scenario_library()) names.push_back(s.name);
-  return names;
-}
-
 Scenario make_scenario(const std::string& name) {
   for (Scenario& s : scenario_library()) {
     if (s.name == name) return std::move(s);

@@ -30,8 +30,6 @@ struct Scenario {
 // dying_supercap, lossy_channel, lossy_channel_arq.
 [[nodiscard]] std::vector<Scenario> scenario_library();
 
-[[nodiscard]] std::vector<std::string> scenario_names();
-
 // Look up one scenario by name; throws DesignError if unknown.
 [[nodiscard]] Scenario make_scenario(const std::string& name);
 

@@ -8,7 +8,7 @@
 // interference-only records — that is the entire cross-domain coupling,
 // handed over once per epoch at a deterministic barrier.
 //
-// Each epoch runs in two parallel passes (ShardedFleetEngine drives them):
+// Each epoch runs in two parallel passes (FleetSession drives them):
 //
 //   Pass 1  advance(): step wake timers through the epoch, draw each
 //     frame's RNG in a fixed order (loss, shadowing, decode), bill the

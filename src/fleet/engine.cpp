@@ -15,7 +15,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/series.hpp"
-#include "obs/session.hpp"
 #include "obs/tracer.hpp"
 #include "radio/antenna.hpp"
 #include "runtime/parallel.hpp"
@@ -86,26 +85,11 @@ void FleetMetrics::publish_metrics(obs::MetricsRegistry& m,
   }
 }
 
-FleetMetrics ShardedFleetEngine::run(const FleetSpec& spec) {
-  return run(spec, FleetObsHooks{});
-}
-
-FleetMetrics ShardedFleetEngine::run(const FleetSpec& spec,
-                                     obs::TelemetrySession* session) {
-  FleetObsHooks hooks;
-  if (session != nullptr) {
-    hooks.series = session->series();
-    hooks.flight = session->flight();
-    hooks.tracer = &session->tracer();
-  }
-  return run(spec, hooks);
-}
-
 // --- FleetSession ------------------------------------------------------------
-// The engine body behind ShardedFleetEngine::run. Construction is the
-// setup phase (calibration, layout, sequential interval draws); the epoch
-// loop lives in run_until() so a host can stop at any barrier, save(),
-// and later restore() an equivalent freshly constructed session.
+// The fleet engine. Construction is the setup phase (calibration, layout,
+// sequential interval draws); the epoch loop lives in run_until() so a
+// host can stop at any barrier, save(), and later restore() an equivalent
+// freshly constructed session.
 
 struct FleetSession::Impl {
   using Clock = std::chrono::steady_clock;
@@ -881,12 +865,6 @@ void FleetSession::restore(const std::vector<std::uint8_t>& blob) {
 void FleetSession::restore_file(const std::string& path) {
   ckpt::Reader r = ckpt::Reader::from_file(path);
   impl_->restore(r);
-}
-
-FleetMetrics ShardedFleetEngine::run(const FleetSpec& spec,
-                                     const FleetObsHooks& hooks) {
-  FleetSession session(spec, hooks);
-  return session.finish();
 }
 
 FleetSpec spec_from_fleet_config(const core::FleetConfig& cfg, std::size_t domains) {

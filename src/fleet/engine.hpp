@@ -35,7 +35,6 @@ class MetricsRegistry;
 class TimeSeriesRecorder;
 class FlightRecorder;
 class Tracer;
-class TelemetrySession;
 }
 namespace pico::core {
 struct FleetConfig;
@@ -214,8 +213,9 @@ struct ShardPlan {
 // A resumable fleet run. Construction performs the setup phase
 // (calibration, layout, sequential interval draws); run_until() steps
 // whole epochs; finish() runs the remaining epochs, the terminal energy
-// balance, and the domain-order reduction. ShardedFleetEngine::run is the
-// one-shot wrapper around this class.
+// balance, and the domain-order reduction. A one-shot run is
+// `FleetSession(spec, hooks).finish()`: deterministic, a pure function of
+// the spec (shards/threads excluded — see the contract above).
 //
 // Checkpointing: between run_until() calls the session sits at an epoch
 // barrier — the one place full state is finite and well-defined — and
@@ -255,19 +255,6 @@ class FleetSession {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-class ShardedFleetEngine {
- public:
-  // Run the spec to completion. Deterministic: a pure function of the
-  // spec (shards/threads excluded — see the contract above).
-  [[nodiscard]] static FleetMetrics run(const FleetSpec& spec);
-  [[nodiscard]] static FleetMetrics run(const FleetSpec& spec,
-                                        const FleetObsHooks& hooks);
-  // Convenience: pull series/flight/tracer out of a (possibly null)
-  // telemetry session.
-  [[nodiscard]] static FleetMetrics run(const FleetSpec& spec,
-                                        obs::TelemetrySession* session);
 };
 
 // Map a core::FleetConfig onto the sharded engine with kShared-comparable

@@ -4,22 +4,6 @@
 
 namespace pico::mcu {
 
-std::string to_string(PowerState s) {
-  switch (s) {
-    case PowerState::kOff:
-      return "off";
-    case PowerState::kActive:
-      return "active";
-    case PowerState::kLpm0:
-      return "LPM0";
-    case PowerState::kLpm3:
-      return "LPM3";
-    case PowerState::kLpm4:
-      return "LPM4";
-  }
-  return "?";
-}
-
 Msp430::Msp430(sim::Simulator& simulator) : Msp430(simulator, Params{}) {}
 
 Msp430::Msp430(sim::Simulator& simulator, Params p) : sim_(simulator), prm_(p) {
@@ -118,17 +102,17 @@ void Msp430::spi_transfer(std::size_t bytes, std::function<void()> done) {
   });
 }
 
-void Msp430::request_interrupt(Irq irq) {
+void Msp430::request_interrupt() {
   if (!powered()) return;
   const bool was_sleeping = state_ != PowerState::kActive;
   const Duration latency = was_sleeping ? prm_.wake_latency : Duration{0.0};
-  sim_.schedule_in(latency, [this, irq] {
+  sim_.schedule_in(latency, [this] {
     if (!powered()) return;
     enter_state(PowerState::kActive);
     // The wake-up current step may itself brown the node out (the energy
     // accountant drains the battery inside the listener cascade).
     if (!powered()) return;
-    if (handler_) handler_(irq);
+    if (handler_) handler_();
   });
 }
 

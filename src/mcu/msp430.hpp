@@ -10,7 +10,8 @@
 //   * a busy-execution primitive (`run_for`) that holds the CPU in active
 //     mode on the event simulator,
 //   * SPI master transfer timing (the sensor interface),
-//   * an interrupt line that wakes the CPU and dispatches to firmware.
+//   * the sensor-event interrupt line (TPMS digital die / accelerometer
+//     motion detect), which wakes the CPU and dispatches to firmware.
 //
 // Firmware is a callback object — the paper's "entirely interrupt driven"
 // C code maps onto `InterruptHandler`.
@@ -30,13 +31,6 @@ enum class PowerState {
   kLpm0,  // CPU off, clocks on
   kLpm3,  // deep sleep, 32 kHz timer alive
   kLpm4,  // everything off, external interrupt only
-};
-
-[[nodiscard]] std::string to_string(PowerState s);
-
-// Interrupt request lines (the one vector the node's firmware serves).
-enum class Irq : int {
-  kSensorEvent = 0,  // TPMS digital die / accelerometer motion detect
 };
 
 class Msp430 {
@@ -86,11 +80,11 @@ class Msp430 {
   [[nodiscard]] bool spi_busy() const { return spi_busy_; }
 
   // --- Interrupts ----------------------------------------------------------
-  using InterruptHandler = std::function<void(Irq)>;
+  using InterruptHandler = std::function<void()>;
   void set_interrupt_handler(InterruptHandler h);
-  // Assert an IRQ; wakes the CPU (with latency) if sleeping, LPM4
-  // included: the sensor line is an external interrupt.
-  void request_interrupt(Irq irq);
+  // Assert the sensor-event line; wakes the CPU (with latency) if sleeping,
+  // LPM4 included: the line is an external interrupt.
+  void request_interrupt();
 
   [[nodiscard]] const Params& params() const { return prm_; }
   // Cumulative busy time (for utilization reporting).

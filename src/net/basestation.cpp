@@ -15,8 +15,6 @@ namespace {
 constexpr double kRecordHorizonS = 2.0;
 }  // namespace
 
-BaseStation::BaseStation(sim::Simulator& sim) : BaseStation(sim, Params{}) {}
-
 BaseStation::BaseStation(sim::Simulator& sim, Params p)
     : sim_(sim),
       prm_(p),
@@ -35,8 +33,7 @@ void BaseStation::reserve_ports(std::size_t nodes) {
 
 int BaseStation::attach_node(radio::Channel uplink, radio::Channel downlink,
                              AckSink on_ack) {
-  Port port{std::move(uplink), std::move(downlink), std::move(on_ack),
-            std::nullopt, 0, 0};
+  Port port{std::move(uplink), std::move(downlink), std::move(on_ack), std::nullopt};
   ports_.push_back(std::move(port));
   return static_cast<int>(ports_.size()) - 1;
 }
@@ -44,18 +41,6 @@ int BaseStation::attach_node(radio::Channel uplink, radio::Channel downlink,
 Duration BaseStation::ack_burst_duration() const {
   return Duration{static_cast<double>(prm_.ack_code_bits) /
                   prm_.ack_chip_rate.value()};
-}
-
-Energy BaseStation::listen_energy(Duration window) const {
-  return Energy{prm_.rx.rx_power.value() * window.value()};
-}
-
-std::uint64_t BaseStation::delivered_from(int port) const {
-  return ports_.at(static_cast<std::size_t>(port)).delivered;
-}
-
-std::uint64_t BaseStation::dup_from(int port) const {
-  return ports_.at(static_cast<std::size_t>(port)).dup;
 }
 
 void BaseStation::prune_before(double t) {
@@ -132,11 +117,9 @@ void BaseStation::frame_completed(int port, const radio::RfFrame& f) {
   const bool dup = p.last_seq.has_value() && *p.last_seq == r.packet->seq;
   if (dup) {
     ++c_.dup_rx;
-    ++p.dup;
   } else {
     p.last_seq = r.packet->seq;
     ++c_.delivered;
-    ++p.delivered;
     c_.delivered_payload_bits += r.packet->payload.size() * 8;
   }
 

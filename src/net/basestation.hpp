@@ -71,7 +71,6 @@ class BaseStation {
   };
 
   BaseStation(sim::Simulator& sim, Params p);
-  explicit BaseStation(sim::Simulator& sim);
 
   // Attach a node: `uplink` carries its data frames to the station,
   // `downlink` carries ACK bursts back, `on_ack(rx_dbm)` delivers the
@@ -95,15 +94,10 @@ class BaseStation {
 
   // On-air time of one ACK burst (code bits at the chip rate).
   [[nodiscard]] Duration ack_burst_duration() const;
-  // Station-side receive energy for a listen window (the demo receiver's
-  // 400 uW front end).
-  [[nodiscard]] Energy listen_energy(Duration window) const;
 
   [[nodiscard]] const Counters& counters() const { return c_; }
   [[nodiscard]] const Params& params() const { return prm_; }
   [[nodiscard]] std::size_t ports() const { return ports_.size(); }
-  [[nodiscard]] std::uint64_t delivered_from(int port) const;
-  [[nodiscard]] std::uint64_t dup_from(int port) const;
   [[nodiscard]] const radio::SuperregenReceiver& receiver() const { return demod_; }
 
   // net.* metric family (frames_on_air, collisions, delivered, dup_rx, ...).
@@ -121,8 +115,6 @@ class BaseStation {
     radio::Channel downlink;
     AckSink on_ack;
     std::optional<std::uint8_t> last_seq;  // dedup horizon (stop-and-wait)
-    std::uint64_t delivered = 0;
-    std::uint64_t dup = 0;
   };
 
   void prune_before(double t);

@@ -214,25 +214,11 @@ double HistogramSnapshot::quantile(double p) const {
   return max;  // overflow mass (and p == 1-eps rounding) sits at max
 }
 
-bool MetricsSnapshot::has(const std::string& name) const {
-  for (const auto& s : scalars) {
-    if (s.name == name) return true;
-  }
-  return histogram(name) != nullptr;
-}
-
 double MetricsSnapshot::value(const std::string& name, double fallback) const {
   for (const auto& s : scalars) {
     if (s.name == name) return s.value;
   }
   return fallback;
-}
-
-const HistogramSnapshot* MetricsSnapshot::histogram(const std::string& name) const {
-  for (const auto& h : histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
 }
 
 void MetricsSnapshot::write_json(JsonWriter& w) const {

@@ -75,10 +75,8 @@ struct MetricsSnapshot {
   std::vector<ScalarSnapshot> scalars;        // registration order
   std::vector<HistogramSnapshot> histograms;  // registration order
 
-  [[nodiscard]] bool has(const std::string& name) const;
   // Scalar value by name; `fallback` when absent.
   [[nodiscard]] double value(const std::string& name, double fallback = 0.0) const;
-  [[nodiscard]] const HistogramSnapshot* histogram(const std::string& name) const;
   // Emit as one JSON object: scalars as numbers, histograms as objects.
   void write_json(JsonWriter& w) const;
 };

@@ -147,16 +147,6 @@ void TimeSeriesRecorder::restore(const CheckpointState& st) {
   }
 }
 
-const std::vector<double>& TimeSeriesRecorder::column(SeriesId id) const {
-  PICO_ASSERT(id < cols_.size());
-  return cols_[id].v;
-}
-
-const std::string& TimeSeriesRecorder::name(SeriesId id) const {
-  PICO_ASSERT(id < cols_.size());
-  return cols_[id].name;
-}
-
 void TimeSeriesRecorder::write_jsonl(const std::string& path) const {
   std::ofstream os(path);
   PICO_REQUIRE(os.good(), "cannot open series output: " + path);

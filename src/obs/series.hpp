@@ -70,8 +70,6 @@ class TimeSeriesRecorder {
   void commit_row();
 
   [[nodiscard]] const std::vector<double>& times() const { return t_; }
-  [[nodiscard]] const std::vector<double>& column(SeriesId id) const;
-  [[nodiscard]] const std::string& name(SeriesId id) const;
 
   // Envelope checked on every commit_row (null to detach).
   void set_watch(EnvelopeWatch* watch) { watch_ = watch; }

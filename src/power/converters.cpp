@@ -7,11 +7,6 @@
 
 namespace pico::power {
 
-// ---------------------------------------------------------------------------
-// ChargePumpTps60313
-// ---------------------------------------------------------------------------
-ChargePumpTps60313::ChargePumpTps60313() : ChargePumpTps60313(Params{}) {}
-
 ChargePumpTps60313::ChargePumpTps60313(Params p) : prm_(p) {
   PICO_REQUIRE(prm_.v_regulated.value() > 0.0, "regulated voltage must be positive");
   PICO_REQUIRE(prm_.transfer_loss >= 0.0 && prm_.transfer_loss < 1.0,
@@ -66,11 +61,6 @@ Power LinearRegulatorLt3020::quiescent_power(Voltage vin) const {
   if (!enabled_) return Power{vin.value() * prm_.gate_leakage.value()};
   return Power{vin.value() * prm_.iq_enabled.value()};
 }
-
-// ---------------------------------------------------------------------------
-// ShuntRegulatorStage
-// ---------------------------------------------------------------------------
-ShuntRegulatorStage::ShuntRegulatorStage() : ShuntRegulatorStage(Params{}) {}
 
 ShuntRegulatorStage::ShuntRegulatorStage(Params p) : prm_(p) {
   PICO_REQUIRE(prm_.r_series.value() > 0.0, "series resistance must be positive");

@@ -65,7 +65,6 @@ class ChargePumpTps60313 : public DcDcStage {
     double transfer_loss = 0.05;
   };
 
-  ChargePumpTps60313();
   explicit ChargePumpTps60313(Params p);
 
   [[nodiscard]] std::string name() const override { return "TPS60313 charge pump"; }
@@ -119,7 +118,6 @@ class ShuntRegulatorStage : public DcDcStage {
     Current shunt_bias{1e-6};  // zener/reference bias when energized
   };
 
-  ShuntRegulatorStage();
   explicit ShuntRegulatorStage(Params p);
 
   [[nodiscard]] std::string name() const override { return "shunt regulator"; }

@@ -72,8 +72,4 @@ Current PowerInterfaceIc::battery_current(Voltage vbatt, Current mcu_load,
   return Current{radio_batt.value() + mcu_batt.value() + support};
 }
 
-Power PowerInterfaceIc::idle_power(Voltage vbatt) const {
-  return Power{vbatt.value() * battery_current(vbatt, Current{0.0}, Current{0.0}).value()};
-}
-
 }  // namespace pico::power

@@ -50,8 +50,6 @@ class PowerInterfaceIc {
   // through the 3:2 converter *and* the post-regulator.
   [[nodiscard]] Current battery_current(Voltage vbatt, Current mcu_load,
                                         Current radio_load) const;
-  // Battery draw with every load idle (the IC's own keep-alive power).
-  [[nodiscard]] Power idle_power(Voltage vbatt) const;
   // Voltage actually delivered on each rail.
   [[nodiscard]] Voltage mcu_rail_voltage(Voltage vbatt, Current load) const;
   [[nodiscard]] Voltage radio_rail_voltage(Voltage vbatt, Current load) const;

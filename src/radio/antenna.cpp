@@ -75,6 +75,4 @@ double friis_path_loss(Frequency f, Length d) {
   return std::max(ratio * ratio, 1.0);
 }
 
-double friis_path_loss_db(Frequency f, Length d) { return ratio_to_db(friis_path_loss(f, d)); }
-
 }  // namespace pico::radio

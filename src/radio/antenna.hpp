@@ -52,6 +52,5 @@ class PatchAntenna {
 
 // Free-space path loss at distance d (linear power ratio >= 1).
 double friis_path_loss(Frequency f, Length d);
-double friis_path_loss_db(Frequency f, Length d);
 
 }  // namespace pico::radio

@@ -51,18 +51,4 @@ Power Channel::noise_power(Frequency data_rate) const {
   return Power{n};
 }
 
-double Channel::snr(Power tx_power, Frequency data_rate) {
-  return sample_link(tx_power, data_rate).snr;
-}
-
-void Channel::set_distance(Length d) {
-  PICO_REQUIRE(d.value() > 0.0, "distance must be positive");
-  prm_.distance = d;
-}
-
-void Channel::set_alignment(double a) {
-  PICO_REQUIRE(a >= 0.0 && a <= 1.0, "alignment must be within [0, 1]");
-  prm_.tx_alignment = a;
-}
-
 }  // namespace pico::radio

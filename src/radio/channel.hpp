@@ -46,11 +46,6 @@ class Channel {
 
   // Noise power in a bandwidth matched to the data rate (B ~ 2 * rate).
   [[nodiscard]] Power noise_power(Frequency data_rate) const;
-  // Linear SNR for a frame (single fading draw, same as sample_link).
-  [[nodiscard]] double snr(Power tx_power, Frequency data_rate);
-
-  void set_distance(Length d);
-  void set_alignment(double a);
   [[nodiscard]] const Params& params() const { return prm_; }
   [[nodiscard]] const PatchAntenna& tx_antenna() const { return tx_ant_; }
 

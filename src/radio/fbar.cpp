@@ -13,11 +13,6 @@ FbarResonator::FbarResonator(Params p) : prm_(p) {
   PICO_REQUIRE(prm_.q_factor > 1.0, "Q must exceed 1");
 }
 
-Frequency FbarResonator::resonance_at(Temperature t) const {
-  const double dt = t.value() - prm_.nominal_temp.value();
-  return Frequency{prm_.resonance.value() * (1.0 + prm_.temp_coeff_ppm_per_k * 1e-6 * dt)};
-}
-
 Duration FbarResonator::ring_time_constant() const {
   const double omega = 2.0 * M_PI * prm_.resonance.value();
   return Duration{2.0 * prm_.q_factor / omega};
@@ -31,10 +26,6 @@ FbarOscillator::FbarOscillator(FbarResonator resonator, Params p) : res_(resonat
 
 Duration FbarOscillator::startup_time() const {
   return Duration{res_.ring_time_constant().value() * prm_.startup_log_ratio};
-}
-
-Energy FbarOscillator::startup_energy(Voltage vdd) const {
-  return Energy{vdd.value() * prm_.core_current.value() * startup_time().value()};
 }
 
 }  // namespace pico::radio

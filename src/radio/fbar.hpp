@@ -15,14 +15,11 @@ class FbarResonator {
   struct Params {
     Frequency resonance{1.863e9};  // the Cube's channel
     double q_factor = 1200.0;
-    double temp_coeff_ppm_per_k = -25.0;  // typical AlN FBAR drift
-    Temperature nominal_temp{300.0};
   };
 
   FbarResonator();
   explicit FbarResonator(Params p);
 
-  [[nodiscard]] Frequency resonance_at(Temperature t) const;
   [[nodiscard]] double q_factor() const { return prm_.q_factor; }
   // Effective motional RC time constant tau = 2Q / omega_0.
   [[nodiscard]] Duration ring_time_constant() const;
@@ -46,7 +43,6 @@ class FbarOscillator {
   explicit FbarOscillator(FbarResonator resonator);
 
   [[nodiscard]] Duration startup_time() const;
-  [[nodiscard]] Energy startup_energy(Voltage vdd) const;
   [[nodiscard]] const FbarResonator& resonator() const { return res_; }
   [[nodiscard]] const Params& params() const { return prm_; }
 

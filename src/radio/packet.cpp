@@ -103,17 +103,6 @@ std::vector<std::uint8_t> bits_to_bytes(const std::vector<bool>& bits) {
   return bytes;
 }
 
-std::size_t popcount(const std::vector<std::uint8_t>& bytes) {
-  std::size_t n = 0;
-  for (std::uint8_t b : bytes) {
-    while (b) {
-      n += b & 1;
-      b = static_cast<std::uint8_t>(b >> 1);
-    }
-  }
-  return n;
-}
-
 namespace {
 void push_u16(std::vector<std::uint8_t>& v, std::uint16_t x) {
   v.push_back(static_cast<std::uint8_t>(x >> 8));
@@ -128,12 +117,6 @@ std::uint16_t clamp_u16(double x) {
   return static_cast<std::uint16_t>(std::lround(x));
 }
 }  // namespace
-
-std::vector<std::uint8_t> encode_tpms_payload(const sensors::TpmsSample& s) {
-  std::vector<std::uint8_t> p;
-  encode_tpms_payload_into(s, p);
-  return p;
-}
 
 void encode_tpms_payload_into(const sensors::TpmsSample& s, std::vector<std::uint8_t>& out) {
   out.clear();

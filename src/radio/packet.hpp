@@ -60,14 +60,11 @@ class PacketCodec {
 // Bit helpers (MSB first, the OOK modulator's order).
 std::vector<bool> bytes_to_bits(const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> bits_to_bytes(const std::vector<bool>& bits);
-// Number of '1' bits (OOK duty factor of a frame).
-std::size_t popcount(const std::vector<std::uint8_t>& bytes);
 
 // --- Payload codecs ---------------------------------------------------------
 
 // TPMS sample: kPa*10 (u16) | centi-kelvin above 200 K (u16) | accel dm/s^2
 // (u16) | supply mV (u16).
-std::vector<std::uint8_t> encode_tpms_payload(const sensors::TpmsSample& s);
 void encode_tpms_payload_into(const sensors::TpmsSample& s, std::vector<std::uint8_t>& out);
 std::optional<sensors::TpmsSample> decode_tpms_payload(const std::vector<std::uint8_t>& p);
 

@@ -12,8 +12,6 @@ FbarOokTransmitter::FbarOokTransmitter(sim::Simulator& simulator, FbarOscillator
     : sim_(simulator), osc_(std::move(oscillator)), prm_(p) {
   PICO_REQUIRE(prm_.pa_efficiency > 0.0 && prm_.pa_efficiency < 1.0,
                "PA efficiency must be within (0, 1)");
-  PICO_REQUIRE(prm_.default_data_rate.value() <= prm_.max_data_rate.value(),
-               "default data rate exceeds the part's maximum");
 }
 
 Current FbarOokTransmitter::carrier_on_current() const {
@@ -79,10 +77,6 @@ void FbarOokTransmitter::set_rf_current(double amps) {
     const double dig = rails_good() && busy_ ? prm_.digital_current.value() : 0.0;
     listener_(Current{rf_current_}, Current{dig});
   }
-}
-
-void FbarOokTransmitter::transmit(const std::vector<std::uint8_t>& frame, DoneFn done) {
-  transmit(frame, prm_.default_data_rate, std::move(done));
 }
 
 void FbarOokTransmitter::transmit(const std::vector<std::uint8_t>& frame, Frequency rate,

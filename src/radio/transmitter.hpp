@@ -52,7 +52,6 @@ class FbarOokTransmitter {
     Voltage digital_supply{1.0};
     Current digital_current{200e-6};  // modulator/SPI interface logic
     Frequency max_data_rate{330e3};
-    Frequency default_data_rate{200e3};
   };
 
   FbarOokTransmitter(sim::Simulator& simulator, FbarOscillator oscillator, Params p);
@@ -76,7 +75,6 @@ class FbarOokTransmitter {
   // false) if rails drop mid-frame or the oscillator fails to start.
   using DoneFn = std::function<void(bool)>;
   void transmit(const std::vector<std::uint8_t>& frame, Frequency rate, DoneFn done);
-  void transmit(const std::vector<std::uint8_t>& frame, DoneFn done);
   [[nodiscard]] bool busy() const { return busy_; }
 
   // RF-rail current listener (power accountant) and frame listener

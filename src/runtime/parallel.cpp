@@ -191,8 +191,7 @@ struct ParallelRunner::Impl {
   std::exception_ptr error;
 };
 
-ParallelRunner::ParallelRunner(Options opt) : chunk_opt_(opt.chunk) {
-  threads_ = opt.threads;
+ParallelRunner::ParallelRunner(unsigned threads) : threads_(threads) {
   if (threads_ == 0) {
     threads_ = std::thread::hardware_concurrency();
     if (threads_ == 0) threads_ = 1;
@@ -201,12 +200,6 @@ ParallelRunner::ParallelRunner(Options opt) : chunk_opt_(opt.chunk) {
 }
 
 ParallelRunner::~ParallelRunner() { delete impl_; }
-
-void ParallelRunner::run_trials(std::size_t n,
-                                const std::function<void(std::size_t)>& fn) {
-  PICO_REQUIRE(static_cast<bool>(fn), "trial function must be callable");
-  run_indexed(n, IndexFn(fn));
-}
 
 void ParallelRunner::run_indexed(std::size_t n, IndexFn fn) {
   PICO_REQUIRE(fn.valid(), "trial function must be callable");
@@ -229,12 +222,8 @@ void ParallelRunner::run_indexed(std::size_t n, IndexFn fn) {
     }
     return;
   }
-  std::size_t chunk = chunk_opt_;
-  if (chunk == 0) {
-    // Aim for ~4 chunks per worker so stealing has something to grab.
-    chunk = n / (static_cast<std::size_t>(threads_) * 4);
-    if (chunk == 0) chunk = 1;
-  }
+  // Aim for ~4 chunks per worker so stealing has something to grab.
+  const std::size_t chunk = std::max<std::size_t>(1, n / (static_cast<std::size_t>(threads_) * 4));
   run_on_pool(n, chunk, fn);
 }
 

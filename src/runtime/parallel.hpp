@@ -1,7 +1,7 @@
 // parallel.hpp — deterministic parallel trial runner.
 //
 // `ParallelRunner` owns a small work-stealing thread pool and executes
-// index-addressed jobs: `run_trials(n, fn)` invokes `fn(i)` for every
+// index-addressed jobs: `run_indexed(n, fn)` invokes `fn(i)` for every
 // i in [0, n) exactly once, and `map(items, fn)` returns the per-item
 // results in item order. Scheduling never influences results as long as
 // the job derives all of its randomness from the trial index (use
@@ -9,8 +9,8 @@
 // both entry points arrange for. Monte Carlo sweeps therefore produce
 // bit-identical statistics at 1, 4 or 8 workers.
 //
-// Scheduling: indices are grouped into chunks, dealt round-robin onto
-// per-worker double-ended rings; a worker pops from the back of its own
+// Scheduling: indices are grouped into chunks (about four per worker),
+// dealt round-robin onto per-worker double-ended rings; a worker pops from the back of its own
 // ring and steals from the front of a victim's when it runs dry, so
 // uneven trial costs rebalance automatically. `threads == 1` runs
 // everything inline on the caller with no pool at all. The first
@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -32,14 +31,13 @@ class MetricsRegistry;
 
 namespace pico::runtime {
 
-// Non-owning reference to a `void(std::size_t)` callable. `run_trials`
-// takes std::function, which heap-allocates when a capture list outgrows
-// the small-buffer optimization — fine for Monte Carlo sweeps that launch
-// once, a real cost for the fleet engine's epoch loop, which dispatches
-// several jobs per epoch and promises an allocation-free steady state.
-// An IndexFn is two words, binds to any lvalue callable, and never
-// allocates; the callable must outlive the run_indexed call (trivially
-// true for a named lambda on the caller's stack).
+// Non-owning reference to a `void(std::size_t)` callable. Unlike
+// std::function, which heap-allocates when a capture list outgrows the
+// small-buffer optimization, an IndexFn is two words, binds to any lvalue
+// callable, and never allocates — the fleet engine's epoch loop dispatches
+// several jobs per epoch and promises an allocation-free steady state. The
+// callable must outlive the run_indexed call (trivially true for a named
+// lambda on the caller's stack).
 class IndexFn {
  public:
   template <typename F,
@@ -68,18 +66,9 @@ struct WorkerStats {
 
 class ParallelRunner {
  public:
-  struct Options {
-    // Total worker concurrency, caller included; 0 means use the
-    // hardware concurrency (at least 1).
-    unsigned threads = 0;
-    // Trial indices handed out per steal; 0 picks a chunk size that gives
-    // each worker several chunks (so stealing can rebalance).
-    std::size_t chunk = 0;
-  };
-
-  ParallelRunner() : ParallelRunner(Options{}) {}
-  explicit ParallelRunner(unsigned threads) : ParallelRunner(Options{threads, 0}) {}
-  explicit ParallelRunner(Options opt);
+  // `threads` is the total worker concurrency, caller included; 0 means
+  // use the hardware concurrency (at least 1).
+  explicit ParallelRunner(unsigned threads = 0);
   ~ParallelRunner();
 
   ParallelRunner(const ParallelRunner&) = delete;
@@ -90,13 +79,9 @@ class ParallelRunner {
 
   // Invoke fn(i) for every i in [0, n) exactly once, possibly concurrently.
   // Blocks until all trials finished; rethrows the first trial exception.
-  void run_trials(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  // Same contract as run_trials, but through a non-owning IndexFn: no
-  // std::function construction, and no heap allocation unless this job
-  // deals more chunks per worker than any earlier one (the per-worker
-  // rings then grow once). The referenced callable must stay alive until
-  // this returns.
+  // No heap allocation unless this job deals more chunks per worker than
+  // any earlier one (the per-worker rings then grow once). The referenced
+  // callable must stay alive until this returns.
   void run_indexed(std::size_t n, IndexFn fn);
 
   // Apply fn to every item and collect the results in item order. The
@@ -106,13 +91,14 @@ class ParallelRunner {
   auto map(const std::vector<T>& items, Fn&& fn)
       -> std::vector<decltype(fn(items.front()))> {
     std::vector<decltype(fn(items.front()))> out(items.size());
-    run_trials(items.size(), [&](std::size_t i) { out[i] = fn(items[i]); });
+    auto apply = [&](std::size_t i) { out[i] = fn(items[i]); };
+    run_indexed(items.size(), apply);
     return out;
   }
 
   // --- Observability ---------------------------------------------------------
   // Stats accumulated over the runner's lifetime, one entry per worker
-  // slot (slot 0 is the caller). Call between run_trials invocations, not
+  // slot (slot 0 is the caller). Call between run_indexed invocations, not
   // concurrently with one. All zeros when PICO_OBSERVABILITY=OFF.
   [[nodiscard]] std::vector<WorkerStats> worker_stats() const;
   // Publish totals ("<prefix>.trials/.chunks/.steals/.idle_seconds",
@@ -127,7 +113,6 @@ class ParallelRunner {
   void run_on_pool(std::size_t n, std::size_t chunk, IndexFn fn);
 
   unsigned threads_ = 1;
-  std::size_t chunk_opt_ = 0;
   Impl* impl_ = nullptr;  // null when threads_ == 1 (inline mode)
   // Inline-mode stats (the pool keeps per-worker atomics in Impl).
   std::uint64_t inline_trials_ = 0;

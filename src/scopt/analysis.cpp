@@ -238,21 +238,6 @@ Resistance ConverterAnalysis::r_fsl(const std::vector<Resistance>& r_on) const {
   return Resistance{2.0 * sum};
 }
 
-Resistance ConverterAnalysis::r_ssl_optimal(Capacitance c_total, Frequency fsw) const {
-  PICO_REQUIRE(c_total.value() > 0.0 && fsw.value() > 0.0,
-               "total capacitance and frequency must be positive");
-  double sum_a = 0.0;
-  for (double a : charge_.cap) sum_a += a;
-  return Resistance{sum_a * sum_a / (c_total.value() * fsw.value())};
-}
-
-Resistance ConverterAnalysis::r_fsl_optimal(Conductance g_total) const {
-  PICO_REQUIRE(g_total.value() > 0.0, "total conductance must be positive");
-  double sum_a = 0.0;
-  for (double a : charge_.sw) sum_a += a;
-  return Resistance{2.0 * sum_a * sum_a / g_total.value()};
-}
-
 std::vector<Capacitance> ConverterAnalysis::allocate_caps(Capacitance c_total) const {
   double sum_a = 0.0;
   for (double a : charge_.cap) sum_a += a;
@@ -294,12 +279,6 @@ SizedConverter::SizedConverter(ConverterAnalysis analysis, Technology tech, Area
   r_on_ = an_.allocate_switches(Conductance{g_total_});
 }
 
-Capacitance SizedConverter::total_capacitance() const {
-  double sum = 0.0;
-  for (auto c : caps_) sum += c.value();
-  return Capacitance{sum};
-}
-
 Resistance SizedConverter::r_out(Frequency fsw) const {
   const double ssl = an_.r_ssl(caps_, fsw, c_out_).value();
   const double fsl = an_.r_fsl(r_on_).value();
@@ -338,15 +317,6 @@ double SizedConverter::efficiency(Voltage vin, Current iout, Frequency fsw) cons
   const double p_in = an_.ratio() * vin.value() * iout.value() + l.gate.value() +
                       l.bottom_plate.value() + l.controller.value();
   return p_out / p_in;
-}
-
-Voltage SizedConverter::output_ripple(Current iout, Frequency fsw,
-                                      int interleaved_phases) const {
-  PICO_REQUIRE(fsw.value() > 0.0, "switching frequency must be positive");
-  PICO_REQUIRE(interleaved_phases >= 1, "need at least one phase");
-  PICO_REQUIRE(c_out_.value() > 0.0, "no output capacitor configured");
-  const double droop_time = 0.5 / fsw.value() / interleaved_phases;
-  return Voltage{iout.value() * droop_time / c_out_.value()};
 }
 
 Frequency SizedConverter::optimal_frequency(Voltage vin, Current iout) const {

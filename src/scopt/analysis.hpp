@@ -58,12 +58,8 @@ class ConverterAnalysis {
   // FSL impedance for given switch on-resistances (50 % duty).
   [[nodiscard]] Resistance r_fsl(const std::vector<Resistance>& r_on) const;
 
-  // Optimal-allocation metrics (Seeman–Sanders closed forms):
-  // R_SSL* = (sum a_ci)^2 / (C_tot * f) when C_i ~ a_ci;
-  [[nodiscard]] Resistance r_ssl_optimal(Capacitance c_total, Frequency fsw) const;
-  // R_FSL* = 2 (sum a_rj)^2 / G_tot when G_j ~ a_rj.
-  [[nodiscard]] Resistance r_fsl_optimal(Conductance g_total) const;
-  // Optimal per-element allocations for a total budget.
+  // Optimal per-element allocations for a total budget (Seeman–Sanders:
+  // C_i ~ a_ci, G_j ~ a_rj).
   [[nodiscard]] std::vector<Capacitance> allocate_caps(Capacitance c_total) const;
   [[nodiscard]] std::vector<Resistance> allocate_switches(Conductance g_total) const;
 
@@ -121,18 +117,11 @@ class SizedConverter {
   [[nodiscard]] double ratio() const { return an_.ratio(); }
   [[nodiscard]] const std::vector<Capacitance>& cap_values() const { return caps_; }
   [[nodiscard]] const std::vector<Resistance>& switch_resistances() const { return r_on_; }
-  [[nodiscard]] Capacitance total_capacitance() const;
 
   [[nodiscard]] Resistance r_out(Frequency fsw) const;
   [[nodiscard]] Voltage output_voltage(Voltage vin, Current iout, Frequency fsw) const;
   [[nodiscard]] Losses losses(Voltage vin, Current iout, Frequency fsw) const;
   [[nodiscard]] double efficiency(Voltage vin, Current iout, Frequency fsw) const;
-
-  // Peak-to-peak output ripple: the bypass cap alone carries the load for
-  // half a switching period; interleaving N phase-staggered copies divides
-  // the droop by N (the classic ripple argument for multi-phase SC).
-  [[nodiscard]] Voltage output_ripple(Current iout, Frequency fsw,
-                                      int interleaved_phases = 1) const;
 
   // Switching frequency that minimizes total loss for this load.
   [[nodiscard]] Frequency optimal_frequency(Voltage vin, Current iout) const;

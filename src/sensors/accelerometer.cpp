@@ -6,9 +6,6 @@
 
 namespace pico::sensors {
 
-Sca3000::Sca3000(sim::Simulator& simulator, const MotionScenario& scenario)
-    : Sca3000(simulator, scenario, Params{}) {}
-
 Sca3000::Sca3000(sim::Simulator& simulator, const MotionScenario& scenario, Params p)
     : sim_(simulator), scenario_(scenario), prm_(p), threshold_(p.default_threshold) {
   PICO_REQUIRE(prm_.detect_poll.value() > 0.0, "detect poll rate must be positive");
@@ -40,22 +37,13 @@ void Sca3000::poll_motion(mcu::Msp430& cpu) {
   if (dev > threshold_.value() && (t - last_event_time_) >= prm_.debounce.value()) {
     last_event_time_ = t;
     ++motion_events_;
-    cpu.request_interrupt(mcu::Irq::kSensorEvent);
+    cpu.request_interrupt();
   }
 }
 
 void Sca3000::enter_measurement() {
   PICO_REQUIRE(powered(), "sensor must be powered");
   mode_ = Mode::kMeasurement;
-  notify();
-}
-
-void Sca3000::power_off() {
-  mode_ = Mode::kOff;
-  if (polling_) {
-    sim_.cancel(poll_id_);
-    polling_ = false;
-  }
   notify();
 }
 

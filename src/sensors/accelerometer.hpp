@@ -37,16 +37,15 @@ class Sca3000 {
   };
 
   Sca3000(sim::Simulator& simulator, const MotionScenario& scenario, Params p);
-  Sca3000(sim::Simulator& simulator, const MotionScenario& scenario);
   Sca3000(const Sca3000&) = delete;
   Sca3000& operator=(const Sca3000&) = delete;
 
   // Configure motion-detect mode: threshold on the deviation from 1 g.
-  // Raises kSensorEvent on the MCU (debounced) while motion persists.
+  // Raises the MCU's sensor-event interrupt (debounced) while motion
+  // persists.
   void enter_motion_detect(mcu::Msp430& cpu, Acceleration threshold);
   void enter_motion_detect(mcu::Msp430& cpu);
   void enter_measurement();
-  void power_off();
   [[nodiscard]] Mode mode() const { return mode_; }
 
   // Read one X/Y/Z frame (measurement mode).

@@ -68,13 +68,6 @@ MotionScenario::MotionScenario(std::vector<Segment> segments, std::uint64_t nois
   }
 }
 
-bool MotionScenario::in_motion(double t) const {
-  for (const auto& s : segments_) {
-    if (t >= s.start.value() && t < s.end.value()) return true;
-  }
-  return false;
-}
-
 Accel3 MotionScenario::at(double t) const {
   Accel3 a;
   a.z = 9.80665;  // gravity: the node rests flat

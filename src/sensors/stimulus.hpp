@@ -89,8 +89,6 @@ class MotionScenario {
 
   // Deterministic acceleration at time t (noise derived from quantized t).
   [[nodiscard]] Accel3 at(double t) const;
-  // True while some segment is active.
-  [[nodiscard]] bool in_motion(double t) const;
   [[nodiscard]] const std::vector<Segment>& segments() const { return segments_; }
 
   // The canonical retreat demo: still, picked up twice, still again.

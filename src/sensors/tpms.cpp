@@ -4,9 +4,6 @@
 
 namespace pico::sensors {
 
-Sp12Tpms::Sp12Tpms(sim::Simulator& simulator, const TireEnvironment& env)
-    : Sp12Tpms(simulator, env, Params{}) {}
-
 Sp12Tpms::Sp12Tpms(sim::Simulator& simulator, const TireEnvironment& env, Params p)
     : sim_(simulator), env_(env), prm_(p) {
   PICO_REQUIRE(prm_.event_interval.value() > 0.0, "event interval must be positive");
@@ -17,16 +14,10 @@ void Sp12Tpms::start(mcu::Msp430& cpu) {
   PICO_REQUIRE(powered(), "sensor must be powered before starting");
   if (running_) return;
   running_ = true;
-  timer_id_ = sim_.every(prm_.event_interval, [this, &cpu] {
-    if (!running_ || !powered()) return;
-    cpu.request_interrupt(mcu::Irq::kSensorEvent);
+  sim_.every(prm_.event_interval, [this, &cpu] {
+    if (!powered()) return;
+    cpu.request_interrupt();
   });
-}
-
-void Sp12Tpms::stop() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel(timer_id_);
 }
 
 Duration Sp12Tpms::conversion_time() const {

@@ -38,14 +38,12 @@ class Sp12Tpms {
   };
 
   Sp12Tpms(sim::Simulator& simulator, const TireEnvironment& env, Params p);
-  Sp12Tpms(sim::Simulator& simulator, const TireEnvironment& env);
   Sp12Tpms(const Sp12Tpms&) = delete;
   Sp12Tpms& operator=(const Sp12Tpms&) = delete;
 
-  // Start the internal event timer; each expiry raises kSensorEvent on the
-  // MCU. Call after the sensor rail is up.
+  // Start the internal event timer; each expiry raises the MCU's
+  // sensor-event interrupt. Call after the sensor rail is up.
   void start(mcu::Msp430& cpu);
-  void stop();
 
   // Full measurement sequence: conversions (sensor current burst) followed
   // by the SPI readout through `cpu`; `done` receives the sample.
@@ -71,7 +69,6 @@ class Sp12Tpms {
   Voltage vdd_{0.0};
   bool converting_ = false;
   bool running_ = false;
-  sim::EventId timer_id_ = 0;
   CurrentListener listener_;
   std::uint64_t samples_ = 0;
   // In-flight measurement state (one outstanding measure at a time).

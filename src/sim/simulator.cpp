@@ -95,11 +95,6 @@ EventId Simulator::every(Duration period, EventFn fn, std::string label) {
   return id;
 }
 
-std::string Simulator::label_of(EventId id) const {
-  const auto it = labels_.find(id);
-  return it == labels_.end() ? std::string{} : it->second;
-}
-
 Simulator::Event Simulator::pop_heap_entry() {
   std::pop_heap(heap_.begin(), heap_.end());
   const Event ev = heap_.back();

@@ -75,9 +75,6 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
   // Live (scheduled, not yet cancelled/fired) events; O(1).
   [[nodiscard]] std::size_t events_pending() const { return live_events_; }
-  // Label given at scheduling time, or "" (labels live in a side map so
-  // unlabelled events — the common case — never allocate).
-  [[nodiscard]] std::string label_of(EventId id) const;
 
   // --- Observability ---------------------------------------------------------
   // Highest number of concurrently-live events seen so far (queue

@@ -1,7 +1,6 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -44,86 +43,9 @@ double Trace::at(Duration t) const {
   return value_on_segment(left, tv);
 }
 
-double Trace::sample_at(Duration t) const {
-  if (t_.empty()) return 0.0;
-  const double tv = t.value();
-  if (tv <= t_.front()) return v_.front();
-  if (tv >= t_.back()) return v_.back();
-  const auto it = std::upper_bound(t_.begin(), t_.end(), tv);
-  const auto left = static_cast<std::size_t>(it - t_.begin()) - 1;
-  const double t0 = t_[left];
-  const double t1 = t_[left + 1];
-  if (t1 == t0) return v_[left + 1];
-  return lerp(v_[left], v_[left + 1], (tv - t0) / (t1 - t0));
-}
-
-double Trace::integral(Duration t0d, Duration t1d) const {
-  if (t_.empty()) return 0.0;
-  double t0 = t0d.value();
-  double t1 = t1d.value();
-  PICO_REQUIRE(t1 >= t0, "integral requires t1 >= t0");
-  if (t0 == t1) return 0.0;
-
-  double sum = 0.0;
-  // Piece before the first sample: hold first value.
-  if (t0 < t_.front()) {
-    const double end = std::min(t1, t_.front());
-    sum += v_.front() * (end - t0);
-    t0 = end;
-    if (t0 >= t1) return sum;
-  }
-  // Piece after the last sample: hold last value.
-  double tail = 0.0;
-  if (t1 > t_.back()) {
-    tail = v_.back() * (t1 - std::max(t0, t_.back()));
-    t1 = t_.back();
-    if (t0 >= t1) return sum + tail;
-  }
-
-  // Now [t0, t1] is within [front, back]. Walk segments.
-  auto it = std::upper_bound(t_.begin(), t_.end(), t0);
-  std::size_t i = static_cast<std::size_t>(it - t_.begin()) - 1;
-  double cursor = t0;
-  while (cursor < t1 && i + 1 < t_.size()) {
-    const double seg_end = std::min(t_[i + 1], t1);
-    const double va = value_on_segment(i, cursor);
-    const double vb = interp_ == Interp::kStep ? v_[i] : value_on_segment(i, seg_end);
-    sum += 0.5 * (va + vb) * (seg_end - cursor);
-    cursor = seg_end;
-    if (cursor >= t_[i + 1]) ++i;
-  }
-  return sum + tail;
-}
-
-double Trace::mean(Duration t0, Duration t1) const {
-  const double span = t1.value() - t0.value();
-  PICO_REQUIRE(span >= 0.0, "mean requires a non-negative window");
-  if (t_.empty()) return 0.0;
-  // A zero-width window degenerates to the instantaneous value: it is the
-  // limit of integral/span as span -> 0 and keeps callers that clamp their
-  // window to the trace extent out of the 0/0 trap.
-  if (span == 0.0) return at(t0);
-  return integral(t0, t1) / span;
-}
-
 double Trace::max_value() const {
   PICO_REQUIRE(!v_.empty(), "max_value of empty trace");
   return *std::max_element(v_.begin(), v_.end());
-}
-
-double Trace::min_value() const {
-  PICO_REQUIRE(!v_.empty(), "min_value of empty trace");
-  return *std::min_element(v_.begin(), v_.end());
-}
-
-Duration Trace::start_time() const {
-  PICO_REQUIRE(!t_.empty(), "start_time of empty trace");
-  return Duration{t_.front()};
-}
-
-Duration Trace::end_time() const {
-  PICO_REQUIRE(!t_.empty(), "end_time of empty trace");
-  return Duration{t_.back()};
 }
 
 std::vector<std::pair<double, double>> Trace::resample(Duration t0, Duration t1,
@@ -144,11 +66,6 @@ std::vector<std::pair<double, double>> Trace::resample(Duration t0, Duration t1,
   return out;
 }
 
-void Trace::clear() {
-  t_.clear();
-  v_.clear();
-}
-
 Trace& TraceSet::channel(const std::string& name, Interp interp) {
   auto it = traces_.find(name);
   if (it == traces_.end()) {
@@ -160,13 +77,6 @@ Trace& TraceSet::channel(const std::string& name, Interp interp) {
 const Trace* TraceSet::find(const std::string& name) const {
   const auto it = traces_.find(name);
   return it == traces_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> TraceSet::names() const {
-  std::vector<std::string> out;
-  out.reserve(traces_.size());
-  for (const auto& [name, tr] : traces_) out.push_back(name);
-  return out;
 }
 
 void TraceSet::write_csv(const std::string& path, Duration t0, Duration t1,

@@ -3,7 +3,7 @@
 // A `Trace` is a time series with either step (piecewise-constant,
 // sample-and-hold) or linear interpolation semantics. Power profiles in the
 // event-driven node simulation are exact step functions — a device's
-// current changes only at events — so step traces integrate exactly.
+// current changes only at events — so step traces record them exactly.
 #pragma once
 
 #include <map>
@@ -39,31 +39,13 @@ class Trace {
   // value, after the last returns the last.
   [[nodiscard]] double at(Duration t) const;
 
-  // Linearly-interpolated value at time t regardless of the trace's interp
-  // mode — the dense-output companion of the adaptive transient engine,
-  // whose accepted samples are straight-line segments whatever the channel
-  // semantics. Mirrors resample(): an empty trace reads 0.0; a single
-  // sample or an out-of-range query clamps to the nearest sample's value.
-  [[nodiscard]] double sample_at(Duration t) const;
-
-  // Integral of the trace over [t0, t1] respecting interpolation semantics.
-  [[nodiscard]] double integral(Duration t0, Duration t1) const;
-  // Time-weighted mean over [t0, t1]. Requires t1 >= t0. A zero-width
-  // window returns the instantaneous value at(t0); an empty trace is 0.
-  [[nodiscard]] double mean(Duration t0, Duration t1) const;
-
   [[nodiscard]] double max_value() const;
-  [[nodiscard]] double min_value() const;
-  [[nodiscard]] Duration start_time() const;
-  [[nodiscard]] Duration end_time() const;
 
   // Uniformly resample into n points over [t0, t1] (for plotting).
   // An empty trace or n == 0 yields an empty vector; n == 1 yields the
   // single point (t0, at(t0)).
   [[nodiscard]] std::vector<std::pair<double, double>> resample(Duration t0, Duration t1,
                                                                 std::size_t n) const;
-
-  void clear();
 
  private:
   [[nodiscard]] double value_on_segment(std::size_t left, double t) const;
@@ -80,7 +62,6 @@ class TraceSet {
   // Get or create a trace.
   Trace& channel(const std::string& name, Interp interp = Interp::kStep);
   [[nodiscard]] const Trace* find(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;
 
   // Dump all channels, resampled on a shared uniform grid, as CSV.
   void write_csv(const std::string& path, Duration t0, Duration t1, std::size_t points) const;

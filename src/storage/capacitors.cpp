@@ -1,7 +1,6 @@
 #include "storage/capacitors.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -88,19 +87,6 @@ void CapacitorStore::set_voltage(Voltage v) {
   PICO_REQUIRE(v.value() >= 0.0 && v.value() <= prm_.v_max.value(),
                "voltage must be within [0, v_max]");
   v_ = v.value();
-}
-
-void CapacitorStore::degrade(double capacitance_factor, double esr_mult,
-                             double leakage_mult) {
-  PICO_REQUIRE(std::isfinite(capacitance_factor) && capacitance_factor > 0.0 &&
-                   capacitance_factor <= 1.0,
-               "capacitance factor must be within (0, 1]");
-  PICO_REQUIRE(std::isfinite(esr_mult) && esr_mult >= 1.0, "ESR multiplier must be >= 1");
-  PICO_REQUIRE(std::isfinite(leakage_mult) && leakage_mult >= 1.0,
-               "leakage multiplier must be >= 1");
-  prm_.capacitance = Capacitance{prm_.capacitance.value() * capacitance_factor};
-  prm_.esr = Resistance{prm_.esr.value() * esr_mult};
-  prm_.leakage = Current{prm_.leakage.value() * leakage_mult};
 }
 
 CapacitorStore make_supercap(Capacitance c, Voltage v_max) {

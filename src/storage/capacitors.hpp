@@ -44,11 +44,6 @@ class CapacitorStore : public EnergyStore {
   void set_voltage(Voltage v);
   [[nodiscard]] const Params& params() const { return prm_; }
 
-  // Aging step (fault injection): scale capacitance by `capacitance_factor`
-  // (0, 1], multiply the ESR and leakage current. The terminal voltage is
-  // held, so stored energy falls with the capacitance — never rises.
-  void degrade(double capacitance_factor, double esr_mult, double leakage_mult);
-
  private:
   Params prm_;
   double v_;

@@ -27,17 +27,6 @@ TEST(CircuitDc, VoltageDivider) {
   EXPECT_NEAR(tr.voltage(mid), 7.5, 1e-9);
 }
 
-TEST(CircuitDc, CurrentSourceIntoResistor) {
-  Circuit c;
-  const Node n = c.node("n");
-  // Source drives 1 mA from ground into n.
-  c.add<CurrentSource>("I1", kGround, n, 1_mA);
-  c.add<Resistor>("R", n, kGround, 2_kOhm);
-  Transient tr(c, {});
-  tr.solve_dc();
-  EXPECT_NEAR(tr.voltage(n), 2.0, 1e-9);
-}
-
 TEST(CircuitDc, SourceCurrentMeasurement) {
   Circuit c;
   const Node in = c.node("in");
@@ -66,58 +55,6 @@ TEST(CircuitTransient, RcChargeCurve) {
   EXPECT_NEAR(tr.voltage(out), expected, 2e-4);
   tr.run_until(10_ms);
   EXPECT_NEAR(tr.voltage(out), 1.0, 1e-4);
-}
-
-TEST(CircuitTransient, TrapezoidalBeatsBackwardEulerOnRc) {
-  auto run = [](Method m, double dt) {
-    Circuit c;
-    const Node in = c.node("in");
-    const Node out = c.node("out");
-    c.add<VoltageSource>("V1", in, kGround, 1_V);
-    c.add<Resistor>("R", in, out, 1_kOhm);
-    c.add<Capacitor>("C", out, kGround, 1_uF);
-    Transient::Options opt;
-    opt.dt = dt;
-    opt.method = m;
-    Transient tr(c, opt);
-    tr.run_until(1_ms);
-    return std::fabs(tr.voltage(out) - (1.0 - std::exp(-1.0)));
-  };
-  const double err_be = run(Method::kBackwardEuler, 2e-5);
-  const double err_tr = run(Method::kTrapezoidal, 2e-5);
-  EXPECT_LT(err_tr, err_be);
-}
-
-TEST(CircuitTransient, LcOscillatorConservesFrequency) {
-  // 1 mH + 1 uF -> f0 ~ 5.03 kHz. Start the cap charged.
-  Circuit c;
-  const Node n = c.node("tank");
-  c.add<Capacitor>("C", n, kGround, Capacitance{1e-6}, 1_V);
-  c.add<Inductor>("L", n, kGround, Inductance{1e-3});
-  Transient::Options opt;
-  opt.dt = 2e-7;
-  Transient tr(c, opt);
-  // Find the first two zero crossings (falling) to estimate the period.
-  double prev_v = tr.voltage(n);
-  double t_cross1 = -1.0, t_cross2 = -1.0;
-  while (tr.time() < 1e-3) {
-    tr.step();
-    const double v = tr.voltage(n);
-    if (prev_v > 0.0 && v <= 0.0) {
-      if (t_cross1 < 0.0) {
-        t_cross1 = tr.time();
-      } else {
-        t_cross2 = tr.time();
-        break;
-      }
-    }
-    prev_v = v;
-  }
-  ASSERT_GT(t_cross2, 0.0);
-  const double period = t_cross2 - t_cross1;
-  const double f = 1.0 / period;
-  const double f0 = 1.0 / (2.0 * M_PI * std::sqrt(1e-3 * 1e-6));
-  EXPECT_NEAR(f, f0, f0 * 0.01);
 }
 
 TEST(CircuitNonlinear, DiodeForwardDrop) {
@@ -229,8 +166,6 @@ TEST(Circuit, NodeNamesAndGroundAliases) {
   EXPECT_EQ(c.node("0"), kGround);
   const Node a = c.node("a");
   EXPECT_EQ(c.node("a"), a);
-  EXPECT_EQ(c.node_name(a), "a");
-  EXPECT_EQ(c.node_name(kGround), "GND");
 }
 
 TEST(Circuit, FloatingNodeIsSingular) {

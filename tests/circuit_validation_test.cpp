@@ -140,82 +140,5 @@ TEST(CircuitValidation, DoublerSslScalesInverselyWithFrequency) {
   EXPECT_NEAR(r100k / r200k, 2.0, 0.15);
 }
 
-// --- Rail-edge sequencing (paper §4.5) --------------------------------------
-//
-// "The 0.65 V power amp supply is switched at its input to avoid quiescent
-// losses and a short time later is switched at its output to ensure a
-// clean rising edge." The un-gated alternative lets the regulator's loop
-// inertia (modeled as a series inductance) ring the bypass capacitor.
-
-namespace railedge {
-
-struct EdgeResult {
-  double peak = 0.0;
-  double final = 0.0;
-  [[nodiscard]] double overshoot() const { return peak / final - 1.0; }
-};
-
-// Regulator with loop inertia driving the bypass cap directly (no output
-// gate): underdamped LC edge.
-EdgeResult ungated_edge() {
-  circuits::Circuit c;
-  const auto reg = c.node("reg");
-  const auto out = c.node("out");
-  c.add<circuits::VoltageSource>("Vreg", reg, circuits::kGround, Voltage{0.65});
-  c.add<circuits::Inductor>("Lloop", reg, out, Inductance{20e-6});
-  c.add<circuits::Resistor>("Rloop", reg, out, Resistance{100.0});  // weak damping path
-  c.add<circuits::Capacitor>("Cbyp", out, circuits::kGround, Capacitance{1e-6});
-  c.add<circuits::Resistor>("Rload", out, circuits::kGround, Resistance{160.0});
-  circuits::Transient::Options opt;
-  opt.dt = 2e-8;
-  circuits::Transient tr(c, opt);
-  EdgeResult r;
-  // Q ~ 22 at 35 kHz: run well past the ring-down (tau ~ 200 us).
-  while (tr.time() < 1.2e-3) {
-    tr.step();
-    r.peak = std::max(r.peak, tr.voltage(out));
-  }
-  r.final = tr.voltage(out);
-  return r;
-}
-
-// Sequenced: the regulator settles behind the open output gate first; the
-// gate then closes onto the load — a monotone RC edge through Ron.
-EdgeResult sequenced_edge() {
-  circuits::Circuit c;
-  const auto reg = c.node("reg");
-  const auto out = c.node("out");
-  c.add<circuits::VoltageSource>("Vreg", reg, circuits::kGround, Voltage{0.65});
-  auto* gate = c.add<circuits::Switch>("Sout", reg, out, Resistance{2.0},
-                                       Resistance{50e6}, false);
-  c.add<circuits::Capacitor>("Cbyp", out, circuits::kGround, Capacitance{1e-6});
-  c.add<circuits::Resistor>("Rload", out, circuits::kGround, Resistance{160.0});
-  gate->set_controller([](const circuits::Vector&, double t) { return t >= 10e-6; });
-  circuits::Transient::Options opt;
-  opt.dt = 2e-8;
-  circuits::Transient tr(c, opt);
-  EdgeResult r;
-  while (tr.time() < 80e-6) {
-    tr.step();
-    r.peak = std::max(r.peak, tr.voltage(out));
-  }
-  r.final = tr.voltage(out);
-  return r;
-}
-
-}  // namespace railedge
-
-TEST(CircuitValidation, SequencedRailEdgeHasNoOvershoot) {
-  const auto ungated = railedge::ungated_edge();
-  const auto sequenced = railedge::sequenced_edge();
-  // The naked regulator rings: meaningful overshoot above 0.65 V.
-  EXPECT_GT(ungated.overshoot(), 0.05);
-  // The paper's sequencing: clean edge, no overshoot.
-  EXPECT_LT(sequenced.overshoot(), 0.005);
-  // Both settle to the 0.65 V rail (the gate's Ron drops ~1 %).
-  EXPECT_NEAR(ungated.final, 0.65, 0.01);
-  EXPECT_NEAR(sequenced.final, 0.65, 0.01);
-}
-
 }  // namespace
 }  // namespace pico::power

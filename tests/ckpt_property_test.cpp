@@ -76,8 +76,7 @@ RunResult collect(Obs& o, const fleet::FleetMetrics& m) {
   r.wake_cycles = m.wake_cycles;
   r.energy_out_j = m.energy_out_j;
   r.times = o.series.times();
-  for (std::uint32_t c = 0; c < o.series.series_count(); ++c)
-    r.cols.push_back(o.series.column(c));
+  r.cols = o.series.checkpoint_state().cols;
   return r;
 }
 

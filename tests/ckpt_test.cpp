@@ -290,7 +290,7 @@ TEST(CheckpointSeriesTest, ResumeAtNonZeroDecimationLevel) {
   drive_series(resumed, id_r, kCut + 0.25, kHorizon, 0.25);
 
   EXPECT_EQ(resumed.times(), uninterrupted.times());
-  EXPECT_EQ(resumed.column(id_r), uninterrupted.column(id_u));
+  EXPECT_EQ(resumed.checkpoint_state().cols[id_r], uninterrupted.checkpoint_state().cols[id_u]);
   EXPECT_EQ(resumed.decimations(), uninterrupted.decimations());
   EXPECT_EQ(resumed.dt_s(), uninterrupted.dt_s());
 }

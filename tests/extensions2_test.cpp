@@ -9,16 +9,6 @@ namespace {
 
 using namespace pico::literals;
 
-TEST(Lifetime, RideThroughOfTheStockCell) {
-  storage::NiMhBattery::Params p;
-  p.initial_soc = 1.0;
-  storage::NiMhBattery cell(p);
-  const auto t = core::LifetimeAnalysis::ride_through(cell, Power{6.5e-6});
-  // 15 mAh * ~1.26 V / 6.5 uW ~ 120 days.
-  EXPECT_GT(t.value() / 86400.0, 90.0);
-  EXPECT_LT(t.value() / 86400.0, 150.0);
-}
-
 TEST(Lifetime, RequiredCapacityForTwoDarkWeeks) {
   core::RideThroughSpec spec;  // defaults: 6.5 uW, 14 days, 70 % depth
   const auto q = core::LifetimeAnalysis::required_capacity(spec, 1.2_V);

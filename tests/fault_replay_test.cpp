@@ -85,7 +85,7 @@ TEST(FaultReplay, ParallelRunnerThreadCountInvariance) {
   auto fleet = [&](unsigned threads) {
     runtime::ParallelRunner runner(threads);
     std::vector<RunStats> stats(kTrials);
-    runner.run_trials(kTrials, [&](std::size_t i) {
+    auto trial = [&](std::size_t i) {
       Rng rng = Rng::stream(kBaseSeed, i);
       core::NodeConfig cfg;
       cfg.drive = harvest::make_city_cycle();
@@ -94,7 +94,8 @@ TEST(FaultReplay, ParallelRunnerThreadCountInvariance) {
       cfg.seed = kBaseSeed + i;
       cfg.faults = fault::FaultPlan::randomized(rng, sim_time);
       stats[i] = run_node(cfg, sim_time);
-    });
+    };
+    runner.run_indexed(kTrials, trial);
     return stats;
   };
 

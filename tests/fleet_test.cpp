@@ -268,7 +268,7 @@ TEST(ShardedEngineTest, MatchesSharedMediumFrameAndCollisionCounts) {
   const core::FleetResult shared = core::FleetAnalysis::run(cfg);
 
   const FleetSpec spec = spec_from_fleet_config(cfg);
-  const FleetMetrics m = ShardedFleetEngine::run(spec);
+  const FleetMetrics m = FleetSession(spec).finish();
 
   EXPECT_EQ(m.frames_on_air, shared.frames_total);
   EXPECT_EQ(m.collided, shared.frames_collided);
@@ -285,7 +285,7 @@ TEST(ShardedEngineTest, CollisionRateTracksAlohaPrediction) {
   spec.domains = 1;
   spec.fixed_distance_m = 1.0;
   spec.sim_time_s = 600.0;
-  const FleetMetrics m = ShardedFleetEngine::run(spec);
+  const FleetMetrics m = FleetSession(spec).finish();
   ASSERT_GT(m.frames_on_air, 10000u);
   EXPECT_GT(m.collision_rate, 0.0);
   // Statistical agreement with 1 - exp(-2 (N-1) tau / T). Periodic
@@ -303,11 +303,11 @@ TEST(ShardedEngineTest, CrossDomainInterferenceIsCounted) {
   base.cell_m = 8.0;
   base.sim_time_s = 120.0;
   base.interference_margin_m = 0.0;  // domains fully isolated
-  const FleetMetrics isolated = ShardedFleetEngine::run(base);
+  const FleetMetrics isolated = FleetSession(base).finish();
 
   FleetSpec coupled = base;
   coupled.interference_margin_m = 4.0;  // every node exports to a neighbor
-  const FleetMetrics m = ShardedFleetEngine::run(coupled);
+  const FleetMetrics m = FleetSession(coupled).finish();
 
   EXPECT_EQ(isolated.edge_exports, 0u);
   EXPECT_GT(m.edge_exports, 0u);
@@ -331,7 +331,7 @@ TEST(ShardedEngineTest, BitIdenticalAcrossShardAndThreadCounts) {
       FleetSpec s = spec;
       s.shards = shards;
       s.threads = threads;
-      const FleetMetrics m = ShardedFleetEngine::run(s);
+      const FleetMetrics m = FleetSession(s).finish();
       EXPECT_GT(m.delivered, 0u);
       prints.push_back(m.fingerprint());
     }
@@ -353,7 +353,7 @@ TEST(ShardedEngineTest, ShardCountsThatDoNotDivideDomainsStayIdentical) {
     FleetSpec s = spec;
     s.shards = shards;
     s.threads = 4;
-    prints.push_back(ShardedFleetEngine::run(s).fingerprint());
+    prints.push_back(FleetSession(s).finish().fingerprint());
   }
   for (std::size_t i = 1; i < prints.size(); ++i) EXPECT_EQ(prints[i], prints[0]);
 }
@@ -371,7 +371,7 @@ TEST(ActiveSetTest, DenseFleetMatchesPinnedFingerprint) {
   spec.sim_time_s = 120.0;
   spec.epoch_s = 17.0;
   spec.randomize_phase = true;
-  const FleetMetrics a = ShardedFleetEngine::run(spec);
+  const FleetMetrics a = FleetSession(spec).finish();
   EXPECT_EQ(a.fingerprint(), 0x050d65219a79d317ULL);
   EXPECT_EQ(a.wake_cycles, 38009u);
   EXPECT_EQ(a.collided, 1196u);
@@ -388,7 +388,7 @@ TEST(ActiveSetTest, TieHeavyWakesMatchPinnedFingerprint) {
   spec.randomize_phase = false;
   spec.sim_time_s = 90.0;
   spec.epoch_s = 7.0;
-  const FleetMetrics a = ShardedFleetEngine::run(spec);
+  const FleetMetrics a = FleetSession(spec).finish();
   EXPECT_GT(a.collided, 0u);  // ties actually collide
   EXPECT_EQ(a.fingerprint(), 0xd6fb64bb8587fcfdULL);
 }
@@ -404,7 +404,7 @@ TEST(ActiveSetTest, SparseFleetSkipsIdleDomains) {
   spec.randomize_phase = true;
   spec.sim_time_s = 120.0;
   spec.epoch_s = 0.5;
-  const FleetMetrics a = ShardedFleetEngine::run(spec);
+  const FleetMetrics a = FleetSession(spec).finish();
   EXPECT_EQ(a.fingerprint(), 0xbac54dd22298331aULL);
   EXPECT_GT(a.wake_cycles, 0u);
   EXPECT_EQ(a.phase.epochs, 240u);
@@ -429,7 +429,7 @@ FlightCounts run_flight_counts(const FleetSpec& spec, std::uint32_t tx_shift,
   FleetObsHooks hooks;
   hooks.flight = &flight;
   hooks.flight_tx_sample_shift = tx_shift;
-  const FleetMetrics m = ShardedFleetEngine::run(spec, hooks);
+  const FleetMetrics m = FleetSession(spec, hooks).finish();
   if (metrics != nullptr) *metrics = m;
   EXPECT_EQ(flight.total_dropped(), 0u);
   FlightCounts c;
@@ -492,7 +492,7 @@ TEST(ActiveSetTest, MillionNodeSmoke) {
   // past the window's start that ~10% of the fleet beacons once.
   spec.sim_time_s = 660.0;
   spec.epoch_s = 1.0;
-  const FleetMetrics a = ShardedFleetEngine::run(spec);
+  const FleetMetrics a = FleetSession(spec).finish();
   EXPECT_EQ(a.fingerprint(), 0x2692bf087bbecf8aULL);
   EXPECT_EQ(a.nodes, 1000000u);
   EXPECT_GT(a.wake_cycles, 0u);
@@ -555,7 +555,7 @@ TEST(ShardedEngineTest, FlightFingerprintBitIdenticalAcrossShardAndThreadCounts)
       FleetObsHooks hooks;
       hooks.flight = &flight;
       hooks.series = &series;
-      const FleetMetrics m = ShardedFleetEngine::run(s, hooks);
+      const FleetMetrics m = FleetSession(s, hooks).finish();
       EXPECT_GT(m.delivered, 0u);
       EXPECT_GT(m.frames_lost, 0u);  // the fade actually bit
       EXPECT_EQ(flight.rings(), spec.domains + 1);
@@ -575,9 +575,9 @@ TEST(ShardedEngineTest, FingerprintSensitiveToSeed) {
   spec.nodes = 64;
   spec.domains = 2;
   spec.sim_time_s = 60.0;
-  const std::uint64_t a = ShardedFleetEngine::run(spec).fingerprint();
+  const std::uint64_t a = FleetSession(spec).finish().fingerprint();
   spec.seed += 1;
-  const std::uint64_t b = ShardedFleetEngine::run(spec).fingerprint();
+  const std::uint64_t b = FleetSession(spec).finish().fingerprint();
   EXPECT_NE(a, b);
 }
 
@@ -594,13 +594,13 @@ TEST(ShardedEngineTest, FaultSubsetStaysDeterministicAndEffective) {
     FleetSpec s = spec;
     s.shards = 1;
     s.threads = 1;
-    a = ShardedFleetEngine::run(s);
+    a = FleetSession(s).finish();
   }
   {
     FleetSpec s = spec;
     s.shards = 4;
     s.threads = 8;
-    print_b = ShardedFleetEngine::run(s).fingerprint();
+    print_b = FleetSession(s).finish().fingerprint();
   }
   EXPECT_EQ(a.fingerprint(), print_b);
   // A 30 s total fade in a 120 s run loses roughly a quarter of frames.
@@ -609,7 +609,7 @@ TEST(ShardedEngineTest, FaultSubsetStaysDeterministicAndEffective) {
   // The derate window cuts harvested energy versus the un-faulted run.
   FleetSpec clean = spec;
   clean.faults = {};
-  const FleetMetrics c = ShardedFleetEngine::run(clean);
+  const FleetMetrics c = FleetSession(clean).finish();
   EXPECT_GT(c.energy_in_j, a.energy_in_j);
   EXPECT_EQ(c.frames_lost, 0u);
 }
@@ -625,7 +625,7 @@ TEST(ShardedEngineTest, OverlappingFaultWindowsComposeLikeTheInjector) {
   spec.sim_time_s = 60.0;
   FleetSpec jammed = spec;
   jammed.faults.channel_loss(0.0, 100.0, 0.5).channel_loss(0.0, 100.0, 0.5);
-  const FleetMetrics j = ShardedFleetEngine::run(jammed);
+  const FleetMetrics j = FleetSession(jammed).finish();
   // Each frame draws its loss independently: frames_lost ~ Binomial(n,
   // 0.75). Six standard deviations is ~5.8 % of n at n ~ 2000; one jam's
   // 0.5 sits ~25 standard deviations below.
@@ -639,8 +639,8 @@ TEST(ShardedEngineTest, OverlappingFaultWindowsComposeLikeTheInjector) {
   two.faults.harvester_derate(10.0, 30.0, 0.2).harvester_derate(10.0, 30.0, 0.2);
   FleetSpec one = spec;
   one.faults.harvester_derate(10.0, 30.0, 0.04);
-  const FleetMetrics a = ShardedFleetEngine::run(two);
-  const FleetMetrics b = ShardedFleetEngine::run(one);
+  const FleetMetrics a = FleetSession(two).finish();
+  const FleetMetrics b = FleetSession(one).finish();
   ASSERT_GT(b.energy_in_j, 0.0);
   EXPECT_NEAR(a.energy_in_j, b.energy_in_j, 1e-12 * b.energy_in_j);
 }
@@ -652,13 +652,13 @@ TEST(ShardedEngineTest, RejectsUnsupportedFaultsAndBadBudgetOverride) {
   glitch.nodes = 2;
   glitch.sim_time_s = 10.0;
   glitch.faults.supply_glitch(1.0, 0.5, 1e-3);
-  EXPECT_THROW((void)ShardedFleetEngine::run(glitch), DesignError);
+  EXPECT_THROW((void)FleetSession(glitch).finish(), DesignError);
 
   FleetSpec bad;
   bad.nodes = 2;
   bad.sim_time_s = 10.0;
   bad.battery_budget_override_j = -1.0;
-  EXPECT_THROW((void)ShardedFleetEngine::run(bad), DesignError);
+  EXPECT_THROW((void)FleetSession(bad).finish(), DesignError);
 }
 
 TEST(ShardedEngineTest, RejectsSolarHarvesterSpec) {
@@ -678,7 +678,7 @@ TEST(ShardedEngineTest, RejectsSolarHarvesterSpec) {
   EXPECT_THROW((void)HarvestIntegral(solar.node, 10.0), DesignError);
   // Without the harvester attached the kernel bills no harvest at all.
   solar.attach_harvester = false;
-  EXPECT_EQ(ShardedFleetEngine::run(solar).energy_in_j, 0.0);
+  EXPECT_EQ(FleetSession(solar).finish().energy_in_j, 0.0);
 }
 
 TEST(ShardedEngineTest, SpecFromFleetConfigMapsArqLink) {
@@ -751,7 +751,7 @@ TEST(FleetArqTest, BitIdenticalAcrossShardAndThreadCounts) {
       FleetSpec s = spec;
       s.shards = shards;
       s.threads = threads;
-      const FleetMetrics m = ShardedFleetEngine::run(s);
+      const FleetMetrics m = FleetSession(s).finish();
       if (prints.empty()) first = m;
       prints.push_back(m.fingerprint());
     }
@@ -778,7 +778,7 @@ TEST(FleetArqTest, DefaultGroupingFollowsThreadsWithoutMovingResults) {
   for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
     FleetSpec s = spec;
     s.threads = threads;
-    const FleetMetrics m = ShardedFleetEngine::run(s);
+    const FleetMetrics m = FleetSession(s).finish();
     EXPECT_EQ(m.shards, std::min<std::uint64_t>(domains, 16u * threads));
     EXPECT_GT(m.edge_exports, 0u);
     EXPECT_GT(m.arq_retries, 0u);
@@ -788,7 +788,7 @@ TEST(FleetArqTest, DefaultGroupingFollowsThreadsWithoutMovingResults) {
     FleetSpec s = spec;
     s.shards = shards;
     s.threads = 4;
-    const FleetMetrics m = ShardedFleetEngine::run(s);
+    const FleetMetrics m = FleetSession(s).finish();
     EXPECT_EQ(m.shards, shards);
     prints.push_back(m.fingerprint());
   }
@@ -796,7 +796,7 @@ TEST(FleetArqTest, DefaultGroupingFollowsThreadsWithoutMovingResults) {
 }
 
 TEST(FleetArqTest, JamMatchesPinnedFingerprint) {
-  const FleetMetrics a = ShardedFleetEngine::run(arq_jam_spec());
+  const FleetMetrics a = FleetSession(arq_jam_spec()).finish();
   EXPECT_EQ(a.fingerprint(), 0xc8ef7b42a61a2eb0ULL);
   EXPECT_EQ(a.wake_cycles, 11396u);
   EXPECT_EQ(a.collided, 277u);
@@ -863,7 +863,7 @@ std::uint64_t series_rows_hash(const FleetSpec& spec, std::size_t expect_rows) {
   obs::TimeSeriesRecorder series(5.0, 512);
   FleetObsHooks hooks;
   hooks.series = &series;
-  (void)ShardedFleetEngine::run(spec, hooks);
+  (void)FleetSession(spec, hooks).finish();
   EXPECT_EQ(series.rows(), expect_rows);
   EXPECT_EQ(series.series_count(), 8u);
   std::vector<std::uint8_t> bytes;
@@ -871,11 +871,10 @@ std::uint64_t series_rows_hash(const FleetSpec& spec, std::size_t expect_rows) {
     const auto b = std::bit_cast<std::uint64_t>(v);
     for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(b >> (8 * i)));
   };
+  const auto cols = series.checkpoint_state().cols;
   for (std::size_t row = 0; row < series.rows(); ++row) {
     put(series.times()[row]);
-    for (obs::TimeSeriesRecorder::SeriesId id = 0; id < series.series_count(); ++id) {
-      put(series.column(id)[row]);
-    }
+    for (const auto& col : cols) put(col[row]);
   }
   return fnv1a(bytes);
 }
@@ -898,12 +897,12 @@ TEST(FleetArqTest, CleanChannelCollapsesToBeaconCounts) {
   spec.domains = 4;
   spec.sim_time_s = 90.0;
   spec.randomize_phase = true;
-  const FleetMetrics beacon = ShardedFleetEngine::run(spec);
+  const FleetMetrics beacon = FleetSession(spec).finish();
 
   FleetSpec arq = spec;
   arq.node.link.mode = core::NodeConfig::Link::Mode::kArq;
   arq.node.link.arq.max_retries = 3;
-  const FleetMetrics m = ShardedFleetEngine::run(arq);
+  const FleetMetrics m = FleetSession(arq).finish();
   EXPECT_EQ(m.arq_retries, 0u);
   EXPECT_EQ(m.arq_gaveup, 0u);
   EXPECT_EQ(m.wake_cycles, beacon.wake_cycles);
@@ -930,13 +929,13 @@ FleetSpec tight_budget_spec() {
 
 TEST(FleetRetirementTest, TightBudgetRetiresNodesMidRun) {
   const FleetSpec spec = tight_budget_spec();
-  const FleetMetrics m = ShardedFleetEngine::run(spec);
+  const FleetMetrics m = FleetSession(spec).finish();
   EXPECT_EQ(m.nodes_dead, m.nodes);  // budget is unsurvivable
   EXPECT_GT(m.node_seconds_alive, 0.0);
   // Dead nodes stop waking: well under half the unconstrained activity.
   FleetSpec rich = spec;
   rich.battery_budget_override_j = 0.0;
-  const FleetMetrics r = ShardedFleetEngine::run(rich);
+  const FleetMetrics r = FleetSession(rich).finish();
   EXPECT_EQ(r.nodes_dead, 0u);
   EXPECT_LT(m.wake_cycles, (3 * r.wake_cycles) / 4);
   EXPECT_LT(m.frames_on_air, (3 * r.frames_on_air) / 4);
@@ -954,7 +953,7 @@ TEST(FleetRetirementTest, BitIdenticalAcrossShardAndThreadCounts) {
       FleetSpec s = spec;
       s.shards = shards;
       s.threads = threads;
-      const FleetMetrics m = ShardedFleetEngine::run(s);
+      const FleetMetrics m = FleetSession(s).finish();
       EXPECT_GT(m.nodes_dead, 0u);
       prints.push_back(m.fingerprint());
     }
@@ -969,7 +968,7 @@ TEST(FleetRetirementTest, BrownoutFlightEventsAreMidRunAndPinned) {
   obs::FlightRecorder flight;
   FleetObsHooks hooks;
   hooks.flight = &flight;
-  const FleetMetrics m = ShardedFleetEngine::run(spec, hooks);
+  const FleetMetrics m = FleetSession(spec, hooks).finish();
   EXPECT_EQ(m.nodes_dead, m.nodes);
   EXPECT_EQ(flight.total_dropped(), 0u);
   std::uint64_t n = 0;
@@ -1032,7 +1031,7 @@ TEST(FleetRetirementTest, KernelRetirementMatchesScalarBrownoutWithinOneWake) {
   spec.randomize_phase = false;
   spec.attach_harvester = false;
   spec.node = nc;
-  const FleetMetrics m = ShardedFleetEngine::run(spec);
+  const FleetMetrics m = FleetSession(spec).finish();
   ASSERT_EQ(m.nodes_dead, 1u);
   // One node: the alive-seconds integral is its depletion time.
   EXPECT_NEAR(m.node_seconds_alive, t_scalar, interval);

@@ -56,7 +56,9 @@ TEST(Table, RendersAligned) {
   t.add_row({"alpha", "1"});
   t.add_row({"bb", "22"});
   t.add_note("a note");
-  const std::string s = t.str();
+  std::ostringstream os;
+  t.print(os);
+  const std::string s = os.str();
   EXPECT_NE(s.find("== demo =="), std::string::npos);
   EXPECT_NE(s.find("| alpha | 1     |"), std::string::npos);
   EXPECT_NE(s.find("note: a note"), std::string::npos);
@@ -67,7 +69,9 @@ TEST(Table, HandlesRaggedRows) {
   Table t;
   t.set_header({"a", "b", "c"});
   t.add_row({"only-one"});
-  EXPECT_NE(t.str().find("only-one"), std::string::npos);
+  std::ostringstream os;
+  t.print(os);
+  EXPECT_NE(os.str().find("only-one"), std::string::npos);
 }
 
 TEST(Csv, EscapesSpecialFields) {

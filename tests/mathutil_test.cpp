@@ -22,17 +22,6 @@ TEST(LookupTable, ClampsOutsideRange) {
   EXPECT_DOUBLE_EQ(t(5.0), 2.0);
 }
 
-TEST(LookupTable, InverseOfMonotone) {
-  LookupTable t({{0.0, 0.0}, {1.0, 10.0}, {2.0, 30.0}});
-  EXPECT_DOUBLE_EQ(t.inverse(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(t.inverse(20.0), 1.5);
-}
-
-TEST(LookupTable, InverseOfDecreasing) {
-  LookupTable t({{0.0, 10.0}, {1.0, 0.0}});
-  EXPECT_DOUBLE_EQ(t.inverse(5.0), 0.5);
-}
-
 TEST(LookupTable, RejectsUnsortedInput) {
   EXPECT_THROW(LookupTable({{1.0, 0.0}, {0.5, 1.0}}), DesignError);
   EXPECT_THROW(LookupTable(std::vector<std::pair<double, double>>{}), DesignError);
@@ -52,39 +41,9 @@ TEST(GoldenMinimize, FindsMinimum) {
   EXPECT_NEAR(x, 3.0, 1e-7);
 }
 
-TEST(Trapezoid, IntegratesPolynomialExactlyEnough) {
-  const double integral = trapezoid([](double x) { return x * x; }, 0.0, 1.0, 2000);
-  EXPECT_NEAR(integral, 1.0 / 3.0, 1e-6);
-}
-
-TEST(Trapezoid, SecondOrderConvergence) {
-  auto f = [](double x) { return std::sin(x); };
-  const double exact = 1.0 - std::cos(1.0);
-  const double e1 = std::fabs(trapezoid(f, 0.0, 1.0, 10) - exact);
-  const double e2 = std::fabs(trapezoid(f, 0.0, 1.0, 20) - exact);
-  // Halving h should quarter the error (order 2).
-  EXPECT_NEAR(e1 / e2, 4.0, 0.2);
-}
-
-TEST(TrapezoidSamples, MatchesAnalytic) {
-  std::vector<double> t, y;
-  for (int i = 0; i <= 100; ++i) {
-    t.push_back(0.01 * i);
-    y.push_back(2.0 * t.back());
-  }
-  EXPECT_NEAR(trapezoid_samples(t, y), 1.0, 1e-12);
-}
-
 TEST(RelDiff, Behaviour) {
   EXPECT_DOUBLE_EQ(rel_diff(1.0, 1.0), 0.0);
   EXPECT_NEAR(rel_diff(1.0, 1.1), 0.1 / 1.1, 1e-12);
-}
-
-TEST(ApproxEqual, Tolerances) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(approx_equal(1.0, 1.001));
-  EXPECT_TRUE(approx_equal(1.0, 1.001, 1e-2));
-  EXPECT_TRUE(approx_equal(0.0, 1e-13));
 }
 
 TEST(Clamp, Basics) {

@@ -14,6 +14,18 @@
 namespace pico::circuits {
 namespace {
 
+Vector multiply(const Matrix& a, const Vector& x) {
+  Vector y;
+  a.multiply_into(x, y);
+  return y;
+}
+
+Vector solve(const LuSolver& lu, const Vector& b) {
+  Vector x;
+  lu.solve_into(b, x);
+  return x;
+}
+
 TEST(Matrix, MultiplyVector) {
   Matrix a(2, 3);
   a.at(0, 0) = 1;
@@ -26,7 +38,7 @@ TEST(Matrix, MultiplyVector) {
   x[0] = 1;
   x[1] = 1;
   x[2] = 1;
-  const Vector y = a.multiply(x);
+  const Vector y = multiply(a, x);
   EXPECT_DOUBLE_EQ(y[0], 6.0);
   EXPECT_DOUBLE_EQ(y[1], 15.0);
 }
@@ -38,7 +50,7 @@ TEST(LuSolver, SolvesIdentity) {
   b[0] = 1;
   b[1] = 2;
   b[2] = 3;
-  const Vector x = LuSolver(a).solve(b);
+  const Vector x = solve(LuSolver(a), b);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(x[i], b[i]);
 }
 
@@ -52,7 +64,7 @@ TEST(LuSolver, SolvesGeneralSystem) {
   Vector b(2);
   b[0] = 5;
   b[1] = 10;
-  const Vector x = LuSolver(a).solve(b);
+  const Vector x = solve(LuSolver(a), b);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -67,7 +79,7 @@ TEST(LuSolver, RequiresPivoting) {
   Vector b(2);
   b[0] = 2;
   b[1] = 3;
-  const Vector x = LuSolver(a).solve(b);
+  const Vector x = solve(LuSolver(a), b);
   EXPECT_DOUBLE_EQ(x[0], 3.0);
   EXPECT_DOUBLE_EQ(x[1], 2.0);
 }
@@ -89,8 +101,8 @@ TEST(LuSolver, ReusableForMultipleRhs) {
   Vector b1(2), b2(2);
   b1[0] = 4;
   b2[1] = 2;
-  EXPECT_DOUBLE_EQ(lu.solve(b1)[0], 1.0);
-  EXPECT_DOUBLE_EQ(lu.solve(b2)[1], 1.0);
+  EXPECT_DOUBLE_EQ(solve(lu, b1)[0], 1.0);
+  EXPECT_DOUBLE_EQ(solve(lu, b2)[1], 1.0);
 }
 
 TEST(LuSolver, LargerRandomishSystemRoundTrip) {
@@ -108,8 +120,8 @@ TEST(LuSolver, LargerRandomishSystemRoundTrip) {
   }
   Vector x_true(n);
   for (std::size_t i = 0; i < n; ++i) x_true[i] = static_cast<double>(i) - 5.0;
-  const Vector b = a.multiply(x_true);
-  const Vector x = LuSolver(a).solve(b);
+  const Vector b = multiply(a, x_true);
+  const Vector x = solve(LuSolver(a), b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
 }
 
@@ -223,7 +235,7 @@ TEST(LuSolver, SparseSolveMatchesDenseLoop) {
     if (!finite) continue;
 
     reused.factorize(a);
-    const Vector fresh = LuSolver(a).solve(b);
+    const Vector fresh = solve(LuSolver(a), b);
     Vector got(n);
     reused.solve_into(b, got);
     for (std::size_t i = 0; i < n; ++i) {
@@ -242,14 +254,6 @@ TEST(LuSolver, SparseSolveMatchesDenseLoop) {
   EXPECT_GT(cancellations, 5000u);
   EXPECT_GT(swaps, 5000u);
   EXPECT_GT(negative_zeros, 100u);
-}
-
-TEST(Vector, NormInf) {
-  Vector v(3);
-  v[0] = -5;
-  v[1] = 2;
-  v[2] = 4;
-  EXPECT_DOUBLE_EQ(v.norm_inf(), 5.0);
 }
 
 }  // namespace

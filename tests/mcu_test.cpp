@@ -69,27 +69,22 @@ TEST_F(McuFixture, RunForHoldsActiveThenCallback) {
 TEST_F(McuFixture, InterruptWakesFromSleepWithLatency) {
   power_on();
   cpu.sleep(PowerState::kLpm3);
-  Irq seen{};
   bool handled = false;
-  cpu.set_interrupt_handler([&](Irq irq) {
-    seen = irq;
-    handled = true;
-  });
-  cpu.request_interrupt(Irq::kSensorEvent);
+  cpu.set_interrupt_handler([&] { handled = true; });
+  cpu.request_interrupt();
   EXPECT_FALSE(handled);  // latency pending
   sim.run_until(10_us);
   EXPECT_TRUE(handled);
-  EXPECT_EQ(seen, Irq::kSensorEvent);
   EXPECT_EQ(cpu.state(), PowerState::kActive);
 }
 
 TEST_F(McuFixture, SensorEventWakesFromLpm4) {
   power_on();
   bool fired = false;
-  cpu.set_interrupt_handler([&](Irq) { fired = true; });
+  cpu.set_interrupt_handler([&] { fired = true; });
   cpu.sleep(PowerState::kLpm4);
   // LPM4 stops every clock, but the sensor line is an external interrupt.
-  cpu.request_interrupt(Irq::kSensorEvent);
+  cpu.request_interrupt();
   sim.run_until(1_s);
   EXPECT_TRUE(fired);
   EXPECT_EQ(cpu.state(), PowerState::kActive);

@@ -183,13 +183,31 @@ JVal parse_file(const std::string& path) {
 
 // --- metric semantics --------------------------------------------------------
 
+// Name lookups over a snapshot's registration-order vectors.
+bool snapshot_has(const MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& s : snap.scalars) {
+    if (s.name == name) return true;
+  }
+  for (const auto& h : snap.histograms) {
+    if (h.name == name) return true;
+  }
+  return false;
+}
+
+const HistogramSnapshot* find_histogram(const MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& h : snap.histograms) {
+    if (h.name == name) return &h;
+  }
+  return nullptr;
+}
+
 TEST(Metrics, CounterAccumulates) {
   MetricsRegistry m;
   const MetricId id = m.counter("t.count");
   m.add(id);
   m.add(id, 4.0);
   const MetricsSnapshot snap = m.snapshot();
-  EXPECT_TRUE(snap.has("t.count"));
+  EXPECT_TRUE(snapshot_has(snap, "t.count"));
   EXPECT_DOUBLE_EQ(snap.value("t.count"), 5.0);
 }
 
@@ -229,7 +247,7 @@ TEST(Metrics, HistogramBucketsAndMoments) {
   m.observe(h, -1.0);   // underflow
   m.observe(h, 10.0);   // hi is exclusive: overflow
   const MetricsSnapshot snap = m.snapshot();
-  const HistogramSnapshot* hs = snap.histogram("t.hist");
+  const HistogramSnapshot* hs = find_histogram(snap, "t.hist");
   ASSERT_NE(hs, nullptr);
   ASSERT_EQ(hs->buckets.size(), 5u);
   EXPECT_EQ(hs->buckets[0], 2u);
@@ -248,7 +266,7 @@ TEST(Metrics, HistogramQuantileInterpolates) {
   const MetricId h = m.histogram("t.q", 0.0, 100.0, 100);
   for (int i = 0; i < 1000; ++i) m.observe(h, static_cast<double>(i) / 10.0);
   const MetricsSnapshot snap = m.snapshot();
-  const HistogramSnapshot* hs = snap.histogram("t.q");
+  const HistogramSnapshot* hs = find_histogram(snap, "t.q");
   ASSERT_NE(hs, nullptr);
   // Uniform mass on [0, 100): quantiles track p to within one bucket width.
   EXPECT_DOUBLE_EQ(hs->quantile(0.0), hs->min);
@@ -267,11 +285,11 @@ TEST(Metrics, HistogramQuantileInterpolates) {
   // Edge cases: empty histogram, mass entirely in under/overflow.
   MetricsRegistry m2;
   const MetricId e = m2.histogram("t.empty", 0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(m2.snapshot().histogram("t.empty")->quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(find_histogram(m2.snapshot(), "t.empty")->quantile(0.5), 0.0);
   m2.observe(e, -3.0);
   m2.observe(e, 7.0);
   const MetricsSnapshot snap2 = m2.snapshot();
-  const HistogramSnapshot* es = snap2.histogram("t.empty");
+  const HistogramSnapshot* es = find_histogram(snap2, "t.empty");
   EXPECT_DOUBLE_EQ(es->quantile(0.25), -3.0);  // underflow mass sits at min
   EXPECT_DOUBLE_EQ(es->quantile(0.99), 7.0);   // overflow mass sits at max
 }
@@ -292,15 +310,16 @@ TEST(Metrics, HistogramQuantileIsMergeOrderInvariant) {
   for (int i = 0; i < kSamples; ++i) asc.observe(ha, sample(i));
   for (int i = kSamples - 1; i >= 0; --i) desc.observe(hd, sample(i));
   runtime::ParallelRunner runner(4);
-  runner.run_trials(kSamples, [&](std::size_t i) {
+  auto trial = [&](std::size_t i) {
     scattered.observe(hs, sample(static_cast<int>(i)));
-  });
+  };
+  runner.run_indexed(kSamples, trial);
   const MetricsSnapshot asc_snap = asc.snapshot();
   const MetricsSnapshot desc_snap = desc.snapshot();
   const MetricsSnapshot scat_snap = scattered.snapshot();
-  const HistogramSnapshot* a = asc_snap.histogram("q");
-  const HistogramSnapshot* d = desc_snap.histogram("q");
-  const HistogramSnapshot* s = scat_snap.histogram("q");
+  const HistogramSnapshot* a = find_histogram(asc_snap, "q");
+  const HistogramSnapshot* d = find_histogram(desc_snap, "q");
+  const HistogramSnapshot* s = find_histogram(scat_snap, "q");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(d, nullptr);
   ASSERT_NE(s, nullptr);
@@ -313,9 +332,9 @@ TEST(Metrics, HistogramQuantileIsMergeOrderInvariant) {
 TEST(Metrics, SnapshotMissingNameFallsBack) {
   MetricsRegistry m;
   const MetricsSnapshot snap = m.snapshot();
-  EXPECT_FALSE(snap.has("nope"));
+  EXPECT_FALSE(snapshot_has(snap, "nope"));
   EXPECT_DOUBLE_EQ(snap.value("nope", 42.0), 42.0);
-  EXPECT_EQ(snap.histogram("nope"), nullptr);
+  EXPECT_EQ(find_histogram(snap, "nope"), nullptr);
 }
 
 // --- thread-shard aggregation under the work-stealing runner -----------------
@@ -329,18 +348,19 @@ TEST(Metrics, ShardsAggregateAcrossRunnerWorkers) {
 
   constexpr std::size_t kTrials = 4096;
   runtime::ParallelRunner runner(4);
-  runner.run_trials(kTrials, [&](std::size_t i) {
+  auto trial = [&](std::size_t i) {
     m.add(count);
     m.add(weight, 0.5);
     m.set(peak, static_cast<double>(i));
     m.observe(h, static_cast<double>(i) / static_cast<double>(kTrials));
-  });
+  };
+  runner.run_indexed(kTrials, trial);
 
   const MetricsSnapshot snap = m.snapshot();
   EXPECT_DOUBLE_EQ(snap.value("mc.trials"), static_cast<double>(kTrials));
   EXPECT_DOUBLE_EQ(snap.value("mc.weight"), 0.5 * static_cast<double>(kTrials));
   EXPECT_DOUBLE_EQ(snap.value("mc.peak_index"), static_cast<double>(kTrials - 1));
-  const HistogramSnapshot* hs = snap.histogram("mc.value");
+  const HistogramSnapshot* hs = find_histogram(snap, "mc.value");
   ASSERT_NE(hs, nullptr);
   EXPECT_EQ(hs->count, kTrials);
   std::uint64_t in_buckets = hs->underflow + hs->overflow;
@@ -351,7 +371,8 @@ TEST(Metrics, ShardsAggregateAcrossRunnerWorkers) {
 TEST(Runner, PublishedTrialsMatchRequested) {
   constexpr std::size_t kTrials = 1000;
   runtime::ParallelRunner runner(3);
-  runner.run_trials(kTrials, [](std::size_t) {});
+  auto trial = [](std::size_t) {};
+  runner.run_indexed(kTrials, trial);
 
   std::uint64_t from_stats = 0;
   for (const runtime::WorkerStats& w : runner.worker_stats()) from_stats += w.trials;
@@ -360,7 +381,7 @@ TEST(Runner, PublishedTrialsMatchRequested) {
   runner.publish_metrics(m);
   const MetricsSnapshot snap = m.snapshot();
   if (!kEnabled) {
-    EXPECT_FALSE(snap.has("runner.trials"));
+    EXPECT_FALSE(snapshot_has(snap, "runner.trials"));
     return;
   }
   EXPECT_EQ(from_stats, kTrials);
@@ -556,11 +577,12 @@ TEST(Series, RegistersSamplesAndBackfillsLateSeries) {
   rec.commit_row();
 
   ASSERT_EQ(rec.rows(), 3u);
-  EXPECT_DOUBLE_EQ(rec.column(a)[0], 10.0);
-  EXPECT_TRUE(std::isnan(rec.column(a)[1]));
-  EXPECT_TRUE(std::isnan(rec.column(b)[0]));
-  EXPECT_TRUE(std::isnan(rec.column(b)[1]));
-  EXPECT_DOUBLE_EQ(rec.column(b)[2], 3.0);
+  const auto cols = rec.checkpoint_state().cols;
+  EXPECT_DOUBLE_EQ(cols[a][0], 10.0);
+  EXPECT_TRUE(std::isnan(cols[a][1]));
+  EXPECT_TRUE(std::isnan(cols[b][0]));
+  EXPECT_TRUE(std::isnan(cols[b][1]));
+  EXPECT_DOUBLE_EQ(cols[b][2], 3.0);
 
   // JSONL: one object per row, NaN exported as null.
   const std::string jsonl = "/tmp/pico_obs_series_test.jsonl";
@@ -621,9 +643,10 @@ TEST(Series, DecimatesInPlaceAtRowCapAndDoublesCadence) {
   EXPECT_DOUBLE_EQ(rec.initial_dt_s(), 1.0);
   ASSERT_EQ(rec.rows(), 4u);
   const std::vector<double> expect_t{0.0, 4.0, 8.0, 12.0};
+  const auto cols = rec.checkpoint_state().cols;
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(rec.times()[i], expect_t[i]);
-    EXPECT_DOUBLE_EQ(rec.column(id)[i], expect_t[i]);  // columns track rows
+    EXPECT_DOUBLE_EQ(cols[id][i], expect_t[i]);  // columns track rows
   }
 }
 
@@ -1063,7 +1086,7 @@ TEST(NodeObs, HarvestCullCountersPublish) {
   bare.run(Duration{10.0});
   MetricsRegistry m2;
   bare.publish_metrics(m2);
-  EXPECT_FALSE(m2.snapshot().has("harvest.windows"));
+  EXPECT_FALSE(snapshot_has(m2.snapshot(), "harvest.windows"));
 }
 
 }  // namespace

@@ -432,7 +432,7 @@ TEST(RectifyCull, CurrentMonotoneInAbsVoc) {
 }
 
 TEST(ChargePump, SnoozeQuiescentDominatesSleep) {
-  ChargePumpTps60313 cp;
+  ChargePumpTps60313 cp{ChargePumpTps60313::Params{}};
   const double iq = cp.params().iq_snooze.value();
   // Sleep-mode load of ~1 uA: input current ~ 2*Iout/(1-loss) + Iq_snooze.
   const auto iin = cp.input_current(1.25_V, 1_uA);
@@ -441,14 +441,14 @@ TEST(ChargePump, SnoozeQuiescentDominatesSleep) {
 }
 
 TEST(ChargePump, DoublerCeiling) {
-  ChargePumpTps60313 cp;
+  ChargePumpTps60313 cp{ChargePumpTps60313::Params{}};
   EXPECT_NEAR(cp.output_voltage(1.25_V, 1_mA).value(), 2.5, 1e-12);
   EXPECT_NEAR(cp.output_voltage(1.8_V, 1_mA).value(), 3.3, 1e-12);  // regulated
   EXPECT_DOUBLE_EQ(cp.output_voltage(0.5_V, 1_mA).value(), 0.0);    // under-voltage
 }
 
 TEST(ChargePump, ActiveModeAboveThreshold) {
-  ChargePumpTps60313 cp;
+  ChargePumpTps60313 cp{ChargePumpTps60313::Params{}};
   const auto i_light = cp.input_current(1.25_V, 1_mA);
   const auto i_heavy = cp.input_current(1.25_V, 3_mA);
   // Heavy load wakes the pump: quiescent jumps to the active value.
@@ -457,7 +457,7 @@ TEST(ChargePump, ActiveModeAboveThreshold) {
 }
 
 TEST(ChargePump, EfficiencyReasonableUnderLoad) {
-  ChargePumpTps60313 cp;
+  ChargePumpTps60313 cp{ChargePumpTps60313::Params{}};
   const double eff = cp.efficiency(1.25_V, 500_uA);
   EXPECT_GT(eff, 0.7);
   EXPECT_LT(eff, 1.0);
@@ -488,7 +488,7 @@ TEST(Ldo, EfficiencyIsVoutOverVinMinusIq) {
 }
 
 TEST(Shunt, RegulatesUntilOverload) {
-  ShuntRegulatorStage sh;
+  ShuntRegulatorStage sh{ShuntRegulatorStage::Params{}};
   const auto vdd = 2.5_V;  // MCU I/O rail
   EXPECT_NEAR(sh.output_voltage(vdd, 100_uA).value(), 1.0, 1e-12);
   const auto imax = sh.max_load(vdd);
@@ -498,7 +498,7 @@ TEST(Shunt, RegulatesUntilOverload) {
 }
 
 TEST(Shunt, BurnsConstantCurrentWhenEnergized) {
-  ShuntRegulatorStage sh;
+  ShuntRegulatorStage sh{ShuntRegulatorStage::Params{}};
   const auto i0 = sh.input_current(2.5_V, 0_uA);
   const auto i1 = sh.input_current(2.5_V, 100_uA);
   EXPECT_NEAR(i0.value(), i1.value(), 1e-9);  // shunt absorbs the slack
@@ -581,8 +581,9 @@ TEST(PowerIc, RailsComeUp) {
 
 TEST(PowerIc, IdlePowerDominatedByLeakage) {
   PowerInterfaceIc ic;
-  // 6.5 uA leakage at 1.2 V ~ 7.8 uW, plus references.
-  const double idle = ic.idle_power(1.2_V).value();
+  // Battery draw with every load idle: 6.5 uA leakage at 1.2 V ~ 7.8 uW,
+  // plus references.
+  const double idle = 1.2 * ic.battery_current(1.2_V, 0_uA, 0_uA).value();
   EXPECT_GT(idle, 7.5e-6);
   EXPECT_LT(idle, 9e-6);
 }

@@ -77,13 +77,6 @@ TEST(PacketCodec, EmptyPayloadOk) {
 TEST(Bits, RoundTrip) {
   const std::vector<std::uint8_t> bytes{0xDE, 0xAD, 0x01};
   EXPECT_EQ(bits_to_bytes(bytes_to_bits(bytes)), bytes);
-  EXPECT_EQ(popcount(bytes), 12u);  // 0xDE=6, 0xAD=5, 0x01=1
-}
-
-TEST(Bits, PopcountExact) {
-  EXPECT_EQ(popcount({0xFF}), 8u);
-  EXPECT_EQ(popcount({0x00}), 0u);
-  EXPECT_EQ(popcount({0xAA, 0x55}), 8u);
 }
 
 TEST(PayloadCodec, TpmsRoundTrip) {
@@ -92,7 +85,8 @@ TEST(PayloadCodec, TpmsRoundTrip) {
   s.temperature = Temperature{298.65};
   s.accel = Acceleration{830.0};
   s.supply = Voltage{2.487};
-  const auto p = encode_tpms_payload(s);
+  std::vector<std::uint8_t> p;
+  encode_tpms_payload_into(s, p);
   EXPECT_EQ(p.size(), 8u);
   const auto d = decode_tpms_payload(p);
   ASSERT_TRUE(d.has_value());
@@ -127,14 +121,6 @@ TEST(Fbar, StartupTimeMicroseconds) {
   EXPECT_LT(osc.startup_time().value(), 10e-6);
 }
 
-TEST(Fbar, TemperatureDrift) {
-  FbarResonator res;
-  const double f_cold = res.resonance_at(Temperature{280.0}).value();
-  const double f_hot = res.resonance_at(Temperature{320.0}).value();
-  EXPECT_GT(f_cold, f_hot);  // negative tempco
-  EXPECT_NEAR((f_cold - f_hot) / 1.863e9 / 40.0 * 1e6, 25.0, 0.1);  // ppm/K
-}
-
 // --- Transmitter --------------------------------------------------------------
 
 struct TxFixture : ::testing::Test {
@@ -157,7 +143,7 @@ TEST_F(TxFixture, PaperHeadlineNumbers) {
 
 TEST_F(TxFixture, RefusesWithoutRails) {
   bool ok = true;
-  tx.transmit({0xAA, 0x55}, [&](bool r) { ok = r; });
+  tx.transmit({0xAA, 0x55}, 200_kHz, [&](bool r) { ok = r; });
   EXPECT_FALSE(ok);
 }
 
@@ -274,10 +260,10 @@ TEST(Antenna, EfficiencyMonotoneInThickness) {
 
 TEST(Antenna, FriisPathLoss) {
   // FSPL at 1.863 GHz over 1 m ~ 37.9 dB.
-  EXPECT_NEAR(friis_path_loss_db(1.863_GHz, 1_m), 37.85, 0.2);
+  const auto loss_db = [](Length d) { return ratio_to_db(friis_path_loss(1.863_GHz, d)); };
+  EXPECT_NEAR(loss_db(1_m), 37.85, 0.2);
   // +20 dB per decade of distance.
-  EXPECT_NEAR(friis_path_loss_db(1.863_GHz, 10_m) - friis_path_loss_db(1.863_GHz, 1_m),
-              20.0, 1e-6);
+  EXPECT_NEAR(loss_db(10_m) - loss_db(1_m), 20.0, 1e-6);
 }
 
 TEST(Channel, MinusSixtyDbmAtOneMeter) {
@@ -288,18 +274,22 @@ TEST(Channel, MinusSixtyDbmAtOneMeter) {
 }
 
 TEST(Channel, PowerFallsWithDistance) {
-  Channel ch{PatchAntenna{}};
-  const double at1 = ch.received_power_dbm(Power{1.2e-3});
-  ch.set_distance(2_m);
-  const double at2 = ch.received_power_dbm(Power{1.2e-3});
+  Channel near{PatchAntenna{}};
+  Channel::Params cp;
+  cp.distance = 2_m;
+  Channel far{PatchAntenna{}, cp};
+  const double at1 = near.received_power_dbm(Power{1.2e-3});
+  const double at2 = far.received_power_dbm(Power{1.2e-3});
   EXPECT_NEAR(at1 - at2, 6.0, 0.1);
 }
 
 TEST(Channel, OrientationMatters) {
   Channel ch{PatchAntenna{}};
+  Channel::Params cp;
+  cp.tx_alignment = 0.05;
+  Channel off_axis{PatchAntenna{}, cp};
   const double aligned = ch.received_power_dbm(Power{1.2e-3});
-  ch.set_alignment(0.05);
-  const double misaligned = ch.received_power_dbm(Power{1.2e-3});
+  const double misaligned = off_axis.received_power_dbm(Power{1.2e-3});
   EXPECT_LT(misaligned, aligned - 10.0);
 }
 
@@ -324,9 +314,9 @@ TEST(Receiver, DecodesCleanFrameAtOneMeter) {
 }
 
 TEST(Receiver, OutOfRangeNotDetected) {
-  Channel ch{PatchAntenna{}};
-  ch.set_distance(Length{100.0});
-  SuperregenReceiver rx{std::move(ch)};
+  Channel::Params cp;
+  cp.distance = Length{100.0};
+  SuperregenReceiver rx{Channel{PatchAntenna{}, cp}};
   RfFrame f;
   f.data_rate = 200_kHz;
   f.tx_power = Power{1.2e-3};
@@ -380,7 +370,6 @@ TEST(Channel, ShadowingOffIsDeterministic) {
   const auto s2 = ch.sample_link(Power{1.2e-3}, 200_kHz);
   EXPECT_DOUBLE_EQ(s1.p_rx.value(), s2.p_rx.value());
   EXPECT_DOUBLE_EQ(s1.snr, s2.snr);
-  EXPECT_DOUBLE_EQ(s1.snr, ch.snr(Power{1.2e-3}, 200_kHz));
 }
 
 TEST(Receiver, DetectionAndBerShareOneFadingDraw) {
@@ -459,9 +448,9 @@ TEST(Receiver, CounterLadderSeenDetectedDecoded) {
 
   // Below squelch: seen, not detected, airtime still accrues (the frame
   // occupied the medium whether or not this receiver could hear it).
-  Channel far{PatchAntenna{}};
-  far.set_distance(Length{100.0});
-  SuperregenReceiver rx_far{std::move(far)};
+  Channel::Params far;
+  far.distance = Length{100.0};
+  SuperregenReceiver rx_far{Channel{PatchAntenna{}, far}};
   const auto r1 = rx_far.receive(f);
   EXPECT_FALSE(r1.detected);
   EXPECT_EQ(rx_far.frames_seen(), 1u);
@@ -506,7 +495,7 @@ TEST(Receiver, PerVsDistanceTracksOokBerPrediction) {
     cp.tx_alignment = 0.4;
     cp.noise_figure_db = 36.0;
     Channel probe{PatchAntenna{}, cp};
-    const double snr = probe.snr(f.tx_power, f.data_rate);
+    const double snr = probe.sample_link(f.tx_power, f.data_rate).snr;
     const double predicted =
         1.0 - std::pow(1.0 - SuperregenReceiver::ook_ber(snr), eff_bits);
 

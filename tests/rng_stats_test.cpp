@@ -53,13 +53,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(s.stddev(), 3.0, 0.05);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(17);
-  RunningStats s;
-  for (int i = 0; i < 100000; ++i) s.add(rng.exponential(4.0));
-  EXPECT_NEAR(s.mean(), 0.25, 0.01);
-}
-
 TEST(Rng, BelowIsUnbiasedish) {
   Rng rng(19);
   std::vector<int> counts(10, 0);
@@ -72,13 +65,6 @@ TEST(Rng, ChanceProbability) {
   int hits = 0;
   for (int i = 0; i < 100000; ++i) hits += rng.chance(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
-}
-
-TEST(Rng, SplitStreamsAreIndependentlySeeded) {
-  Rng parent(99);
-  Rng c1 = parent.split();
-  Rng c2 = parent.split();
-  EXPECT_NE(c1.next(), c2.next());
 }
 
 TEST(RunningStats, WeightedMean) {
@@ -96,24 +82,6 @@ TEST(RunningStats, MinMaxSum) {
   EXPECT_DOUBLE_EQ(s.max(), 7.0);
   EXPECT_NEAR(s.sum(), 11.0, 1e-9);
   EXPECT_EQ(s.count(), 4u);
-}
-
-TEST(RunningStats, ResetClears) {
-  RunningStats s;
-  s.add(5.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(Histogram, BinsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 1000; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.total(), 1000u);
-  EXPECT_EQ(h.bin_count(0), 100u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 0.6);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
 }
 
 TEST(Histogram, OverflowUnderflow) {

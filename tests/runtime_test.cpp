@@ -73,7 +73,8 @@ TEST(ParallelRunner, RunsEveryTrialExactlyOnce) {
     ParallelRunner runner(threads);
     const std::size_t n = 257;  // deliberately not a multiple of anything
     std::vector<std::atomic<int>> hits(n);
-    runner.run_trials(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    auto body = [&](std::size_t i) { hits[i].fetch_add(1); };
+    runner.run_indexed(n, body);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
   }
 }
@@ -97,14 +98,15 @@ TEST(ParallelRunner, MonteCarloStatsIdenticalAcrossThreadCounts) {
   auto sweep = [&](unsigned threads) {
     ParallelRunner runner(threads);
     std::vector<double> out(kTrials);
-    runner.run_trials(kTrials, [&](std::size_t i) {
+    auto trial = [&](std::size_t i) {
       Rng rng = Rng::stream(kSeed, i);
       // A toy "simulation": a few draws of mixed kinds, like a real trial.
       double acc = rng.normal(1.0, 0.2);
-      acc += rng.exponential(2.0);
+      acc += 0.1 * static_cast<double>(rng.below(10));
       acc *= rng.uniform(0.9, 1.1);
       out[i] = acc;
-    });
+    };
+    runner.run_indexed(kTrials, trial);
     RunningStats st;
     for (double v : out) st.add(v);
     return std::pair<double, double>(st.mean(), st.stddev());
@@ -122,7 +124,8 @@ TEST(ParallelRunner, RepeatedJobsOnOneRunner) {
   ParallelRunner runner(4);
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::size_t> sum{0};
-    runner.run_trials(50, [&](std::size_t i) { sum.fetch_add(i); });
+    auto body = [&](std::size_t i) { sum.fetch_add(i); };
+    runner.run_indexed(50, body);
     EXPECT_EQ(sum.load(), 50u * 49u / 2u);
   }
 }
@@ -131,13 +134,11 @@ TEST(ParallelRunner, FirstExceptionPropagatesAfterDrain) {
   for (const unsigned threads : {1u, 4u}) {
     ParallelRunner runner(threads);
     std::vector<std::atomic<int>> hits(64);
-    EXPECT_THROW(
-        runner.run_trials(64,
-                          [&](std::size_t i) {
-                            hits[i].fetch_add(1);
-                            if (i == 13) throw std::runtime_error("trial 13 failed");
-                          }),
-        std::runtime_error);
+    auto body = [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      if (i == 13) throw std::runtime_error("trial 13 failed");
+    };
+    EXPECT_THROW(runner.run_indexed(64, body), std::runtime_error);
     // Every trial still ran exactly once: an exception marks the job
     // failed but does not abandon queued work.
     for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
@@ -147,8 +148,7 @@ TEST(ParallelRunner, FirstExceptionPropagatesAfterDrain) {
 TEST(ParallelRunner, RunIndexedCoversEveryIndexWithoutAllocation) {
   // run_indexed is the fleet engine's per-epoch dispatch: an IndexFn is
   // two words referencing a caller-owned callable, so issuing a job does
-  // not heap-allocate the way wrapping in std::function would. Coverage
-  // semantics match run_trials.
+  // not heap-allocate the way wrapping in std::function would.
   for (const unsigned threads : {1u, 4u}) {
     ParallelRunner runner(threads);
     const std::size_t n = 131;
@@ -177,14 +177,15 @@ TEST(ParallelRunner, RepeatedRunIndexedJobsDoNotAllocate) {
 }
 
 TEST(ParallelRunner, RingsGrowOnlyForLargerJobs) {
-  // One chunk per index: a job of n indices deals ceil(n / threads)
-  // chunks onto each ring. Smaller and equal jobs after the largest one
-  // reuse its capacity; every job still covers each index exactly once
-  // and the steal counters keep counting.
-  ParallelRunner runner(ParallelRunner::Options{4, 1});
+  // Below 32 indices a 4-thread runner deals one index per chunk, so a
+  // 31-index job puts ceil(31 / 4) = 8 chunks on each ring, more than any
+  // other job size (larger jobs get about four chunks per worker). Jobs
+  // after it reuse its capacity; every job still covers each index exactly
+  // once and the chunk counters keep counting.
+  ParallelRunner runner(4);
   std::vector<std::atomic<int>> hits(512);
   auto body = [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); };
-  runner.run_indexed(512, IndexFn(body));
+  runner.run_indexed(31, IndexFn(body));
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int k = 0; k < 200; ++k) {
     runner.run_indexed(static_cast<std::size_t>(1 + (k * 37) % 512), IndexFn(body));
@@ -192,7 +193,7 @@ TEST(ParallelRunner, RingsGrowOnlyForLargerJobs) {
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(hits[0].load(), 201);  // index 0 is in every job
-  EXPECT_EQ(hits[511].load(), 2);  // the warm-up and the one 512-index job
+  EXPECT_EQ(hits[511].load(), 1);  // the one 512-index job
   std::uint64_t chunks = 0;
   for (const WorkerStats& w : runner.worker_stats()) chunks += w.chunks;
   if (obs::kEnabled) {
@@ -216,7 +217,8 @@ TEST(ParallelRunner, RunIndexedPropagatesFirstException) {
 TEST(ParallelRunner, ZeroTrialsIsANoOp) {
   ParallelRunner runner(4);
   bool ran = false;
-  runner.run_trials(0, [&](std::size_t) { ran = true; });
+  auto body = [&](std::size_t) { ran = true; };
+  runner.run_indexed(0, body);
   EXPECT_FALSE(ran);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "scopt/analysis.hpp"
@@ -119,22 +120,6 @@ TEST(Analysis, OptimalAllocationBeatsUniform) {
   EXPECT_LE(r_opt.value(), r_uni.value() * 1.0001);
 }
 
-TEST(Analysis, OptimalClosedFormsMatchAllocation) {
-  ConverterAnalysis a(Topology::doubler());
-  const Capacitance c_total{10e-9};
-  const auto caps = a.allocate_caps(c_total);
-  // With one flying cap the closed form and the explicit sum must agree
-  // (ignore the large bypass cap: pass 0 to exclude).
-  const auto r_explicit = a.r_ssl(caps, 1_MHz, Capacitance{0.0});
-  const auto r_closed = a.r_ssl_optimal(c_total, 1_MHz);
-  EXPECT_NEAR(r_explicit.value(), r_closed.value(), r_closed.value() * 0.01);
-
-  const auto rs = a.allocate_switches(Conductance{1e-2});
-  const auto rf_explicit = a.r_fsl(rs);
-  const auto rf_closed = a.r_fsl_optimal(Conductance{1e-2});
-  EXPECT_NEAR(rf_explicit.value(), rf_closed.value(), rf_closed.value() * 0.01);
-}
-
 TEST(Analysis, SwitchBlockingVoltagesDoubler) {
   ConverterAnalysis a(Topology::doubler());
   // Every switch in the doubler blocks Vin when off.
@@ -220,7 +205,9 @@ TEST(Optimizer, ReportRenders) {
   spec.vout = 2.1_V;
   Optimizer opt(spec);
   const auto design = opt.design();
-  const auto table = design.report(spec).str();
+  std::ostringstream os;
+  design.report(spec).print(os);
+  const std::string table = os.str();
   EXPECT_NE(table.find("conversion ratio"), std::string::npos);
   EXPECT_NE(table.find("efficiency"), std::string::npos);
 }
@@ -243,16 +230,6 @@ TEST(Analysis, FibonacciBeatsSeriesParallelOnCapCount) {
   ConverterAnalysis sp(Topology::series_parallel_up(5));
   EXPECT_NEAR(fib.ratio(), sp.ratio(), 1e-5);
   EXPECT_LT(fib.topology().num_caps(), sp.topology().num_caps());
-}
-
-TEST(SizedConverter, OutputRippleScalesAsExpected) {
-  ConverterAnalysis a(Topology::doubler());
-  SizedConverter conv(std::move(a), Technology{}, Area{1.2e-6}, Area{0.3e-6});
-  const auto base = conv.output_ripple(1_mA, 100_kHz);
-  // 1 mA for 5 us into 1 uF = 5 mV.
-  EXPECT_NEAR(base.value(), 5e-3, 1e-6);
-  EXPECT_NEAR(conv.output_ripple(1_mA, 200_kHz).value(), base.value() / 2.0, 1e-9);
-  EXPECT_NEAR(conv.output_ripple(1_mA, 100_kHz, 4).value(), base.value() / 4.0, 1e-9);
 }
 
 TEST(Topology, RejectsDegenerateElements) {

@@ -89,12 +89,10 @@ TEST(MotionScenario, GravityWhenStill) {
   const auto demo = MotionScenario::retreat_demo();
   const auto a = demo.at(5.0);  // before the first pickup
   EXPECT_NEAR(a.magnitude(), 9.80665, 1e-9);
-  EXPECT_FALSE(demo.in_motion(5.0));
 }
 
 TEST(MotionScenario, MotionDuringSegments) {
   const auto demo = MotionScenario::retreat_demo();
-  EXPECT_TRUE(demo.in_motion(15.0));
   // Somewhere during handling the deviation from gravity is significant.
   double max_dev = 0.0;
   for (double t = 10.0; t < 25.0; t += 0.01) {
@@ -112,7 +110,7 @@ TEST(MotionScenario, RejectsBadSegment) {
 struct TpmsFixture : ::testing::Test {
   sim::Simulator sim;
   TireEnvironment env{harvest::make_city_cycle()};
-  Sp12Tpms tpms{sim, env};
+  Sp12Tpms tpms{sim, env, Sp12Tpms::Params{}};
   mcu::Msp430 cpu{sim};
 
   void power_all() {
@@ -124,8 +122,8 @@ struct TpmsFixture : ::testing::Test {
 TEST_F(TpmsFixture, TimerRaisesSensorEventEverySixSeconds) {
   power_all();
   int events = 0;
-  cpu.set_interrupt_handler([&](mcu::Irq irq) {
-    if (irq == mcu::Irq::kSensorEvent) ++events;
+  cpu.set_interrupt_handler([&] {
+    ++events;
     cpu.sleep(mcu::PowerState::kLpm3);
   });
   tpms.start(cpu);
@@ -170,23 +168,12 @@ TEST_F(TpmsFixture, UnpoweredRejectsUse) {
   EXPECT_DOUBLE_EQ(tpms.supply_current().value(), 0.0);
 }
 
-TEST_F(TpmsFixture, StopHaltsEvents) {
-  power_all();
-  int events = 0;
-  cpu.set_interrupt_handler([&](mcu::Irq) { ++events; });
-  tpms.start(cpu);
-  sim.run_until(7_s);
-  tpms.stop();
-  sim.run_until(30_s);
-  EXPECT_EQ(events, 1);
-}
-
 // --- SCA3000 --------------------------------------------------------------
 
 struct AccelFixture : ::testing::Test {
   sim::Simulator sim;
   MotionScenario demo = MotionScenario::retreat_demo();
-  Sca3000 accel{sim, demo};
+  Sca3000 accel{sim, demo, Sca3000::Params{}};
   mcu::Msp430 cpu{sim};
 
   void power_all() {
@@ -198,8 +185,8 @@ struct AccelFixture : ::testing::Test {
 TEST_F(AccelFixture, MotionDetectFiresOnPickup) {
   power_all();
   int events = 0;
-  cpu.set_interrupt_handler([&](mcu::Irq irq) {
-    if (irq == mcu::Irq::kSensorEvent) ++events;
+  cpu.set_interrupt_handler([&] {
+    ++events;
     cpu.sleep(mcu::PowerState::kLpm3);
   });
   accel.enter_motion_detect(cpu);
@@ -227,8 +214,6 @@ TEST_F(AccelFixture, ModeCurrents) {
   EXPECT_NEAR(accel.supply_current().value(), 10e-6, 1e-9);
   accel.enter_measurement();
   EXPECT_NEAR(accel.supply_current().value(), 120e-6, 1e-9);
-  accel.power_off();
-  EXPECT_DOUBLE_EQ(accel.supply_current().value(), 0.0);
 }
 
 TEST_F(AccelFixture, ReadSampleReturnsScenario) {

@@ -176,15 +176,5 @@ TEST(Simulator, EventsPendingIsLive) {
   EXPECT_EQ(sim.events_pending(), 0u);
 }
 
-TEST(Simulator, LabelsLiveInSideMap) {
-  Simulator sim;
-  const EventId labelled = sim.schedule_at(1_s, [] {}, "timer-tick");
-  const EventId plain = sim.schedule_at(2_s, [] {});
-  EXPECT_EQ(sim.label_of(labelled), "timer-tick");
-  EXPECT_EQ(sim.label_of(plain), "");
-  sim.run();
-  EXPECT_EQ(sim.label_of(labelled), "");  // dropped once the event fired
-}
-
 }  // namespace
 }  // namespace pico::sim

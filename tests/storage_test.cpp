@@ -256,17 +256,5 @@ TEST(NiMh, DischargePlusSelfDischargeClampsAtEmpty) {
   EXPECT_GE(cell.stored_energy().value(), 0.0);
 }
 
-TEST(CapacitorStore, DegradeScalesParametersAndHoldsVoltage) {
-  auto sc = make_supercap(Capacitance{0.1}, Voltage{3.6});
-  sc.set_voltage(Voltage{2.0});
-  const double e0 = sc.stored_energy().value();
-  sc.degrade(0.8, 2.0, 10.0);
-  // Plates lose area but the terminal voltage holds: energy scales with C.
-  EXPECT_NEAR(sc.stored_energy().value(), e0 * 0.8, 1e-12);
-  EXPECT_DOUBLE_EQ(sc.terminal_voltage(Current{0.0}).value(), 2.0);
-  EXPECT_THROW(sc.degrade(1.2, 1.0, 1.0), DesignError);
-  EXPECT_THROW(sc.degrade(0.9, 0.5, 1.0), DesignError);
-}
-
 }  // namespace
 }  // namespace pico::storage

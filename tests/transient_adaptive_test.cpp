@@ -308,7 +308,6 @@ TEST(TransientAdaptive, GrowthIsCappedPerStep) {
   opt.dt_min = 1e-8;
   opt.dt_max = 1e-3;
   opt.lte_tol = 1e-3;
-  opt.growth_cap = 2.0;
   Transient tr(c, opt);
   std::vector<double> t;
   tr.run_until(Duration{2e-3}, [&](double tt, const Vector&) { t.push_back(tt); });
@@ -317,7 +316,7 @@ TEST(TransientAdaptive, GrowthIsCappedPerStep) {
   // Exclude the final step: it is clamped onto t_end, not controller-sized.
   for (std::size_t i = 1; i + 1 < t.size(); ++i) {
     const double dt = t[i] - t[i - 1];
-    EXPECT_LE(dt, prev_dt * opt.growth_cap * (1.0 + 1e-9))
+    EXPECT_LE(dt, prev_dt * Transient::kGrowthCap * (1.0 + 1e-9))
         << "growth cap violated at accepted step " << i;
     prev_dt = dt;
   }
@@ -328,11 +327,9 @@ TEST(TransientAdaptive, DtLadderLruStaysBounded) {
   build_rc_burst(c);
   Transient::Options opt = adaptive_opts();
   opt.dt_max = 1e-3;
-  opt.lu_cache_capacity = 3;
-  opt.dt_ladder_ratio = 1.4;  // many rungs: force capacity pressure
   Transient tr(c, opt);
   tr.run_until(Duration{0.1});
-  EXPECT_LE(tr.lu_cache_entries(), opt.lu_cache_capacity);
+  EXPECT_LE(tr.lu_cache_entries(), Transient::kLuCacheCapacity);
   // The burst/quiescent alternation walks more dt rungs than fit, so live
   // entries must have been evicted — yet the ladder still amortizes
   // factorizations across steps.
@@ -560,26 +557,26 @@ TEST(TransientAdaptive, CapacitorKeepsDtInCacheTag) {
     }
     Transient::Options opt;
     opt.adaptive = true;
-    opt.method = Method::kBackwardEuler;  // one method: the rung alone sets the matrix
-    opt.dt_min = std::ldexp(1.0, -20);    // binary rungs, so times add up exactly
+    opt.dt_min = std::ldexp(1.0, -20);  // binary rungs, so times add up exactly
     opt.dt = opt.dt_min;
-    opt.dt_max = 8.0 * opt.dt_min;
-    opt.growth_cap = 2.0;
-    opt.lte_tol = 1e6;  // LTE never binds: dt doubles every step up to dt_max
+    opt.dt_max = 16.0 * opt.dt_min;
+    opt.lte_tol = 1e6;  // LTE never binds: dt grows by kGrowthCap up to dt_max
     Transient tr(c, opt);
     std::vector<double> dts;
     double prev = 0.0;
-    tr.run_until(Duration{87.0 * opt.dt_min}, [&](double t, const Vector&) {
+    tr.run_until(Duration{85.0 * opt.dt_min}, [&](double t, const Vector&) {
       dts.push_back(t - prev);
       prev = t;
     });
-    EXPECT_EQ(dts.size(), 13u);  // 1 + 2 + 4 + ten steps of 8 dt_min
+    EXPECT_EQ(dts.size(), 7u);  // 1 + 4 + five steps of 16 dt_min
     for (std::size_t i = 0; i < dts.size(); ++i) {
-      EXPECT_EQ(dts[i], opt.dt_min * static_cast<double>(1 << std::min<std::size_t>(i, 3)));
+      EXPECT_EQ(dts[i], opt.dt_min * static_cast<double>(1 << std::min<std::size_t>(2 * i, 4)));
     }
     return tr.lu_factorizations();
   };
-  EXPECT_EQ(factorizations(/*with_cap=*/true), 4u);  // rungs 1, 2, 4 and 8 dt_min
+  // Rung 1 dt_min under the backward-Euler start step, then rungs 4 and 16
+  // dt_min under trapezoidal.
+  EXPECT_EQ(factorizations(/*with_cap=*/true), 3u);
   EXPECT_EQ(factorizations(/*with_cap=*/false), 1u);
 }
 

@@ -24,7 +24,7 @@ struct Waveform {
   bool fast = false;
 };
 
-Waveform run_rc(bool cache, Method method) {
+Waveform run_rc(bool cache) {
   Circuit c;
   const Node in = c.node("in");
   const Node out = c.node("out");
@@ -35,7 +35,6 @@ Waveform run_rc(bool cache, Method method) {
 
   Transient::Options opt;
   opt.dt = 1e-6;
-  opt.method = method;
   opt.cache_linear_lu = cache;
   Transient tr(c, opt);
   Waveform w;
@@ -48,67 +47,30 @@ Waveform run_rc(bool cache, Method method) {
   return w;
 }
 
-Waveform run_rlc(bool cache) {
-  Circuit c;
-  const Node in = c.node("in");
-  const Node mid = c.node("mid");
-  const Node out = c.node("out");
-  c.add<VoltageSource>("vin", in, kGround, Voltage{1.0});
-  c.add<Resistor>("r", in, mid, Resistance{10.0});
-  c.add<Inductor>("l", mid, out, Inductance{1e-3});
-  c.add<Capacitor>("c", out, kGround, Capacitance{1e-6});
-
-  Transient::Options opt;
-  opt.dt = 1e-7;
-  opt.cache_linear_lu = cache;
-  Transient tr(c, opt);
-  Waveform w;
-  tr.run_until(Duration{2e-4}, [&](double, const Vector& x) {
-    w.v1.push_back(Circuit::voltage_of(x, out));
-  });
-  w.final_x = tr.solution();
-  w.factorizations = tr.lu_factorizations();
-  w.fast = tr.used_fast_path();
-  return w;
-}
-
 TEST(TransientFastPath, RcWaveformBitIdenticalCacheOnVsOff) {
-  for (const Method m : {Method::kBackwardEuler, Method::kTrapezoidal}) {
-    const Waveform fast = run_rc(/*cache=*/true, m);
-    const Waveform slow = run_rc(/*cache=*/false, m);
-    ASSERT_EQ(fast.v1.size(), slow.v1.size());
-    for (std::size_t i = 0; i < fast.v1.size(); ++i) {
-      // Bit-identical, not just close: the fast path must preserve the
-      // exact floating-point arithmetic of the reference path.
-      ASSERT_EQ(fast.v1[i], slow.v1[i]) << "sample " << i;
-    }
-    ASSERT_EQ(fast.final_x.size(), slow.final_x.size());
-    for (std::size_t i = 0; i < fast.final_x.size(); ++i) {
-      EXPECT_EQ(fast.final_x[i], slow.final_x[i]);
-    }
-    EXPECT_TRUE(fast.fast);
-    EXPECT_FALSE(slow.fast);
-  }
-}
-
-TEST(TransientFastPath, RlcWaveformBitIdenticalCacheOnVsOff) {
-  const Waveform fast = run_rlc(/*cache=*/true);
-  const Waveform slow = run_rlc(/*cache=*/false);
+  const Waveform fast = run_rc(/*cache=*/true);
+  const Waveform slow = run_rc(/*cache=*/false);
   ASSERT_EQ(fast.v1.size(), slow.v1.size());
   for (std::size_t i = 0; i < fast.v1.size(); ++i) {
+    // Bit-identical, not just close: the fast path must preserve the
+    // exact floating-point arithmetic of the reference path.
     ASSERT_EQ(fast.v1[i], slow.v1[i]) << "sample " << i;
+  }
+  ASSERT_EQ(fast.final_x.size(), slow.final_x.size());
+  for (std::size_t i = 0; i < fast.final_x.size(); ++i) {
+    EXPECT_EQ(fast.final_x[i], slow.final_x[i]);
   }
   EXPECT_TRUE(fast.fast);
   EXPECT_FALSE(slow.fast);
 }
 
 TEST(TransientFastPath, CachesFactorizationAcrossSteps) {
-  const Waveform w = run_rc(/*cache=*/true, Method::kTrapezoidal);
+  const Waveform w = run_rc(/*cache=*/true);
   // First step uses backward Euler, the rest trapezoidal: exactly one
   // factorization per (dt, method) key, not one per step.
   EXPECT_EQ(w.factorizations, 2u);
   EXPECT_GT(w.v1.size(), 100u);
-  const Waveform ref = run_rc(/*cache=*/false, Method::kTrapezoidal);
+  const Waveform ref = run_rc(/*cache=*/false);
   EXPECT_EQ(ref.factorizations, w.v1.size());
 }
 
@@ -164,9 +126,9 @@ TEST(TransientFastPath, RedundantSetOnDoesNotRefactorize) {
   c.add<VoltageSource>("vin", in, kGround, Voltage{1.0});
   Switch* sw = c.add<Switch>("sw", in, kGround, Resistance{1e3}, Resistance{1e9}, true);
 
-  // Backward Euler throughout: otherwise step 2's method change (first
-  // step is always BE) would legitimately refactorize.
-  Transient tr(c, Transient::Options{.method = Method::kBackwardEuler, .dt = 1e-6});
+  // No stamp here reads dt or method, so step 2's switch from the
+  // backward-Euler start step to trapezoidal reuses step 1's factors.
+  Transient tr(c, Transient::Options{.dt = 1e-6});
   tr.step();
   const std::uint64_t f = tr.lu_factorizations();
   sw->set_on(true);  // no state change -> no version bump
@@ -190,7 +152,6 @@ ToggleRun run_toggling(bool cache) {
   c.add<Resistor>("load", out, kGround, Resistance{1e3});
   c.add<Capacitor>("cap", out, kGround, Capacitance{1e-7});
   Transient::Options opt;
-  opt.method = Method::kBackwardEuler;  // one method: no BE->trap refactor
   opt.dt = 1e-6;
   opt.cache_linear_lu = cache;
   Transient tr(c, opt);
@@ -217,9 +178,10 @@ TEST(TransientFastPath, TogglingBackReusesFactorization) {
   for (std::size_t i = 0; i < cached.v.size(); ++i) {
     ASSERT_EQ(cached.v[i], full.v[i]) << "sample " << i;
   }
-  // Phase 0 factors the on topology, phase 1 the off one; phases 2-5
-  // toggle back to a factored topology and factorize nothing.
-  EXPECT_EQ(cached.factorizations, (std::vector<std::uint64_t>{1, 2, 2, 2, 2, 2}));
+  // Phase 0 factors the on topology twice (the backward-Euler start step,
+  // then trapezoidal), phase 1 the off one; phases 2-5 toggle back to a
+  // factored topology and factorize nothing.
+  EXPECT_EQ(cached.factorizations, (std::vector<std::uint64_t>{2, 3, 3, 3, 3, 3}));
   if (obs::kEnabled) {
     EXPECT_EQ(cached.content_hits, 4u);
   }
