@@ -66,8 +66,8 @@ void run_rc_transient(benchmark::State& state, bool cache_linear_lu) {
     opt.dt = 1e-6;
     opt.cache_linear_lu = cache_linear_lu;
     circuits::Transient tr(c, opt);
-    if (g_telemetry) tr.set_telemetry(&g_telemetry->metrics());
     tr.run_until(Duration{static_cast<double>(state.range(0)) * 1e-6});
+    if (g_telemetry) tr.publish_metrics(g_telemetry->metrics());
     benchmark::DoNotOptimize(tr.voltage(out));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -101,8 +101,8 @@ void BM_MnaTransientRcAdaptive(benchmark::State& state) {
     opt.dt_max = 1e-4;
     opt.lte_tol = 1e-4;
     circuits::Transient tr(c, opt);
-    if (g_telemetry) tr.set_telemetry(&g_telemetry->metrics());
     tr.run_until(Duration{static_cast<double>(state.range(0)) * 1e-6});
+    if (g_telemetry) tr.publish_metrics(g_telemetry->metrics());
     benchmark::DoNotOptimize(tr.voltage(out));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -15,9 +15,11 @@
 //   --resume-from=P  Restore scenario --index from the blob and run to the
 //                    horizon, reporting final metrics.
 //
-// tools/soak_runner.py drives the save/resume pair per scenario and diffs
-// the resumed metrics against the uninterrupted run's; the default mode is
-// the self-contained CI lane (perf_soak_corpus in the top-level CMake).
+// tools/soak_runner.py drives the save/resume pair per scenario as
+// separate processes and diffs the resumed metrics against the
+// uninterrupted run's; that three-process drill is the perf_soak_corpus
+// lane in the top-level CMake. The default mode is the same check in one
+// process, for a quick local run.
 //
 // Flags beyond the shared --json/--telemetry:
 //   --corpus-seed=N     generator corpus seed            (default 2008)

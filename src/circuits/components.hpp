@@ -20,7 +20,6 @@ class Resistor : public Component {
   [[nodiscard]] bool linear_time_invariant() const override { return true; }
   [[nodiscard]] bool matrix_uses_dt() const override { return false; }
   [[nodiscard]] bool stamps_rhs() const override { return false; }
-  [[nodiscard]] Resistance resistance() const { return Resistance{r_}; }
 
  private:
   Node p_, n_;
@@ -36,7 +35,6 @@ class Capacitor : public Component {
   [[nodiscard]] bool linear_time_invariant() const override { return true; }
   [[nodiscard]] bool has_commit() const override { return true; }
   [[nodiscard]] double voltage() const { return v_prev_; }
-  void set_initial(Voltage v) { v_prev_ = v.value(); }
 
  private:
   // Companion conductance for the current (dt, method), recomputed only

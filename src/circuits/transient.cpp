@@ -15,12 +15,12 @@ namespace {
 int binade(double v) { return static_cast<int>(std::bit_cast<std::uint64_t>(v) >> 52); }
 }  // namespace
 
-DtLadder::DtLadder(double dt_min, double ratio, double dt_max) : dt_min_(dt_min), ratio_(ratio) {
+DtLadder::DtLadder(double dt_min, double dt_max) : dt_min_(dt_min) {
   PICO_REQUIRE(dt_min > 0.0, "dt ladder needs a positive dt_min");
-  if (ratio <= 1.0) return;
+  constexpr double ratio = Transient::kDtLadderRatio;
   log_ratio_ = std::log(ratio);
-  // Every rung up to dt_max, bounded so a ratio barely above 1 cannot blow
-  // up the table; snap falls back to the formula above it.
+  // Every rung up to dt_max, at most 256 of them; snap falls back to the
+  // formula above the table.
   constexpr std::size_t kMaxRungs = 256;
   for (std::size_t k = 0; k < kMaxRungs; ++k) {
     const double rung = dt_min * std::pow(ratio, static_cast<double>(k));
@@ -44,16 +44,15 @@ DtLadder::DtLadder(double dt_min, double ratio, double dt_max) : dt_min_(dt_min)
 
 // Counting the edges at or below dt finds the formula's rung without a
 // log; dt's binade says how many edges lie below it, and one compare per
-// edge inside that binade finishes the count (one or two at ratio 2). The formula rounds log(dt / dt_min) /
-// log(ratio) + 1e-9 with an error of a few ulps of k, ~1e-15 relative in
-// dt, and the tabled edges carry the same order of error, so a dt more than
-// 1e-12 relative away from every edge provably lands on the rung the
-// formula gives. Closer than that, or past the last edge, snap evaluates
+// edge inside that binade finishes the count (one or two at ratio 2). The
+// formula rounds log(dt / dt_min) / log(ratio) + 1e-9 with an error of a
+// few ulps of k, ~1e-15 relative in dt, and the tabled edges carry the
+// same order of error, so a dt more than 1e-12 relative away from every
+// edge provably lands on the rung the formula gives. Closer than that, or past the last edge, snap evaluates
 // the formula itself. Exact rungs sit 1e-9 * log(ratio) relative above
-// their edge, so for any ratio above ~1.001 (the default is 2) they never
-// take that path.
+// their edge, ~7e-10 at ratio 2, so they never take that path.
 double DtLadder::snap(double dt) const {
-  if (ratio_ <= 1.0 || dt <= dt_min_) return std::max(dt, dt_min_);
+  if (dt <= dt_min_) return dt_min_;
   // dt > dt_min > edges_[0], so dt's binade is at or above binade0_.
   const auto b = static_cast<std::size_t>(binade(dt) - binade0_);
   if (b < first_edge_.size()) {
@@ -66,7 +65,7 @@ double DtLadder::snap(double dt) const {
   }
   const double k = std::floor(std::log(dt / dt_min_) / log_ratio_ + 1e-9);
   if (k < static_cast<double>(rungs_.size())) return rungs_[static_cast<std::size_t>(k)];
-  return dt_min_ * std::pow(ratio_, k);
+  return dt_min_ * std::pow(Transient::kDtLadderRatio, k);
 }
 
 Transient::Transient(Circuit& circuit, Options options) : circuit_(circuit), opt_(options) {
@@ -98,7 +97,7 @@ Transient::Transient(Circuit& circuit, Options options) : circuit_(circuit), opt
     PICO_REQUIRE(effective_dt_max() >= opt_.dt_min, "adaptive dt_max must be >= dt_min");
     PICO_REQUIRE(opt_.lte_tol > 0.0, "adaptive lte_tol must be positive");
     PICO_REQUIRE(opt_.observe_dt >= 0.0, "observe_dt must be non-negative");
-    ladder_ = DtLadder(opt_.dt_min, kDtLadderRatio, effective_dt_max());
+    ladder_ = DtLadder(opt_.dt_min, effective_dt_max());
     x_hist1_.assign(dim, 0.0);
     x_hist2_.assign(dim, 0.0);
     x_accept_.assign(dim, 0.0);
@@ -122,7 +121,7 @@ void Transient::solve_cached(StampContext& ctx) {
   }
   ctx.iterate = &x_;  // linear stamps never read it; kept for uniformity
   if (entry != nullptr) {
-    if constexpr (obs::kEnabled) ++lu_hits_;
+    ++lu_hits_;
     // rhs-only pass: pure-conductance components are skipped entirely; only
     // source values and companion-model history currents land in b_.
     b_.fill(0.0);
@@ -142,12 +141,10 @@ void Transient::solve_cached(StampContext& ctx) {
       }
     }
     if (entry != nullptr) {
-      if constexpr (obs::kEnabled) {
-        ++lu_hits_;
-        ++lu_content_hits_;
-      }
+      ++lu_hits_;
+      ++lu_content_hits_;
     } else {
-      if constexpr (obs::kEnabled) ++lu_misses_;
+      ++lu_misses_;
       if (lu_cache_.size() < kLuCacheCapacity) {
         entry = &lu_cache_.emplace_back();
       } else {
@@ -156,7 +153,7 @@ void Transient::solve_cached(StampContext& ctx) {
         }
         if (entry->epoch == epoch) {
           ++lu_evictions_;  // a factorization of the current topology lost its slot
-        } else if constexpr (obs::kEnabled) {
+        } else {
           ++lu_invalidations_;
         }
       }
@@ -259,10 +256,8 @@ void Transient::advance(double dt) {
   solve_system(ctx);
   commit_step(ctx);
   time_ = t_next;
-  if constexpr (obs::kEnabled) {
-    ++steps_;
-    newton_total_ += static_cast<std::uint64_t>(last_newton_);
-  }
+  ++steps_;
+  newton_total_ += static_cast<std::uint64_t>(last_newton_);
 }
 
 void Transient::step() { advance(opt_.dt); }
@@ -361,9 +356,7 @@ double Transient::step_adaptive(double t_end) {
 
     // Reject: restore the last accepted state and retry smaller.
     ++rejections_;
-    if constexpr (obs::kEnabled) {
-      if (!newton_converged_) ++newton_rejections_;
-    }
+    if (!newton_converged_) ++newton_rejections_;
     x_ = x_accept_;
     double shrink = 0.25;  // Newton failed: no usable error estimate
     if (newton_converged_) {
@@ -410,13 +403,8 @@ double Transient::step_adaptive(double t_end) {
     reset_predictor();
   }
 
-  if constexpr (obs::kEnabled) {
-    ++steps_;
-    newton_total_ += static_cast<std::uint64_t>(last_newton_);
-    if (metrics_ != nullptr && id_dt_hist_ != obs::kInvalidMetric) {
-      metrics_->observe(id_dt_hist_, std::log10(dt));
-    }
-  }
+  ++steps_;
+  newton_total_ += static_cast<std::uint64_t>(last_newton_);
   return dt;
 }
 
@@ -460,12 +448,8 @@ void Transient::run_adaptive(double t_end, const Observer& observer) {
 
 void Transient::run_until(Duration t_end, const Observer& observer) {
   PICO_REQUIRE(t_end.value() >= time_, "run_until target is in the past");
-  // Inert unless a tracer is attached (tracer_ stays null when
-  // observability is compiled out) — nothing here runs per step.
-  obs::Span span(tracer_, "transient.run_until");
   if (opt_.adaptive) {
     run_adaptive(t_end.value(), observer);
-    publish_metrics();
     return;
   }
   const double te = t_end.value();
@@ -481,57 +465,24 @@ void Transient::run_until(Duration t_end, const Observer& observer) {
     if (observer) observer(time_, x_);
   }
   if (std::fabs(time_ - te) <= eps) time_ = te;
-  publish_metrics();
 }
 
-void Transient::set_telemetry(obs::MetricsRegistry* metrics, obs::Tracer* tracer) {
-  if constexpr (obs::kEnabled) {
-    metrics_ = metrics;
-    tracer_ = tracer;
-    if (metrics_ != nullptr) {
-      id_steps_ = metrics_->counter("transient.steps");
-      id_newton_ = metrics_->counter("transient.newton_iterations");
-      id_hits_ = metrics_->counter("transient.lu_cache.hits");
-      id_content_hits_ = metrics_->counter("transient.lu_cache.content_hits");
-      id_misses_ = metrics_->counter("transient.lu_cache.misses");
-      id_invalidations_ = metrics_->counter("transient.lu_cache.invalidations");
-      id_factorizations_ = metrics_->counter("transient.lu_factorizations");
-      id_rejections_ = metrics_->counter("transient.dt_rejections");
-      id_lte_rejections_ = metrics_->counter("transient.dt_rejections.lte");
-      id_newton_rejections_ = metrics_->counter("transient.dt_rejections.newton");
-      id_bp_hits_ = metrics_->counter("transient.dt_breakpoint_hits");
-      id_evictions_ = metrics_->counter("transient.lu_cache.evictions");
-      // Accepted step sizes, log10 seconds: 1 ns .. 1 s in ¼-decade buckets.
-      id_dt_hist_ = metrics_->histogram("transient.dt_log10", -9.0, 0.0, 36);
-    }
-  } else {
-    (void)metrics;
-    (void)tracer;
-  }
-}
-
-void Transient::publish_metrics() {
-  if constexpr (obs::kEnabled) {
-    if (metrics_ == nullptr) return;
-    const auto flush = [this](obs::MetricId id, std::uint64_t current, std::uint64_t& prev) {
-      if (current != prev) {
-        metrics_->add(id, static_cast<double>(current - prev));
-        prev = current;
-      }
-    };
-    flush(id_steps_, steps_, published_.steps);
-    flush(id_newton_, newton_total_, published_.newton);
-    flush(id_hits_, lu_hits_, published_.hits);
-    flush(id_content_hits_, lu_content_hits_, published_.content_hits);
-    flush(id_misses_, lu_misses_, published_.misses);
-    flush(id_invalidations_, lu_invalidations_, published_.invalidations);
-    flush(id_factorizations_, lu_factorizations_, published_.factorizations);
-    flush(id_rejections_, rejections_, published_.rejections);
-    flush(id_lte_rejections_, rejections_ - newton_rejections_, published_.lte_rejections);
-    flush(id_newton_rejections_, newton_rejections_, published_.newton_rejections);
-    flush(id_bp_hits_, bp_hits_, published_.bp_hits);
-    flush(id_evictions_, lu_evictions_, published_.evictions);
-  }
+void Transient::publish_metrics(obs::MetricsRegistry& m) const {
+  const auto add = [&m](const char* name, std::uint64_t total) {
+    m.add(m.counter(name), static_cast<double>(total));
+  };
+  add("transient.steps", steps_);
+  add("transient.newton_iterations", newton_total_);
+  add("transient.lu_cache.hits", lu_hits_);
+  add("transient.lu_cache.content_hits", lu_content_hits_);
+  add("transient.lu_cache.misses", lu_misses_);
+  add("transient.lu_cache.invalidations", lu_invalidations_);
+  add("transient.lu_factorizations", lu_factorizations_);
+  add("transient.dt_rejections", rejections_);
+  add("transient.dt_rejections.lte", rejections_ - newton_rejections_);
+  add("transient.dt_rejections.newton", newton_rejections_);
+  add("transient.dt_breakpoint_hits", bp_hits_);
+  add("transient.lu_cache.evictions", lu_evictions_);
 }
 
 }  // namespace pico::circuits

@@ -41,26 +41,24 @@
 #include "circuits/circuit.hpp"
 #include "circuits/components.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
 #include "sim/trace.hpp"
 
 namespace pico::circuits {
 
-// The adaptive controller's geometric dt ladder: rungs dt_min * ratio^k up
-// to the first above dt_max. snap() returns the formula's rung,
+// The adaptive controller's geometric dt ladder: rungs dt_min * ratio^k,
+// ratio = Transient::kDtLadderRatio, up to the first above dt_max. snap()
+// returns the formula's rung,
 //   dt_min * ratio^floor(log(dt / dt_min) / log(ratio) + 1e-9),
-// dt_min at or below dt_min, and max(dt, dt_min) when ratio <= 1, bit for
-// bit, but reaches it by counting tabled rung edges instead of taking a
-// log (see snap in transient.cpp).
+// and dt_min at or below dt_min, bit for bit, but reaches it by counting
+// tabled rung edges instead of taking a log (see snap in transient.cpp).
 class DtLadder {
  public:
   DtLadder() = default;
-  DtLadder(double dt_min, double ratio, double dt_max);
+  DtLadder(double dt_min, double dt_max);
   [[nodiscard]] double snap(double dt) const;
 
  private:
   double dt_min_ = 0.0;
-  double ratio_ = 1.0;
   double log_ratio_ = 0.0;
   // rungs_[k] = dt_min * std::pow(ratio, k), the formula's own expression.
   std::vector<double> rungs_;
@@ -147,7 +145,7 @@ class Transient {
   // iteration).
   [[nodiscard]] std::uint64_t lu_factorizations() const { return lu_factorizations_; }
 
-  // --- Adaptive-run introspection (functional, never compiled out) ----------
+  // --- Adaptive-run introspection -------------------------------------------
   // Rejected step attempts (LTE over tolerance or Newton non-convergence).
   [[nodiscard]] std::uint64_t lte_rejections() const { return rejections_; }
   // Steps clamped to land exactly on a registered breakpoint.
@@ -161,18 +159,12 @@ class Transient {
   [[nodiscard]] double proposed_dt() const { return dt_next_; }
 
   // --- Observability ---------------------------------------------------------
-  // Attach a metrics registry (and optionally a tracer). Counters flush to
-  // the registry on publish_metrics(), which run_until() calls when it
-  // returns. All of this — including the per-step accounting below — is
-  // compiled away when PICO_OBSERVABILITY=OFF (the getters then read 0).
-  void set_telemetry(obs::MetricsRegistry* metrics, obs::Tracer* tracer = nullptr);
-  // Flush counter deltas since the last publish into the registry
-  // ("transient.steps", "transient.newton_iterations",
+  // Add this engine's totals into `m`, like every engine's publish_metrics:
+  // "transient.steps", "transient.newton_iterations",
   // "transient.lu_cache.{hits,content_hits,misses,invalidations,evictions}",
-  // "transient.lu_factorizations", "transient.dt_rejections{,.lte,.newton}",
-  // "transient.dt_breakpoint_hits"; accepted step sizes feed the
-  // "transient.dt_log10" histogram). Safe to call repeatedly.
-  void publish_metrics();
+  // "transient.lu_factorizations", "transient.dt_rejections{,.lte,.newton}"
+  // and "transient.dt_breakpoint_hits".
+  void publish_metrics(obs::MetricsRegistry& m) const;
 
   // Accepted transient steps (fast or full path).
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
@@ -283,8 +275,7 @@ class Transient {
   std::vector<CachedLu> lu_cache_;
   std::uint64_t lu_tick_ = 0;
 
-  // Observability accounting (all increments sit behind
-  // `if constexpr (obs::kEnabled)` so an OFF build carries no code).
+  // Observability accounting, read by publish_metrics.
   std::uint64_t steps_ = 0;
   std::uint64_t newton_total_ = 0;
   std::uint64_t lu_hits_ = 0;
@@ -292,26 +283,6 @@ class Transient {
   std::uint64_t lu_content_hits_ = 0;
   std::uint64_t lu_invalidations_ = 0;
   std::uint64_t newton_rejections_ = 0;  // of rejections_; the rest are LTE's
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  struct PublishedCounters {
-    std::uint64_t steps = 0, newton = 0, hits = 0, content_hits = 0, misses = 0,
-                  invalidations = 0, factorizations = 0, rejections = 0, lte_rejections = 0,
-                  newton_rejections = 0, bp_hits = 0, evictions = 0;
-  } published_;
-  obs::MetricId id_steps_ = obs::kInvalidMetric;
-  obs::MetricId id_newton_ = obs::kInvalidMetric;
-  obs::MetricId id_hits_ = obs::kInvalidMetric;
-  obs::MetricId id_content_hits_ = obs::kInvalidMetric;
-  obs::MetricId id_misses_ = obs::kInvalidMetric;
-  obs::MetricId id_invalidations_ = obs::kInvalidMetric;
-  obs::MetricId id_factorizations_ = obs::kInvalidMetric;
-  obs::MetricId id_rejections_ = obs::kInvalidMetric;
-  obs::MetricId id_lte_rejections_ = obs::kInvalidMetric;
-  obs::MetricId id_newton_rejections_ = obs::kInvalidMetric;
-  obs::MetricId id_bp_hits_ = obs::kInvalidMetric;
-  obs::MetricId id_evictions_ = obs::kInvalidMetric;
-  obs::MetricId id_dt_hist_ = obs::kInvalidMetric;
 };
 
 }  // namespace pico::circuits

@@ -50,7 +50,7 @@ void PowerAccountant::integrate_to_now() {
   const Current net{harvest_.value() - draw.value()};
   const auto moved = battery_.transfer(net, Duration{dt});
   battery_.idle(Duration{dt});  // self-discharge in parallel
-  if constexpr (obs::kEnabled) ++intervals_;
+  ++intervals_;
   if (moved.hit_empty) {
     // The cell emptied mid-interval: the loads received only the charge it
     // could source plus the harvest flowing straight through. Billing the
@@ -74,15 +74,11 @@ void PowerAccountant::integrate_to_now() {
   last_time_ = now;
   if (moved.hit_empty && !empty_signaled_) {
     empty_signaled_ = true;
-    // The brownout count is behavioral bookkeeping (at most one event per
-    // battery death), not instrumentation — it stays live in OFF builds so
-    // brownout_events() keeps its meaning; only the flight tap is gated.
+    // At most one brownout per battery death.
     ++brownouts_;
-    if constexpr (obs::kEnabled) {
-      if (flight_ != nullptr) {
-        flight_->push({now, obs::FlightEventKind::kBrownout, flight_node_, 0,
-                       energy_out_ - energy_in_});
-      }
+    if (flight_ != nullptr) {
+      flight_->push({now, obs::FlightEventKind::kBrownout, flight_node_, 0,
+                     energy_out_ - energy_in_});
     }
     // Brown-out: the node drops its supplies. Fired only after the books
     // for this interval close — the callback's own set_current() calls
@@ -157,15 +153,10 @@ Energy PowerAccountant::management_overhead() const {
 }
 
 void PowerAccountant::publish_metrics(obs::MetricsRegistry& m, const std::string& prefix) const {
-  if constexpr (obs::kEnabled) {
-    m.add(m.counter(prefix + ".integration_intervals"), static_cast<double>(intervals_));
-    m.add(m.counter(prefix + ".brownout_events"), static_cast<double>(brownouts_));
-    m.add(m.counter(prefix + ".energy_out_j"), energy_out_);
-    m.add(m.counter(prefix + ".energy_in_j"), energy_in_);
-  } else {
-    (void)m;
-    (void)prefix;
-  }
+  m.add(m.counter(prefix + ".integration_intervals"), static_cast<double>(intervals_));
+  m.add(m.counter(prefix + ".brownout_events"), static_cast<double>(brownouts_));
+  m.add(m.counter(prefix + ".energy_out_j"), energy_out_);
+  m.add(m.counter(prefix + ".energy_in_j"), energy_in_);
 }
 
 }  // namespace pico::core

@@ -92,12 +92,11 @@ class PowerAccountant {
   [[nodiscard]] std::uint64_t brownout_events() const { return brownouts_; }
   // Publish counters into `m` under "<prefix>.": integration_intervals,
   // brownout_events, energy_out_j, energy_in_j. Call once at end of run;
-  // counters accumulate across accountants sharing a registry. No-op when
-  // observability is compiled out.
+  // counters accumulate across accountants sharing a registry.
   void publish_metrics(obs::MetricsRegistry& m, const std::string& prefix = "power") const;
   // Flight-recorder tap: a kBrownout event (a = `node_id`, v = net energy
   // deficit [J]) is pushed the instant the battery-empty latch fires.
-  // Null detaches. No-op when observability is compiled out.
+  // Null detaches.
   void set_flight(obs::FlightRing* ring, std::uint32_t node_id) {
     flight_ = ring;
     flight_node_ = node_id;

@@ -235,9 +235,7 @@ void PicoCubeNode::boot() {
         std::make_unique<fault::FaultInjector>(sim_, cfg_.faults, std::move(hooks));
     fault_injector_->arm();
     // Re-apply a pre-boot flight attachment (the injector did not exist yet).
-    if constexpr (obs::kEnabled) {
-      if (flight_recorder_ != nullptr) fault_injector_->set_flight(flight_recorder_);
-    }
+    if (flight_recorder_ != nullptr) fault_injector_->set_flight(flight_recorder_);
   }
 }
 
@@ -305,12 +303,10 @@ void PicoCubeNode::update_harvest() {
   }
   const auto res = rectifier_->rectify(*shaker_, battery_.open_circuit_voltage(), t,
                                        t + window, 2048);
-  if constexpr (obs::kEnabled) {
-    ++harvest_windows_;
-    if (res.samples_evaluated == 0) ++harvest_windows_skipped_;
-    harvest_samples_ += static_cast<std::uint64_t>(res.samples_evaluated);
-    harvest_visited_ += static_cast<std::uint64_t>(res.samples_visited);
-  }
+  ++harvest_windows_;
+  if (res.samples_evaluated == 0) ++harvest_windows_skipped_;
+  harvest_samples_ += static_cast<std::uint64_t>(res.samples_evaluated);
+  harvest_visited_ += static_cast<std::uint64_t>(res.samples_visited);
   accountant_.set_harvest_current(Current{res.avg_current.value() * harvest_derate_});
 }
 
@@ -433,52 +429,42 @@ NodeReport PicoCubeNode::report() const {
 }
 
 void PicoCubeNode::attach_flight(obs::FlightRecorder* recorder, std::uint32_t node_id) {
-  if constexpr (obs::kEnabled) {
-    flight_recorder_ = recorder;
-    flight_node_id_ = node_id;
-    obs::FlightRing* ring = recorder != nullptr ? &recorder->ring(0) : nullptr;
-    accountant_.set_flight(ring, node_id);
-    if (link_) link_->set_flight(ring, node_id);
-    if (fault_injector_) fault_injector_->set_flight(recorder);
-  } else {
-    (void)recorder;
-    (void)node_id;
-  }
+  flight_recorder_ = recorder;
+  flight_node_id_ = node_id;
+  obs::FlightRing* ring = recorder != nullptr ? &recorder->ring(0) : nullptr;
+  accountant_.set_flight(ring, node_id);
+  if (link_) link_->set_flight(ring, node_id);
+  if (fault_injector_) fault_injector_->set_flight(recorder);
 }
 
 void PicoCubeNode::publish_metrics(obs::MetricsRegistry& m) const {
-  if constexpr (obs::kEnabled) {
-    sim_.publish_metrics(m);
-    accountant_.publish_metrics(m);
-    m.add(m.counter("node.wake_cycles"), static_cast<double>(wake_cycles_));
-    m.add(m.counter("node.frames_ok"), static_cast<double>(frames_ok_));
-    m.add(m.counter("node.frames_failed"), static_cast<double>(frames_failed_));
-    if (link_) link_->publish_metrics(m);
-    if (bs_) {
-      bs_->publish_metrics(m);
-      const auto& nc = bs_->counters();
-      if (nc.delivered_payload_bits > 0) {
-        m.set(m.gauge("net.energy_per_delivered_bit"),
-              accountant_.battery_energy_out().value() /
-                  static_cast<double>(nc.delivered_payload_bits));
-      }
+  sim_.publish_metrics(m);
+  accountant_.publish_metrics(m);
+  m.add(m.counter("node.wake_cycles"), static_cast<double>(wake_cycles_));
+  m.add(m.counter("node.frames_ok"), static_cast<double>(frames_ok_));
+  m.add(m.counter("node.frames_failed"), static_cast<double>(frames_failed_));
+  if (link_) link_->publish_metrics(m);
+  if (bs_) {
+    bs_->publish_metrics(m);
+    const auto& nc = bs_->counters();
+    if (nc.delivered_payload_bits > 0) {
+      m.set(m.gauge("net.energy_per_delivered_bit"),
+            accountant_.battery_energy_out().value() /
+                static_cast<double>(nc.delivered_payload_bits));
     }
-    if (fault_injector_) fault_injector_->publish_metrics(m);
-    if (harvest_windows_ > 0) {
-      // Behavioral harvest estimator: how much of the sampling it culled.
-      m.add(m.counter("harvest.windows"), static_cast<double>(harvest_windows_));
-      m.add(m.counter("harvest.windows_skipped"), static_cast<double>(harvest_windows_skipped_));
-      m.add(m.counter("harvest.samples_evaluated"), static_cast<double>(harvest_samples_));
-      m.add(m.counter("harvest.samples_visited"), static_cast<double>(harvest_visited_));
-    }
-    if (harvest_tr_) {
-      // Circuit-level harvest engine: steps, LU-cache traffic, rejected
-      // steps and the accepted-dt histogram ("transient.*").
-      harvest_tr_->set_telemetry(&m);
-      harvest_tr_->publish_metrics();
-    }
-  } else {
-    (void)m;
+  }
+  if (fault_injector_) fault_injector_->publish_metrics(m);
+  if (harvest_windows_ > 0) {
+    // Behavioral harvest estimator: how much of the sampling it culled.
+    m.add(m.counter("harvest.windows"), static_cast<double>(harvest_windows_));
+    m.add(m.counter("harvest.windows_skipped"), static_cast<double>(harvest_windows_skipped_));
+    m.add(m.counter("harvest.samples_evaluated"), static_cast<double>(harvest_samples_));
+    m.add(m.counter("harvest.samples_visited"), static_cast<double>(harvest_visited_));
+  }
+  if (harvest_tr_) {
+    // Circuit-level harvest engine: steps, LU-cache traffic and rejected
+    // steps ("transient.*").
+    harvest_tr_->publish_metrics(m);
   }
 }
 

@@ -168,7 +168,7 @@ class PicoCubeNode {
   // accountant brownouts and link-layer ARQ give-ups into ring 0 (tagged
   // with `node_id`), fault-window opens into the recorder's storm
   // detector. Call after construction (and after any link layer exists);
-  // null detaches. No-op when observability is compiled out.
+  // null detaches.
   void attach_flight(obs::FlightRecorder* recorder, std::uint32_t node_id = 0);
 
   // Link layer / own base station (null in beacon / external-BS runs).
@@ -187,11 +187,13 @@ class PicoCubeNode {
     return tire_env_ ? tire_env_.get() : nullptr;
   }
 
-  // Publish this node's telemetry into a registry: simulator counters
-  // ("sim.*"), power-accountant counters ("power.*"), and firmware-level
-  // counters ("node.wake_cycles", "node.frames_ok", "node.frames_failed").
-  // Call once after run(); counters accumulate across nodes sharing a
-  // registry (e.g. Monte Carlo trials). No-op when PICO_OBSERVABILITY=OFF.
+  // Publish this node's totals into a registry: simulator counters
+  // ("sim.*"), power-accountant counters ("power.*"), firmware-level
+  // counters ("node.wake_cycles", "node.frames_ok", "node.frames_failed")
+  // and, for circuit-level harvest, the transient engine's ("transient.*").
+  // Reads the node only, so it may be called into any number of
+  // registries at any point; counters accumulate across nodes sharing a
+  // registry (e.g. Monte Carlo trials).
   void publish_metrics(obs::MetricsRegistry& m) const;
 
  private:

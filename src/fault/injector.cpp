@@ -34,13 +34,11 @@ void FaultInjector::arm() {
 
 void FaultInjector::open_window(const FaultEvent& ev) {
   ++counters_.events_fired;
-  if constexpr (obs::kEnabled) {
-    if (flight_ != nullptr) {
-      flight_->record({sim_.now().value(), obs::FlightEventKind::kFaultActive,
-                       static_cast<std::uint32_t>(ev.kind),
-                       static_cast<std::uint32_t>(counters_.events_fired),
-                       ev.magnitude});
-    }
+  if (flight_ != nullptr) {
+    flight_->record({sim_.now().value(), obs::FlightEventKind::kFaultActive,
+                     static_cast<std::uint32_t>(ev.kind),
+                     static_cast<std::uint32_t>(counters_.events_fired),
+                     ev.magnitude});
   }
   switch (ev.kind) {
     case FaultKind::kHarvesterDerate:
@@ -85,22 +83,17 @@ void FaultInjector::apply(FaultKind kind) {
 
 void FaultInjector::publish_metrics(obs::MetricsRegistry& m,
                                     const std::string& prefix) const {
-  if constexpr (obs::kEnabled) {
-    const auto c = [&](const char* name, std::uint64_t v) {
-      m.add(m.counter(prefix + "." + name), static_cast<double>(v));
-    };
-    c("events_armed", counters_.events_armed);
-    c("events_fired", counters_.events_fired);
-    c("windows_closed", counters_.windows_closed);
-    c("harvest_derates", counters_.harvest_derates);
-    c("storage_agings", counters_.storage_agings);
-    c("converter_derates", counters_.converter_derates);
-    c("channel_loss_windows", counters_.channel_loss_windows);
-    c("supply_glitches", counters_.supply_glitches);
-  } else {
-    (void)m;
-    (void)prefix;
-  }
+  const auto c = [&](const char* name, std::uint64_t v) {
+    m.add(m.counter(prefix + "." + name), static_cast<double>(v));
+  };
+  c("events_armed", counters_.events_armed);
+  c("events_fired", counters_.events_fired);
+  c("windows_closed", counters_.windows_closed);
+  c("harvest_derates", counters_.harvest_derates);
+  c("storage_agings", counters_.storage_agings);
+  c("converter_derates", counters_.converter_derates);
+  c("channel_loss_windows", counters_.channel_loss_windows);
+  c("supply_glitches", counters_.supply_glitches);
 }
 
 }  // namespace pico::fault

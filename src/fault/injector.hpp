@@ -68,14 +68,12 @@ class FaultInjector {
 
   // Publish "<prefix>.*" counters into `m` (fault.events_fired,
   // fault.harvest_derates, ...). Call once after the run; counters
-  // accumulate across injectors sharing a registry. No-op when
-  // observability is compiled out.
+  // accumulate across injectors sharing a registry.
   void publish_metrics(obs::MetricsRegistry& m, const std::string& prefix = "fault") const;
 
   // Flight-recorder tap: every window open records a kFaultActive event
   // (a = fault kind, b = events fired so far, v = magnitude) through the
   // recorder — which also feeds its fault-storm detector. Null detaches.
-  // No-op when observability is compiled out.
   void set_flight(obs::FlightRecorder* recorder) { flight_ = recorder; }
 
  private:

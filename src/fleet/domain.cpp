@@ -177,13 +177,11 @@ void Domain::fire_wake(std::uint32_t i, double wake, const KernelModel& m,
       const double p_rx = m.rx_power_w(nd.dist_own_m) * shadow;
       pending_.push_back(Frame{start, end, p_rx, u, i, nd.global_id, sq, lost});
       ++c_.frames_on_air;
-      if constexpr (obs::kEnabled) {
-        // Sampled on the cumulative count (frame 1, 1+N, 1+2N, ...): the
-        // subset is a pure function of the domain's frame sequence.
-        if (flight != nullptr && ((c_.frames_on_air - 1) & flight_tx_mask_) == 0) {
-          flight->push(
-              {start, obs::FlightEventKind::kFrameTx, nd.global_id, sq, p_rx});
-        }
+      // Sampled on the cumulative count (frame 1, 1+N, 1+2N, ...): the
+      // subset is a pure function of the domain's frame sequence.
+      if (flight != nullptr && ((c_.frames_on_air - 1) & flight_tx_mask_) == 0) {
+        flight->push(
+            {start, obs::FlightEventKind::kFrameTx, nd.global_id, sq, p_rx});
       }
       c_.airtime_s += m.profile.airtime_s;
       if (lost) ++c_.frames_lost;
@@ -255,12 +253,10 @@ bool Domain::retire_if_depleted(std::uint32_t i, double wake, const KernelModel&
   // finalize(), which walks nodes in index order: retirement happens in
   // calendar (time-major) order, and double accumulation must not depend
   // on it.
-  if constexpr (obs::kEnabled) {
-    if (flight != nullptr) {
-      const double out_d = floor_w * t_d + nd.cycle_energy_j;
-      const double in_d = m.profile.battery_ocv_v * m.harvest_charge(0.0, t_d);
-      flight->push({t_d, obs::FlightEventKind::kBrownout, nd.global_id, 0, out_d - in_d});
-    }
+  if (flight != nullptr) {
+    const double out_d = floor_w * t_d + nd.cycle_energy_j;
+    const double in_d = m.profile.battery_ocv_v * m.harvest_charge(0.0, t_d);
+    flight->push({t_d, obs::FlightEventKind::kBrownout, nd.global_id, 0, out_d - in_d});
   }
   return true;
 }
@@ -364,11 +360,9 @@ void Domain::resolve(double epoch_end_s, const KernelModel& m, Scratch& s,
           f.p_rx_w, interference_w, m.noise_w, m.capture_ratio);
       if (!sinr) {
         ++c_.collided;
-        if constexpr (obs::kEnabled) {
-          if (flight != nullptr) {
-            flight->push(
-                {f.end_s, obs::FlightEventKind::kCollision, gid, f.seq, interference_w});
-          }
+        if (flight != nullptr) {
+          flight->push(
+              {f.end_s, obs::FlightEventKind::kCollision, gid, f.seq, interference_w});
         }
         continue;
       }
@@ -671,11 +665,9 @@ void Domain::finalize(const KernelModel& m, obs::FlightRing* flight) {
       // of the horizon: end-of-run is the honest stamp at that tolerance.
       alive_[i] = 0;
       ++c_.nodes_dead;
-      if constexpr (obs::kEnabled) {
-        if (flight != nullptr) {
-          flight->push(
-              {t, obs::FlightEventKind::kBrownout, node_[i].global_id, 0, drained - in});
-        }
+      if (flight != nullptr) {
+        flight->push(
+            {t, obs::FlightEventKind::kBrownout, node_[i].global_id, 0, drained - in});
       }
     }
   }

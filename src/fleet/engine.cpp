@@ -40,49 +40,43 @@ std::uint64_t FleetMetrics::fingerprint() const {
 
 void FleetMetrics::publish_metrics(obs::MetricsRegistry& m,
                                    const std::string& prefix) const {
-  if constexpr (obs::kEnabled) {
-    m.add(m.counter(prefix + ".wake_cycles"), static_cast<double>(wake_cycles));
-    m.add(m.counter(prefix + ".frames_on_air"), static_cast<double>(frames_on_air));
-    m.add(m.counter(prefix + ".frames_completed"),
-          static_cast<double>(frames_completed));
-    m.add(m.counter(prefix + ".frames_lost"), static_cast<double>(frames_lost));
-    m.add(m.counter(prefix + ".collided"), static_cast<double>(collided));
-    m.add(m.counter(prefix + ".captured"), static_cast<double>(captured));
-    m.add(m.counter(prefix + ".below_squelch"), static_cast<double>(below_squelch));
-    m.add(m.counter(prefix + ".crc_rejected"), static_cast<double>(crc_rejected));
-    m.add(m.counter(prefix + ".delivered"), static_cast<double>(delivered));
-    m.add(m.counter(prefix + ".delivered_payload_bits"),
-          static_cast<double>(delivered_payload_bits));
-    m.add(m.counter(prefix + ".edge_exports"), static_cast<double>(edge_exports));
-    m.add(m.counter(prefix + ".arq_retries"), static_cast<double>(arq_retries));
-    m.add(m.counter(prefix + ".arq_gaveup"), static_cast<double>(arq_gaveup));
-    m.add(m.counter(prefix + ".node_seconds_alive"), node_seconds_alive);
-    m.add(m.counter(prefix + ".energy_out_j"), energy_out_j);
-    m.add(m.counter(prefix + ".energy_in_j"), energy_in_j);
-    m.set(m.gauge(prefix + ".nodes"), static_cast<double>(nodes));
-    // Depleted nodes are retired the moment their balance crosses zero, so
-    // this is a live population gauge, not an end-of-run tally.
-    m.set(m.gauge(prefix + ".nodes_dead"), static_cast<double>(nodes_dead));
-    m.set(m.gauge(prefix + ".domains"), static_cast<double>(domains));
-    m.set(m.gauge(prefix + ".shards"), static_cast<double>(shards));
-    m.set(m.gauge(prefix + ".collision_rate"), collision_rate);
-    m.add(m.counter(prefix + ".phase.setup_seconds"), phase.setup_s);
-    m.add(m.counter(prefix + ".phase.advance_seconds"), phase.advance_s);
-    m.add(m.counter(prefix + ".phase.exchange_seconds"), phase.exchange_s);
-    m.add(m.counter(prefix + ".phase.resolve_seconds"), phase.resolve_s);
-    m.add(m.counter(prefix + ".phase.obs_seconds"), phase.obs_s);
-    m.add(m.counter(prefix + ".phase.finalize_seconds"), phase.finalize_s);
-    m.add(m.counter(prefix + ".phase.epochs"), static_cast<double>(phase.epochs));
-    m.add(m.counter(prefix + ".phase.domain_epochs"),
-          static_cast<double>(phase.domain_epochs));
-    m.add(m.counter(prefix + ".phase.domains_advanced"),
-          static_cast<double>(phase.domains_advanced));
-    m.add(m.counter(prefix + ".phase.domains_resolved"),
-          static_cast<double>(phase.domains_resolved));
-  } else {
-    (void)m;
-    (void)prefix;
-  }
+  m.add(m.counter(prefix + ".wake_cycles"), static_cast<double>(wake_cycles));
+  m.add(m.counter(prefix + ".frames_on_air"), static_cast<double>(frames_on_air));
+  m.add(m.counter(prefix + ".frames_completed"),
+        static_cast<double>(frames_completed));
+  m.add(m.counter(prefix + ".frames_lost"), static_cast<double>(frames_lost));
+  m.add(m.counter(prefix + ".collided"), static_cast<double>(collided));
+  m.add(m.counter(prefix + ".captured"), static_cast<double>(captured));
+  m.add(m.counter(prefix + ".below_squelch"), static_cast<double>(below_squelch));
+  m.add(m.counter(prefix + ".crc_rejected"), static_cast<double>(crc_rejected));
+  m.add(m.counter(prefix + ".delivered"), static_cast<double>(delivered));
+  m.add(m.counter(prefix + ".delivered_payload_bits"),
+        static_cast<double>(delivered_payload_bits));
+  m.add(m.counter(prefix + ".edge_exports"), static_cast<double>(edge_exports));
+  m.add(m.counter(prefix + ".arq_retries"), static_cast<double>(arq_retries));
+  m.add(m.counter(prefix + ".arq_gaveup"), static_cast<double>(arq_gaveup));
+  m.add(m.counter(prefix + ".node_seconds_alive"), node_seconds_alive);
+  m.add(m.counter(prefix + ".energy_out_j"), energy_out_j);
+  m.add(m.counter(prefix + ".energy_in_j"), energy_in_j);
+  m.set(m.gauge(prefix + ".nodes"), static_cast<double>(nodes));
+  // Depleted nodes are retired the moment their balance crosses zero, so
+  // this is a live population gauge, not an end-of-run tally.
+  m.set(m.gauge(prefix + ".nodes_dead"), static_cast<double>(nodes_dead));
+  m.set(m.gauge(prefix + ".domains"), static_cast<double>(domains));
+  m.set(m.gauge(prefix + ".shards"), static_cast<double>(shards));
+  m.set(m.gauge(prefix + ".collision_rate"), collision_rate);
+  m.add(m.counter(prefix + ".phase.setup_seconds"), phase.setup_s);
+  m.add(m.counter(prefix + ".phase.advance_seconds"), phase.advance_s);
+  m.add(m.counter(prefix + ".phase.resolve_seconds"), phase.resolve_s);
+  m.add(m.counter(prefix + ".phase.obs_seconds"), phase.obs_s);
+  m.add(m.counter(prefix + ".phase.finalize_seconds"), phase.finalize_s);
+  m.add(m.counter(prefix + ".phase.epochs"), static_cast<double>(phase.epochs));
+  m.add(m.counter(prefix + ".phase.domain_epochs"),
+        static_cast<double>(phase.domain_epochs));
+  m.add(m.counter(prefix + ".phase.domains_advanced"),
+        static_cast<double>(phase.domains_advanced));
+  m.add(m.counter(prefix + ".phase.domains_resolved"),
+        static_cast<double>(phase.domains_resolved));
 }
 
 // --- FleetSession ------------------------------------------------------------
@@ -223,12 +217,10 @@ FleetSession::Impl::Impl(const FleetSpec& spec_in, const FleetObsHooks& hooks_in
   // epoch longer than two airtimes is exact, so this cannot change
   // results — only how often the loop synchronizes.
   epoch_step = spec.epoch_s;
-  if constexpr (obs::kEnabled) {
-    if (hooks.series != nullptr) {
-      PICO_REQUIRE(hooks.series->initial_dt_s() > 2.0 * m.max_airtime_s,
-                   "series cadence must exceed two frame airtimes");
-      epoch_step = std::min(epoch_step, hooks.series->initial_dt_s());
-    }
+  if (hooks.series != nullptr) {
+    PICO_REQUIRE(hooks.series->initial_dt_s() > 2.0 * m.max_airtime_s,
+                 "series cadence must exceed two frame airtimes");
+    epoch_step = std::min(epoch_step, hooks.series->initial_dt_s());
   }
 
   if (spec.attach_harvester) {
@@ -369,56 +361,50 @@ FleetSession::Impl::Impl(const FleetSpec& spec_in, const FleetObsHooks& hooks_in
   // pointers are cached once up front: with no flight recorder attached
   // `ring_at` stays null and the epoch loop carries no per-domain hook
   // bookkeeping at all.
-  if constexpr (obs::kEnabled) {
-    if (hooks.flight != nullptr) {
-      hooks.flight->configure_rings(n_domains + 1);
-      rings.resize(n_domains);
-      for (std::size_t d = 0; d < n_domains; ++d) {
-        rings[d] = &hooks.flight->ring(d + 1);
-      }
-      for (Domain& d : domains) {
-        d.set_flight_tx_sample_shift(hooks.flight_tx_sample_shift);
-      }
-      const auto& evs = spec.faults.events();
-      fault_opens.reserve(evs.size());
-      for (std::size_t i = 0; i < evs.size(); ++i) {
-        fault_opens.push_back({evs[i].at_s, static_cast<std::uint32_t>(evs[i].kind),
-                               static_cast<std::uint32_t>(i), evs[i].magnitude});
-      }
-      std::sort(fault_opens.begin(), fault_opens.end(),
-                [](const FaultOpen& a, const FaultOpen& b) {
-                  return a.at_s != b.at_s ? a.at_s < b.at_s : a.index < b.index;
-                });
+  if (hooks.flight != nullptr) {
+    hooks.flight->configure_rings(n_domains + 1);
+    rings.resize(n_domains);
+    for (std::size_t d = 0; d < n_domains; ++d) {
+      rings[d] = &hooks.flight->ring(d + 1);
     }
-    if (hooks.series != nullptr) {
-      sid.wake_cycles = hooks.series->series("fleet.wake_cycles");
-      sid.frames_on_air = hooks.series->series("fleet.frames_on_air");
-      sid.collided = hooks.series->series("fleet.collided");
-      sid.delivered = hooks.series->series("fleet.delivered");
-      sid.frames_lost = hooks.series->series("fleet.frames_lost");
-      sid.delivered_per_s = hooks.series->series("fleet.delivered_per_s");
-      sid.collision_rate = hooks.series->series("fleet.collision_rate");
-      sid.energy_cycle_j = hooks.series->series("fleet.energy_cycle_j");
-      agg.resize((n_domains + kAggBlock - 1) / kAggBlock);
+    for (Domain& d : domains) {
+      d.set_flight_tx_sample_shift(hooks.flight_tx_sample_shift);
     }
+    const auto& evs = spec.faults.events();
+    fault_opens.reserve(evs.size());
+    for (std::size_t i = 0; i < evs.size(); ++i) {
+      fault_opens.push_back({evs[i].at_s, static_cast<std::uint32_t>(evs[i].kind),
+                             static_cast<std::uint32_t>(i), evs[i].magnitude});
+    }
+    std::sort(fault_opens.begin(), fault_opens.end(),
+              [](const FaultOpen& a, const FaultOpen& b) {
+                return a.at_s != b.at_s ? a.at_s < b.at_s : a.index < b.index;
+              });
+  }
+  if (hooks.series != nullptr) {
+    sid.wake_cycles = hooks.series->series("fleet.wake_cycles");
+    sid.frames_on_air = hooks.series->series("fleet.frames_on_air");
+    sid.collided = hooks.series->series("fleet.collided");
+    sid.delivered = hooks.series->series("fleet.delivered");
+    sid.frames_lost = hooks.series->series("fleet.frames_lost");
+    sid.delivered_per_s = hooks.series->series("fleet.delivered_per_s");
+    sid.collision_rate = hooks.series->series("fleet.collision_rate");
+    sid.energy_cycle_j = hooks.series->series("fleet.energy_cycle_j");
+    agg.resize((n_domains + kAggBlock - 1) / kAggBlock);
   }
   ring_at = rings.empty() ? nullptr : rings.data();
   agg_blocks = agg.size();
 
   phase.setup_s = seconds_since(t_setup0);
-  if constexpr (obs::kEnabled) {
-    if (hooks.tracer != nullptr) {
-      hooks.tracer->set_sim_clock([this] { return t; });
-      hooks.tracer->instant("fleet.run.begin");
-    }
+  if (hooks.tracer != nullptr) {
+    hooks.tracer->set_sim_clock([this] { return t; });
+    hooks.tracer->instant("fleet.run.begin");
   }
 }
 
 FleetSession::Impl::~Impl() {
-  if constexpr (obs::kEnabled) {
-    // finish_run() normally detaches the sim clock; cover abandonment.
-    if (!finished && hooks.tracer != nullptr) hooks.tracer->set_sim_clock({});
-  }
+  // finish_run() normally detaches the sim clock; cover abandonment.
+  if (!finished && hooks.tracer != nullptr) hooks.tracer->set_sim_clock({});
 }
 
 void FleetSession::Impl::run_until(double t_target_s) {
@@ -510,51 +496,49 @@ void FleetSession::Impl::run_until(double t_target_s) {
     ++phase.epochs;
     phase.domain_epochs += n_domains;
 
-    if constexpr (obs::kEnabled) {
-      if (hooks.flight != nullptr || hooks.series != nullptr) {
-        const auto t_obs = Clock::now();
-        if (hooks.flight != nullptr) {
-          while (next_fault < fault_opens.size() &&
-                 fault_opens[next_fault].at_s <= epoch_end) {
-            const FaultOpen& fo = fault_opens[next_fault++];
-            hooks.flight->record({fo.at_s, obs::FlightEventKind::kFaultActive, fo.kind,
-                                  fo.index, fo.magnitude});
-          }
-          hooks.flight->record({epoch_end, obs::FlightEventKind::kEpochBarrier,
-                                epoch_index, static_cast<std::uint32_t>(n_domains),
-                                0.0});
+    if (hooks.flight != nullptr || hooks.series != nullptr) {
+      const auto t_obs = Clock::now();
+      if (hooks.flight != nullptr) {
+        while (next_fault < fault_opens.size() &&
+               fault_opens[next_fault].at_s <= epoch_end) {
+          const FaultOpen& fo = fault_opens[next_fault++];
+          hooks.flight->record({fo.at_s, obs::FlightEventKind::kFaultActive, fo.kind,
+                                fo.index, fo.magnitude});
         }
-        if (hooks.series != nullptr && hooks.series->due(epoch_end)) {
-          runner.run_indexed(agg_blocks, sample_block);
-          DomainCounters tot;
-          for (const DomainCounters& a : agg) tot += a;
-          hooks.series->begin_row(epoch_end);
-          hooks.series->set(sid.wake_cycles, static_cast<double>(tot.wake_cycles));
-          hooks.series->set(sid.frames_on_air, static_cast<double>(tot.frames_on_air));
-          hooks.series->set(sid.collided, static_cast<double>(tot.collided));
-          hooks.series->set(sid.delivered, static_cast<double>(tot.delivered));
-          hooks.series->set(sid.frames_lost, static_cast<double>(tot.frames_lost));
-          const double dt = epoch_end - prev_sample_t;
-          if (dt > 0.0) {
-            hooks.series->set(sid.delivered_per_s,
-                              static_cast<double>(tot.delivered - prev_delivered) / dt);
-          }
-          if (tot.frames_on_air > 0) {
-            hooks.series->set(sid.collision_rate,
-                              static_cast<double>(tot.collided) /
-                                  static_cast<double>(tot.frames_on_air));
-          }
-          hooks.series->set(sid.energy_cycle_j,
-                            m.profile.arq
-                                ? tot.cycle_energy_j
-                                : static_cast<double>(tot.wake_cycles) *
-                                      m.profile.cycle_energy_j);
-          hooks.series->commit_row();
-          prev_sample_t = epoch_end;
-          prev_delivered = tot.delivered;
-        }
-        phase.obs_s += seconds_since(t_obs);
+        hooks.flight->record({epoch_end, obs::FlightEventKind::kEpochBarrier,
+                              epoch_index, static_cast<std::uint32_t>(n_domains),
+                              0.0});
       }
+      if (hooks.series != nullptr && hooks.series->due(epoch_end)) {
+        runner.run_indexed(agg_blocks, sample_block);
+        DomainCounters tot;
+        for (const DomainCounters& a : agg) tot += a;
+        hooks.series->begin_row(epoch_end);
+        hooks.series->set(sid.wake_cycles, static_cast<double>(tot.wake_cycles));
+        hooks.series->set(sid.frames_on_air, static_cast<double>(tot.frames_on_air));
+        hooks.series->set(sid.collided, static_cast<double>(tot.collided));
+        hooks.series->set(sid.delivered, static_cast<double>(tot.delivered));
+        hooks.series->set(sid.frames_lost, static_cast<double>(tot.frames_lost));
+        const double dt = epoch_end - prev_sample_t;
+        if (dt > 0.0) {
+          hooks.series->set(sid.delivered_per_s,
+                            static_cast<double>(tot.delivered - prev_delivered) / dt);
+        }
+        if (tot.frames_on_air > 0) {
+          hooks.series->set(sid.collision_rate,
+                            static_cast<double>(tot.collided) /
+                                static_cast<double>(tot.frames_on_air));
+        }
+        hooks.series->set(sid.energy_cycle_j,
+                          m.profile.arq
+                              ? tot.cycle_energy_j
+                              : static_cast<double>(tot.wake_cycles) *
+                                    m.profile.cycle_energy_j);
+        hooks.series->commit_row();
+        prev_sample_t = epoch_end;
+        prev_delivered = tot.delivered;
+      }
+      phase.obs_s += seconds_since(t_obs);
     }
   }
 }
@@ -562,11 +546,9 @@ void FleetSession::Impl::run_until(double t_target_s) {
 FleetMetrics FleetSession::Impl::finish_run() {
   run_until(spec.sim_time_s);
   finished = true;
-  if constexpr (obs::kEnabled) {
-    if (hooks.tracer != nullptr) {
-      hooks.tracer->instant("fleet.run.end");
-      hooks.tracer->set_sim_clock({});
-    }
+  if (hooks.tracer != nullptr) {
+    hooks.tracer->instant("fleet.run.end");
+    hooks.tracer->set_sim_clock({});
   }
   const auto t_fin = Clock::now();
   // Each domain bills only its own nodes into its own counters and ring.
@@ -660,10 +642,8 @@ FleetSession::Impl::guard_fields() const {
   for (const double e : m.profile.retry_cycle_energy_j) table = digest_mix(table, d(e));
   g.emplace_back("profile.retry_table", table);
   g.emplace_back("check_depletion", m.check_depletion ? 1u : 0u);
-  const bool has_series = obs::kEnabled && hooks.series != nullptr;
-  const bool has_flight = obs::kEnabled && hooks.flight != nullptr;
-  g.emplace_back("has_series", has_series ? 1u : 0u);
-  g.emplace_back("has_flight", has_flight ? 1u : 0u);
+  g.emplace_back("has_series", hooks.series != nullptr ? 1u : 0u);
+  g.emplace_back("has_flight", hooks.flight != nullptr ? 1u : 0u);
   g.emplace_back("flight_tx_sample_shift",
                  static_cast<std::uint64_t>(hooks.flight_tx_sample_shift));
   return g;
@@ -714,13 +694,11 @@ void FleetSession::Impl::save(ckpt::Writer& w) const {
   for (const Domain& dom : domains) dom.save(w);
   w.end_section();
 
-  if constexpr (obs::kEnabled) {
-    if (hooks.series != nullptr) {
-      ckpt::write_series(w, hooks.series->checkpoint_state());
-    }
-    if (hooks.flight != nullptr) {
-      ckpt::write_flight(w, hooks.flight->checkpoint_state());
-    }
+  if (hooks.series != nullptr) {
+    ckpt::write_series(w, hooks.series->checkpoint_state());
+  }
+  if (hooks.flight != nullptr) {
+    ckpt::write_flight(w, hooks.flight->checkpoint_state());
   }
 }
 
@@ -807,25 +785,23 @@ void FleetSession::Impl::restore(ckpt::Reader& r) {
     air_work[d] = dom.has_air_work() ? 1 : 0;
   }
 
-  if constexpr (obs::kEnabled) {
-    if (hooks.series != nullptr) {
-      hooks.series->restore(ckpt::read_series(r));
+  if (hooks.series != nullptr) {
+    hooks.series->restore(ckpt::read_series(r));
+  }
+  if (hooks.flight != nullptr) {
+    obs::FlightRecorder::CheckpointState st = ckpt::read_flight(r);
+    if (st.rings.size() != n_domains + 1) {
+      throw ckpt::CheckpointError(
+          "flight checkpoint holds " + std::to_string(st.rings.size()) +
+          " rings; this fleet needs " + std::to_string(n_domains + 1));
     }
-    if (hooks.flight != nullptr) {
-      obs::FlightRecorder::CheckpointState st = ckpt::read_flight(r);
-      if (st.rings.size() != n_domains + 1) {
-        throw ckpt::CheckpointError(
-            "flight checkpoint holds " + std::to_string(st.rings.size()) +
-            " rings; this fleet needs " + std::to_string(n_domains + 1));
-      }
-      hooks.flight->restore(st);
-      // restore() rebuilt the ring objects — re-cache the per-domain
-      // pointers or the epoch loop would write through dangling ones.
-      for (std::size_t d = 0; d < n_domains; ++d) {
-        rings[d] = &hooks.flight->ring(d + 1);
-      }
-      ring_at = rings.data();
+    hooks.flight->restore(st);
+    // restore() rebuilt the ring objects — re-cache the per-domain
+    // pointers or the epoch loop would write through dangling ones.
+    for (std::size_t d = 0; d < n_domains; ++d) {
+      rings[d] = &hooks.flight->ring(d + 1);
     }
+    ring_at = rings.data();
   }
   if (!r.at_end()) {
     throw ckpt::CheckpointError("trailing bytes after fleet checkpoint");

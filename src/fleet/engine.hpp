@@ -155,13 +155,12 @@ struct FleetMetrics : DomainCounters {
   // compares these across shard/thread sweeps. Wall-clock phase data is
   // deliberately excluded — it is the one machine-relative field set.
   [[nodiscard]] std::uint64_t fingerprint() const;
-  // fleet.* metric family. No-op when observability is compiled out.
+  // fleet.* metric family.
   void publish_metrics(obs::MetricsRegistry& m, const std::string& prefix = "fleet") const;
 };
 
-// Optional observability taps for a fleet run. All null by default; every
-// hook site is behind `if constexpr (obs::kEnabled)`, so an OFF build
-// carries no instrumentation instructions at all.
+// Optional observability taps for a fleet run. All null by default; a null
+// hook costs one pointer test per epoch.
 //
 //   series   sampled at its own cadence with the fleet.* series
 //            (cumulative counters plus windowed delivered_per_s). The

@@ -120,11 +120,9 @@ void LinkLayer::on_timeout() {
   if (attempt_ > prm_.max_retries) {
     busy_ = false;
     ++c_.failed;
-    if constexpr (obs::kEnabled) {
-      if (flight_ != nullptr) {
-        flight_->push({sim_.now().value(), obs::FlightEventKind::kArqExhausted,
-                       flight_node_, static_cast<std::uint32_t>(attempt_), 0.0});
-      }
+    if (flight_ != nullptr) {
+      flight_->push({sim_.now().value(), obs::FlightEventKind::kArqExhausted,
+                     flight_node_, static_cast<std::uint32_t>(attempt_), 0.0});
     }
     if (done_) {
       auto done = std::move(done_);

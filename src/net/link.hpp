@@ -102,7 +102,7 @@ class LinkLayer {
 
   // Flight-recorder tap: a kArqExhausted event (a = `node_id`, b =
   // attempts made) is pushed when a frame burns its whole retry budget.
-  // Null detaches. No-op when observability is compiled out.
+  // Null detaches.
   void set_flight(obs::FlightRing* ring, std::uint32_t node_id) {
     flight_ = ring;
     flight_node_ = node_id;

@@ -24,8 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs.hpp"
-
 namespace pico::obs {
 
 enum class FlightEventKind : std::uint16_t {

@@ -101,7 +101,6 @@ std::string RunManifest::to_json() const {
   w.kv("compiler", b.compiler);
   w.kv("cxx_flags", b.cxx_flags);
   w.kv("sanitizer", b.sanitizer);
-  w.kv("observability", b.observability);
   w.end_object();
 
   w.key("config").begin_object();

@@ -2,8 +2,8 @@
 //
 // A RunManifest pins everything needed to reproduce or audit a run: the
 // tool name, wall-clock creation time, build provenance (git describe,
-// build type, compiler, flags, sanitizer, observability switch — captured
-// at configure time into the generated build_info.hpp), the run's
+// build type, compiler, flags, sanitizer — captured at configure time
+// into the generated build_info.hpp), the run's
 // configuration (seeds, trial counts, CLI flags) as a flat key/value
 // object, and the final metrics snapshot. Benches write it next to their
 // trace as `<prefix>.manifest.json`.
@@ -24,7 +24,6 @@ struct BuildInfo {
   std::string compiler;
   std::string cxx_flags;
   std::string sanitizer;
-  bool observability = kEnabled;
 
   // The values baked into this binary at configure time.
   static BuildInfo current();

@@ -17,8 +17,7 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // Interpolated quantile over the finite samples of a column (nearest-rank
-// with linear interpolation, the same convention HistogramSnapshot::quantile
-// and tools/soak_report.py use).
+// with linear interpolation, the same convention tools/soak_report.py uses).
 double column_quantile(std::vector<double>& sorted_finite, double p) {
   if (sorted_finite.empty()) return 0.0;
   if (p <= 0.0) return sorted_finite.front();

@@ -30,8 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs.hpp"
-
 namespace pico {
 class JsonWriter;
 }

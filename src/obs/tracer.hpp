@@ -6,7 +6,7 @@
 // depth, so exports can reconstruct the call tree. Constructing a Span
 // with a null Tracer is a no-op, which is how call sites stay branch-free:
 //
-//   obs::Span s(tracer_, "transient.run_until");   // tracer_ may be null
+//   obs::Span s(tracer, "bench.sweep");   // tracer may be null
 //
 // Buffers are per-thread (same sharding idea as MetricsRegistry) so
 // workers trace without contention; `write_chrome_trace()` merges them
@@ -22,8 +22,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/obs.hpp"
 
 namespace pico::obs {
 

@@ -96,9 +96,7 @@ struct ParallelRunner::Impl {
       std::unique_lock<std::mutex> lk(victim.m);
       if (!victim.empty()) {
         out = victim.pop_front();
-        if constexpr (obs::kEnabled) {
-          counters[self].steals.fetch_add(1, std::memory_order_relaxed);
-        }
+        counters[self].steals.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
@@ -116,10 +114,8 @@ struct ParallelRunner::Impl {
           if (!error) error = std::current_exception();
         }
       }
-      if constexpr (obs::kEnabled) {
-        counters[self].trials.fetch_add(c.end - c.begin, std::memory_order_relaxed);
-        counters[self].chunks.fetch_add(1, std::memory_order_relaxed);
-      }
+      counters[self].trials.fetch_add(c.end - c.begin, std::memory_order_relaxed);
+      counters[self].chunks.fetch_add(1, std::memory_order_relaxed);
       if (chunks_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::unique_lock<std::mutex> lk(job_m);
         job_cv.notify_all();  // wakes the caller waiting for completion
@@ -150,13 +146,11 @@ struct ParallelRunner::Impl {
       std::unique_lock<std::mutex> lk(job_m);
       job_cv.wait(lk, pred);
     }
-    if constexpr (obs::kEnabled) {
-      const auto dt = std::chrono::steady_clock::now() - t0;
-      counters[self].idle_ns.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()),
-          std::memory_order_relaxed);
-    }
+    const auto dt = std::chrono::steady_clock::now() - t0;
+    counters[self].idle_ns.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()),
+        std::memory_order_relaxed);
   }
 
   void worker_loop(unsigned self) {
@@ -216,10 +210,8 @@ void ParallelRunner::run_indexed(std::size_t n, IndexFn fn) {
       }
     }
     if (error) std::rethrow_exception(error);
-    if constexpr (obs::kEnabled) {
-      inline_trials_ += n;
-      ++inline_chunks_;
-    }
+    inline_trials_ += n;
+    ++inline_chunks_;
     return;
   }
   // Aim for ~4 chunks per worker so stealing has something to grab.
@@ -290,29 +282,24 @@ std::vector<WorkerStats> ParallelRunner::worker_stats() const {
 }
 
 void ParallelRunner::publish_metrics(obs::MetricsRegistry& m, const std::string& prefix) const {
-  if constexpr (obs::kEnabled) {
-    const std::vector<WorkerStats> stats = worker_stats();
-    WorkerStats total;
-    for (const WorkerStats& s : stats) {
-      total.trials += s.trials;
-      total.chunks += s.chunks;
-      total.steals += s.steals;
-      total.idle_s += s.idle_s;
-    }
-    m.add(m.counter(prefix + ".trials"), static_cast<double>(total.trials));
-    m.add(m.counter(prefix + ".chunks"), static_cast<double>(total.chunks));
-    m.add(m.counter(prefix + ".steals"), static_cast<double>(total.steals));
-    m.add(m.counter(prefix + ".idle_seconds"), total.idle_s);
-    m.set(m.gauge(prefix + ".threads", obs::GaugeAgg::kMax), static_cast<double>(threads_));
-    for (std::size_t w = 0; w < stats.size(); ++w) {
-      const std::string base = prefix + ".worker." + std::to_string(w);
-      m.add(m.counter(base + ".trials"), static_cast<double>(stats[w].trials));
-      m.add(m.counter(base + ".steals"), static_cast<double>(stats[w].steals));
-      m.add(m.counter(base + ".idle_seconds"), stats[w].idle_s);
-    }
-  } else {
-    (void)m;
-    (void)prefix;
+  const std::vector<WorkerStats> stats = worker_stats();
+  WorkerStats total;
+  for (const WorkerStats& s : stats) {
+    total.trials += s.trials;
+    total.chunks += s.chunks;
+    total.steals += s.steals;
+    total.idle_s += s.idle_s;
+  }
+  m.add(m.counter(prefix + ".trials"), static_cast<double>(total.trials));
+  m.add(m.counter(prefix + ".chunks"), static_cast<double>(total.chunks));
+  m.add(m.counter(prefix + ".steals"), static_cast<double>(total.steals));
+  m.add(m.counter(prefix + ".idle_seconds"), total.idle_s);
+  m.set(m.gauge(prefix + ".threads", obs::GaugeAgg::kMax), static_cast<double>(threads_));
+  for (std::size_t w = 0; w < stats.size(); ++w) {
+    const std::string base = prefix + ".worker." + std::to_string(w);
+    m.add(m.counter(base + ".trials"), static_cast<double>(stats[w].trials));
+    m.add(m.counter(base + ".steals"), static_cast<double>(stats[w].steals));
+    m.add(m.counter(base + ".idle_seconds"), stats[w].idle_s);
   }
 }
 

@@ -56,7 +56,7 @@ class IndexFn {
   void (*call_)(void*, std::size_t) = nullptr;
 };
 
-// Per-worker execution statistics (observability builds; zeros otherwise).
+// Per-worker execution statistics.
 struct WorkerStats {
   std::uint64_t trials = 0;  // fn(i) invocations executed by this worker
   std::uint64_t chunks = 0;  // chunks taken (own ring or stolen)
@@ -99,12 +99,12 @@ class ParallelRunner {
   // --- Observability ---------------------------------------------------------
   // Stats accumulated over the runner's lifetime, one entry per worker
   // slot (slot 0 is the caller). Call between run_indexed invocations, not
-  // concurrently with one. All zeros when PICO_OBSERVABILITY=OFF.
+  // concurrently with one.
   [[nodiscard]] std::vector<WorkerStats> worker_stats() const;
   // Publish totals ("<prefix>.trials/.chunks/.steals/.idle_seconds",
   // "<prefix>.threads" gauge) and per-worker counters
   // ("<prefix>.worker.<i>.trials" etc.). Call once when done; counters
-  // accumulate across runners sharing a registry. No-op when compiled out.
+  // accumulate across runners sharing a registry.
   void publish_metrics(obs::MetricsRegistry& m, const std::string& prefix = "runner") const;
 
  private:

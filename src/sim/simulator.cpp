@@ -113,13 +113,11 @@ void Simulator::dispatch(const Event& ev) {
   }
   now_ = ev.at;
   ++dispatched_;
-  if constexpr (obs::kEnabled) {
-    // Guard keeps the hot path free of a hash lookup when no event in
-    // this simulation ever carried a label.
-    if (!labels_.empty()) {
-      const auto lit = labels_.find(ev.id);
-      if (lit != labels_.end()) ++label_counts_[lit->second];
-    }
+  // Guard keeps the hot path free of a hash lookup when no event in
+  // this simulation ever carried a label.
+  if (!labels_.empty()) {
+    const auto lit = labels_.find(ev.id);
+    if (lit != labels_.end()) ++label_counts_[lit->second];
   }
   if (s->recurring) {
     heap_.push_back(Event{now_ + s->period, next_seq_++, ev.id});
@@ -170,15 +168,10 @@ void Simulator::run() {
 }
 
 void Simulator::publish_metrics(obs::MetricsRegistry& m, const std::string& prefix) const {
-  if constexpr (obs::kEnabled) {
-    m.add(m.counter(prefix + ".events_dispatched"), static_cast<double>(dispatched_));
-    m.set(m.gauge(prefix + ".queue_peak", obs::GaugeAgg::kMax), static_cast<double>(peak_live_));
-    for (const auto& [label, count] : label_counts_) {
-      m.add(m.counter(prefix + ".label." + label), static_cast<double>(count));
-    }
-  } else {
-    (void)m;
-    (void)prefix;
+  m.add(m.counter(prefix + ".events_dispatched"), static_cast<double>(dispatched_));
+  m.set(m.gauge(prefix + ".queue_peak", obs::GaugeAgg::kMax), static_cast<double>(peak_live_));
+  for (const auto& [label, count] : label_counts_) {
+    m.add(m.counter(prefix + ".label." + label), static_cast<double>(count));
   }
 }
 

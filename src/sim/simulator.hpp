@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "obs/obs.hpp"
 
 namespace pico::obs {
 class MetricsRegistry;
@@ -80,16 +79,14 @@ class Simulator {
   // Highest number of concurrently-live events seen so far (queue
   // high-water mark).
   [[nodiscard]] std::size_t queue_peak() const { return peak_live_; }
-  // Dispatch counts keyed by event label, via the label side-map. Only
-  // populated when PICO_OBSERVABILITY is on (empty map otherwise).
+  // Dispatch counts keyed by event label, via the label side-map.
   [[nodiscard]] const std::unordered_map<std::string, std::uint64_t>& label_counts() const {
     return label_counts_;
   }
   // Publish totals into `m` under "<prefix>.": events_dispatched and
   // per-label counters (counter), queue_peak (max-aggregated gauge). Call
   // once when the run is over — counters accumulate across simulators
-  // sharing a registry (e.g. one per Monte Carlo trial). No-op when
-  // observability is compiled out.
+  // sharing a registry (e.g. one per Monte Carlo trial).
   void publish_metrics(obs::MetricsRegistry& m, const std::string& prefix = "sim") const;
 
  private:
@@ -147,7 +144,7 @@ class Simulator {
   std::uint64_t dispatched_ = 0;
   std::size_t live_events_ = 0;
   std::size_t peak_live_ = 0;
-  // Per-label dispatch counts (observability builds only).
+  // Per-label dispatch counts.
   std::unordered_map<std::string, std::uint64_t> label_counts_;
   bool stopping_ = false;
 };

@@ -162,7 +162,6 @@ TEST(FaultScenario, LossyChannelArqRetriesRecoverDelivery) {
 }
 
 TEST(FaultScenario, FlightRecorderCapturesArqGiveUpsAndFaultOpens) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // The scalar node's flight taps: every ARQ give-up lands in ring 0 with
   // the attempt count, and every fault-window open is recorded by the
   // injector — so a post-mortem dump shows *which* frames died and *when*
@@ -193,7 +192,6 @@ TEST(FaultScenario, FlightRecorderCapturesArqGiveUpsAndFaultOpens) {
 }
 
 TEST(FaultScenario, FlightRecorderCapturesBrownout) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const fault::Scenario s = fault::make_scenario("cold_soak_nimh");
   core::PicoCubeNode node(s.config);
   obs::FlightRecorder flight;
@@ -245,7 +243,6 @@ TEST(FaultScenario, LibraryNamesAreStableAndLookupsWork) {
 }
 
 TEST(FaultScenario, MetricsCarryFaultCounters) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const fault::Scenario s = fault::make_scenario("tire_stop_and_go");
   core::PicoCubeNode node(s.config);
   node.run(s.sim_time);

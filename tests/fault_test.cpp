@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
-#include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 
 namespace pico {
@@ -166,12 +165,9 @@ TEST(FaultInjector, CountersAndLabels) {
   EXPECT_EQ(c.harvest_derates, 1u);
   EXPECT_EQ(c.channel_loss_windows, 1u);
   EXPECT_EQ(c.supply_glitches, 1u);
-  // Events land in the simulator's label ledger for the run manifest
-  // (the ledger is per-dispatch accounting, compiled out with obs).
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(sim.label_counts().at("fault.hderate"), 1u);
-    EXPECT_EQ(sim.label_counts().at("fault.hderate.end"), 1u);
-  }
+  // Events land in the simulator's label ledger for the run manifest.
+  EXPECT_EQ(sim.label_counts().at("fault.hderate"), 1u);
+  EXPECT_EQ(sim.label_counts().at("fault.hderate.end"), 1u);
 }
 
 TEST(FaultInjector, RejectsEventsInThePast) {

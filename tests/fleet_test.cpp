@@ -452,7 +452,6 @@ FlightCounts run_flight_counts(const FleetSpec& spec, std::uint32_t tx_shift,
 }
 
 TEST(ActiveSetTest, FlightStreamCountsUnderFaultsArePinned) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // Frame-tx sampling, collision events, fault windows, barrier events:
   // emission order is generation order, but which and how many events a
   // run records must not move.
@@ -531,7 +530,6 @@ TEST(ShardPlanTest, RoundRobinIsBalancedAndCoversEveryDomain) {
 }
 
 TEST(ShardedEngineTest, FlightFingerprintBitIdenticalAcrossShardAndThreadCounts) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // The lossy_channel fade (70 % loss for 100 s) run in beacon mode: the
   // fault open feeds the host ring, frame/collision events the per-domain
   // rings. The flight stream also carries per-epoch barrier events, so the
@@ -803,7 +801,6 @@ TEST(FleetArqTest, JamMatchesPinnedFingerprint) {
 }
 
 TEST(FleetArqTest, FlightStreamCountsUnderJamArePinned) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // ARQ interleaves chains across the calendar's pop order; every attempt
   // still records (or samples) exactly one kFrameTx.
   FleetMetrics m;
@@ -880,7 +877,6 @@ std::uint64_t series_rows_hash(const FleetSpec& spec, std::size_t expect_rows) {
 }
 
 TEST(FleetArqTest, SeriesRowsUnderJamArePinned) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   EXPECT_EQ(series_rows_hash(arq_jam_spec(), 24), 0x5e783c3948e5d272ULL);
   FleetSpec wide = arq_jam_spec();
   wide.nodes = 2400;
@@ -963,7 +959,6 @@ TEST(FleetRetirementTest, BitIdenticalAcrossShardAndThreadCounts) {
 }
 
 TEST(FleetRetirementTest, BrownoutFlightEventsAreMidRunAndPinned) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const FleetSpec spec = tight_budget_spec();
   obs::FlightRecorder flight;
   FleetObsHooks hooks;
@@ -997,7 +992,6 @@ TEST(FleetRetirementTest, BrownoutFlightEventsAreMidRunAndPinned) {
 }
 
 TEST(FleetRetirementTest, KernelRetirementMatchesScalarBrownoutWithinOneWake) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // One node, no harvest, a battery sized to die mid-run: the scalar
   // behavioral node's PowerAccountant brownout and the kernel's per-wake
   // retirement must land within one wake cycle of each other. The SoC is
@@ -1309,11 +1303,7 @@ TEST(DomainTest, SteadyStateWithTelemetryArmedDoesNotAllocate) {
   EXPECT_GT(rec.decimations(), 0u);        // the cap was hit and halved in place
   EXPECT_GT(watch.rules()[0].checks, 0u);  // envelope checks actually ran
   EXPECT_FALSE(watch.breached());
-  if (obs::kEnabled) {
-    EXPECT_GT(ring.recorded(), 0u);  // frame-tx events landed in the ring
-  } else {
-    EXPECT_EQ(ring.recorded(), 0u);  // hooks compiled out entirely
-  }
+  EXPECT_GT(ring.recorded(), 0u);  // frame-tx events landed in the ring
 }
 
 }  // namespace

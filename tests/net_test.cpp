@@ -291,14 +291,12 @@ TEST(NetNode, ArqNodeDeliversAndReportsEnergyPerBit) {
   ASSERT_NE(node.base_station(), nullptr);
   EXPECT_GT(node.link_layer()->counters().acked, 0u);
   EXPECT_GT(node.base_station()->counters().delivered, 0u);
-  if constexpr (obs::kEnabled) {  // publish_metrics is a no-op when compiled out
-    obs::MetricsRegistry m;
-    node.publish_metrics(m);
-    const auto snap = m.snapshot();
-    EXPECT_GT(snap.value("net.acked"), 0.0);
-    EXPECT_GT(snap.value("net.delivered"), 0.0);
-    EXPECT_GT(snap.value("net.energy_per_delivered_bit"), 0.0);
-  }
+  obs::MetricsRegistry m;
+  node.publish_metrics(m);
+  const auto snap = m.snapshot();
+  EXPECT_GT(snap.value("net.acked"), 0.0);
+  EXPECT_GT(snap.value("net.delivered"), 0.0);
+  EXPECT_GT(snap.value("net.energy_per_delivered_bit"), 0.0);
 }
 
 TEST(NetNode, RecordingOffChangesNothingButTraces) {

@@ -14,7 +14,6 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 
 // Counts every path through the replaceable global operator new, so a test
@@ -196,9 +195,7 @@ TEST(ParallelRunner, RingsGrowOnlyForLargerJobs) {
   EXPECT_EQ(hits[511].load(), 1);  // the one 512-index job
   std::uint64_t chunks = 0;
   for (const WorkerStats& w : runner.worker_stats()) chunks += w.chunks;
-  if (obs::kEnabled) {
-    EXPECT_GT(chunks, 512u);
-  }
+  EXPECT_GT(chunks, 512u);
 }
 
 TEST(ParallelRunner, RunIndexedPropagatesFirstException) {

@@ -182,9 +182,7 @@ TEST(TransientFastPath, TogglingBackReusesFactorization) {
   // then trapezoidal), phase 1 the off one; phases 2-5 toggle back to a
   // factored topology and factorize nothing.
   EXPECT_EQ(cached.factorizations, (std::vector<std::uint64_t>{2, 3, 3, 3, 3, 3}));
-  if (obs::kEnabled) {
-    EXPECT_EQ(cached.content_hits, 4u);
-  }
+  EXPECT_EQ(cached.content_hits, 4u);
 }
 
 }  // namespace
